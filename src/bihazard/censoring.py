@@ -293,14 +293,21 @@ class QuantileTable:
 
 
 def _table_from_json(obj):
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    what = f"{kind} parameter distribution"
     if kind == "fixed":
-        return QuantileTable.fixed(obj["value"])
+        return QuantileTable.fixed(_required(obj, "value", what))
     if kind == "uniform":
-        return QuantileTable.uniform(obj["low"], obj["high"])
+        return QuantileTable.uniform(_required(obj, "low", what), _required(obj, "high", what))
     if kind == "table":
-        return QuantileTable(obj["points"])
+        return QuantileTable(_required(obj, "points", what))
     raise ConfigError(f"unknown parameter-distribution kind {kind!r}")
+
+
+def _required(obj, key, what):
+    if key not in obj:
+        raise ConfigError(f"{what} needs key {key!r}")
+    return obj[key]
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +599,9 @@ def _expect_keys(obj, allowed):
     extra = set(obj) - allowed
     if extra:
         raise DataError(f"unknown keys in region JSON: {sorted(extra)}")
+    missing = allowed - set(obj)
+    if missing:
+        raise DataError(f"{obj['kind']} region JSON needs keys {sorted(missing)}")
 
 
 def censoring_model_to_json(model):
@@ -616,18 +626,19 @@ def censoring_model_from_json(obj):
     extras = {"mc_prob_samples": int(obj.get("mc_prob_samples", 10000)),
               "mc_seed": int(obj.get("mc_seed", 0))}
     known = {"family", "mc_prob_samples", "mc_seed"}
+    what = f"{fam} censoring model"
     if fam == "rectangle":
         known |= {"tau1", "tau2"}
-        params = {"tau1": _table_from_json(obj["tau1"]), "tau2": _table_from_json(obj["tau2"])}
+        params = {k: _table_from_json(_required(obj, k, what)) for k in ("tau1", "tau2")}
     elif fam == "band_complement":
         known |= {"k1", "k2", "c"}
-        params = {"k1": _table_from_json(obj["k1"]), "k2": _table_from_json(obj["k2"]),
-                  "c": float(obj["c"])}
+        params = {k: _table_from_json(_required(obj, k, what)) for k in ("k1", "k2")}
+        params["c"] = float(_required(obj, "c", what))
     elif fam == "full":
         params = {}
     elif fam in ("grid_product", "lower_layer", "raster"):
         known |= {"region"}
-        params = {"region": region_from_json(obj["region"])}
+        params = {"region": region_from_json(_required(obj, "region", what))}
     else:
         raise ConfigError(f"unknown censoring family {fam!r}")
     extra = set(obj) - known

@@ -17,8 +17,8 @@ and the Nelson-Aalen estimator is
 
 For rectangle (and trivially full-space) censoring, 1{Y_i >= t, t in xi_i}
 equals 1{Y_i ^ tau_i >= t}, so at-risk counts reduce to planar dominance
-counting on the minima; that is the fast path.  Other families evaluate
-region membership record by record.
+counting on the minima; that is the fast path.  Other families test
+membership once per distinct region and count that region's records together.
 """
 
 from __future__ import annotations
@@ -100,22 +100,23 @@ def _validate_record(rec, index):
 
 
 class CensoredSample:
-    """Immutable dataset wrapper with cached arrays for the estimators."""
+    """Immutable dataset wrapper with cached arrays for the estimators.
+
+    `regions` lists the distinct censoring regions in first-seen order and
+    `region_index[i]` is record i's entry; resamples share the table."""
 
     def __init__(self, records):
         records = list(records)
         if not records:
             raise DataError("empty dataset")
+        n = len(records)
+        carrier = np.empty((n, 2))
+        status = np.empty(n, dtype=np.int8)
+        events = np.zeros((n, 2), dtype=bool)
+        region_index = np.empty(n, dtype=np.int64)
+        table = {}
         for i, rec in enumerate(records):
             _validate_record(rec, i)
-        self._init_arrays(records)
-
-    def _init_arrays(self, records):
-        self.records = records
-        self.n = len(records)
-        carrier = np.empty((self.n, 2))
-        status = np.empty(self.n, dtype=np.int8)
-        for i, rec in enumerate(records):
             if rec.status == "observed":
                 carrier[i] = rec.point
                 status[i] = 0
@@ -125,45 +126,42 @@ class CensoredSample:
             else:
                 carrier[i] = rec.minima
                 status[i] = 2
+                events[i] = rec.events
+            region_index[i] = table.setdefault(rec.censor, len(table))
+        self.records = records
+        self.n = n
         self.carrier = carrier
         self.status = status
-        self.event_mask = np.array(
-            [r.status == "observed" or (r.status == "censored_opaque" and r.events == (1, 1))
-             for r in records])
-        self.censors = [r.censor for r in records]
-        self.fast = all(isinstance(c, (cen.FullSpace, cen.Rectangle)) for c in self.censors)
-        if self.fast:
-            tau = np.array([c.tau if isinstance(c, cen.Rectangle) else (1.0, 1.0)
-                            for c in self.censors])
-            self.risk_min = np.minimum(carrier, tau)
-        else:
-            self.risk_min = None
+        self.events = events
+        self.event_mask = (status == 0) | ((status == 2) & events.all(axis=1))
+        self.regions = list(table)
+        self.region_index = region_index
+        self.boxed = np.array([isinstance(r, (cen.FullSpace, cen.Rectangle)) for r in self.regions])
+        self.fast = bool(self.boxed.all())
+        tau = np.array([r.tau if isinstance(r, cen.Rectangle) else (1.0, 1.0) for r in self.regions])
+        self.risk_min = np.minimum(carrier, tau[region_index])
         self._mass_cache = {}
-        self._marg_cache = None
+        self._intervals = {}
 
     @property
     def event_points(self):
         return self.carrier[self.event_mask]
 
     def take(self, idx):
-        """Sub- or resample by index; caches that slice cleanly are carried over."""
+        """Sub- or resample by index; the region table is shared, not copied."""
         idx = np.asarray(idx, dtype=np.int64)
+        if len(idx) == 0:
+            raise DataError("empty dataset")
         out = object.__new__(CensoredSample)
         out.records = [self.records[i] for i in idx]
-        out.n = len(out.records)
-        if out.n == 0:
-            raise DataError("empty dataset")
-        out.carrier = self.carrier[idx]
-        out.status = self.status[idx]
-        out.event_mask = self.event_mask[idx]
-        out.censors = [self.censors[i] for i in idx]
+        out.n = len(idx)
+        for name in ("carrier", "status", "events", "event_mask", "region_index", "risk_min"):
+            setattr(out, name, getattr(self, name)[idx])
+        out.regions = self.regions
+        out.boxed = self.boxed
         out.fast = self.fast
-        out.risk_min = self.risk_min[idx] if self.risk_min is not None else None
         out._mass_cache = {}
-        out._marg_cache = None
-        if self._marg_cache is not None:
-            v, fl, ivx, ivy = self._marg_cache
-            out._marg_cache = (v[idx], fl[idx], ivx[idx], ivy[idx])
+        out._intervals = self._intervals
         return out
 
 
@@ -171,32 +169,45 @@ class CensoredSample:
 # at-risk, counting, Nelson-Aalen
 # ---------------------------------------------------------------------------
 
-def _risk_counts_general(sample, queries):
-    """Z_n at each query for arbitrary censoring families (record-by-record)."""
+def _risk_counts(sample, queries):
+    """Z_n at each query (exact integers), counted once per distinct region.
+
+    Records under box regions share one dominance count on their minima.
+    Each other region adds, at the queries it contains, the dominance count
+    of its own points.  With queries sorted by x, those the points can
+    dominate are a prefix, cut by their largest y; a region held by one
+    record (band complements are drawn per subject) needs no count then.
+    """
     q = np.asarray(queries, dtype=float).reshape(-1, 2)
-    out = np.zeros(len(q), dtype=np.int64)
-    for i in range(sample.n):
-        c = sample.carrier[i]
-        dom = (c[0] >= q[:, 0]) & (c[1] >= q[:, 1])
-        if sample.status[i] == 2 and not isinstance(sample.censors[i], cen.Rectangle):
-            raise ObservabilityError(f"record {i}: opaque record without rectangle censoring")
-        out += dom & cen.contains(sample.censors[i], q)
+    boxed = sample.boxed[sample.region_index]
+    out = dominating_count(sample.risk_min[boxed], q)
+    if boxed.all():
+        return out
+    rows = np.flatnonzero(~boxed)
+    rows = rows[np.argsort(sample.region_index[rows], kind="stable")]
+    starts = np.flatnonzero(np.diff(sample.region_index[rows], prepend=-1))
+    tops = np.maximum.reduceat(sample.carrier[rows], starts)
+    order = np.argsort(q[:, 0], kind="stable")
+    qs = q[order]
+    ends = np.searchsorted(qs[:, 0], tops[:, 0], side="right")
+    extra = np.zeros(len(q), dtype=np.int64)
+    for group, region, top, end in zip(np.split(rows, starts[1:]), sample.region_index[rows[starts]],
+                                       tops, ends):
+        head = qs[:end]
+        hit = (head[:, 1] <= top[1]) & cen.contains(sample.regions[region], head)
+        if len(group) == 1:
+            extra[:end] += hit
+        else:
+            sel = np.flatnonzero(hit)
+            extra[sel] += dominating_count(sample.carrier[group], head[sel])
+    out[order] += extra
     return out
 
 
 def at_risk(sample, t):
     """Z_n(t): subjects whose point dominates t and whose region contains t."""
     pts = as_points(t)
-    flat = pts.reshape(-1, 2)
-    if sample.fast:
-        if len(flat) >= 64 and sample.n >= 64:
-            out = dominating_count(sample.risk_min, flat)
-        else:
-            out = ((sample.risk_min[None, :, 0] >= flat[:, None, 0])
-                   & (sample.risk_min[None, :, 1] >= flat[:, None, 1])).sum(axis=1)
-    else:
-        out = _risk_counts_general(sample, flat)
-    out = out.reshape(pts.shape[:-1])
+    out = _risk_counts(sample, pts).reshape(pts.shape[:-1])
     return int(out) if out.ndim == 0 else out
 
 
@@ -221,22 +232,14 @@ def jump_masses(sample, method="auto"):
     if len(ev) == 0:
         masses = np.empty(0)
     else:
-        if method == "auto":
-            method_eff = "fast" if sample.fast else "general"
-        elif method == "fast":
-            if not sample.fast:
-                raise ConfigError("fast path needs rectangle or full-space censoring throughout")
-            method_eff = "fast"
-        elif method == "naive":
-            method_eff = "naive" if sample.fast else "general"
+        if method == "fast" and not sample.fast:
+            raise ConfigError("fast path needs rectangle or full-space censoring throughout")
+        if method == "naive" and sample.fast:
+            z = dominating_count_naive(sample.risk_min, ev)
+        elif method in ("auto", "fast", "naive"):
+            z = _risk_counts(sample, ev)
         else:
             raise ConfigError(f"unknown method {method!r}")
-        if method_eff == "fast":
-            z = dominating_count(sample.risk_min, ev)
-        elif method_eff == "naive":
-            z = dominating_count_naive(sample.risk_min, ev)
-        else:
-            z = _risk_counts_general(sample, ev)
         if np.any(z < 1):
             raise DataError("internal inconsistency: an observed point is not at risk at itself")
         masses = 1.0 / z
@@ -316,7 +319,7 @@ def _risk_counts_on_mesh(sample, mx, my):
         return suff
     gx, gy = np.meshgrid(mx, my, indexing="ij")
     pts = np.stack([gx, gy], axis=-1).reshape(-1, 2)
-    return _risk_counts_general(sample, pts).reshape(len(mx), len(my))
+    return _risk_counts(sample, pts).reshape(len(mx), len(my))
 
 
 @dataclass
@@ -370,13 +373,11 @@ def compensator_residual(sample, model, region, spec=QuadratureSpec(), weight=No
 # marginal estimation
 # ---------------------------------------------------------------------------
 
-_NEVER = (2.0, 1.0)  # empty padding interval: contains nothing in [0,1]
-
-
 def _marginal_intervals(region):
     """Per-axis observable interval unions ([ (a,b), ... ] per axis).
 
-    Only families with a per-axis censoring structure reduce; rasters do not.
+    Only families with a per-axis censoring structure reduce; rasters do not
+    and give None.
     """
     if isinstance(region, cen.FullSpace):
         return [(0.0, 1.0)], [(0.0, 1.0)]
@@ -392,43 +393,24 @@ def _marginal_intervals(region):
     if isinstance(region, cen.LowerLayer):
         cs = np.asarray(region.corners)
         return [(0.0, float(cs[:, 0].max()))], [(0.0, float(cs[:, 1].max()))]
-    raise ReductionError(f"no per-axis censoring reduction for {type(region).__name__}")
+    return None
 
 
-def _marginal_data(sample):
-    """(values, observed flags, interval arrays) per record and axis, cached."""
-    if sample._marg_cache is not None:
-        return sample._marg_cache
-    n = sample.n
-    values = sample.carrier.copy()
-    flags = np.zeros((n, 2), dtype=bool)
-    per_axis = [[], []]
-    kmax = 1
-    for i, rec in enumerate(sample.records):
-        ivx, ivy = _marginal_intervals(rec.censor)
-        per_axis[0].append(ivx)
-        per_axis[1].append(ivy)
-        kmax = max(kmax, len(ivx), len(ivy))
-        if sample.status[i] == 2:
-            flags[i] = np.asarray(rec.events, dtype=bool)
-        else:
-            flags[i, 0] = any(a <= values[i, 0] <= b for a, b in ivx)
-            flags[i, 1] = any(a <= values[i, 1] <= b for a, b in ivy)
-    iv = np.full((2, n, kmax, 2), _NEVER, dtype=float)
-    for axis in (0, 1):
-        for i, ivs in enumerate(per_axis[axis]):
-            iv[axis, i, :len(ivs)] = ivs
-    sample._marg_cache = (values, flags, iv[0], iv[1])
-    return sample._marg_cache
+def _interval_table(sample, axis):
+    """Every region's intervals on one axis, stacked, with each region's first row and count.
 
-
-def _marginal_at_risk(values_j, intervals_j, query):
-    """Z for one axis at each query value: sum_i 1{v_i >= u} 1{u in xi_ji}."""
-    q = np.asarray(query, dtype=float)
-    member = ((intervals_j[:, :, 0][:, :, None] <= q)
-              & (q <= intervals_j[:, :, 1][:, :, None])).any(axis=1)   # (n, len(q))
-    dom = values_j[:, None] >= q
-    return (member & dom).sum(axis=0)
+    Built once per base sample and shared by its resamples; a region with no
+    reduction gets count -1, which raises only where a record uses it.
+    """
+    if axis not in sample._intervals:
+        rows, first, count = [], [], []
+        for ivs in map(_marginal_intervals, sample.regions):
+            first.append(len(rows))
+            count.append(len(ivs[axis]) if ivs else -1)
+            rows.extend(ivs[axis] if ivs else ())
+        sample._intervals[axis] = (np.array(rows, dtype=float).reshape(-1, 2),
+                                   np.array(first, dtype=np.int64), np.array(count, dtype=np.int64))
+    return sample._intervals[axis]
 
 
 @dataclass
@@ -461,16 +443,28 @@ def marginal_nelson_aalen(sample, axis):
     """
     if axis not in (0, 1):
         raise ConfigError("axis must be 0 or 1")
-    values, flags, ivx, ivy = _marginal_data(sample)
-    iv = ivx if axis == 0 else ivy
-    v = values[:, axis]
-    obs = flags[:, axis]
-    ev = np.sort(v[obs])
-    distinct, cnt = np.unique(ev, return_counts=True)
+    intervals, first, count = _interval_table(sample, axis)
+    k = count[sample.region_index]
+    if np.any(k < 0):
+        region = sample.regions[sample.region_index[np.argmax(k < 0)]]
+        raise ReductionError(f"no per-axis censoring reduction for {type(region).__name__}")
+    # one row per (record, interval) pair; record i's interval [a, b] holds u
+    # while v_i >= u exactly when a <= u <= e with e = min(b, v_i)
+    rec = np.repeat(np.arange(sample.n), k)
+    pair = np.repeat(first[sample.region_index] - (np.cumsum(k) - k), k) + np.arange(len(rec))
+    a, b = intervals[pair, 0], intervals[pair, 1]
+    v = sample.carrier[:, axis]
+    vr = v[rec]
+    e = np.minimum(b, vr)
+    live = a <= e
+    inside = np.bincount(rec[live & (vr <= b)], minlength=sample.n) > 0
+    obs = np.where(sample.status == 2, sample.events[:, axis], inside)
+    distinct, cnt = np.unique(v[obs], return_counts=True)
     if len(distinct) == 0:
         e = np.empty(0)
         return MarginalEstimate(axis, e, e.astype(int), e.astype(int), e, e, sample.n)
-    z = _marginal_at_risk(v, iv, distinct)
+    z = (np.searchsorted(np.sort(a[live]), distinct, side="right")
+         - np.searchsorted(np.sort(e[live]), distinct, side="left"))
     if np.any(z < cnt):
         raise DataError("internal inconsistency: marginal event not at risk at itself")
     jumps = cnt / z

@@ -14,6 +14,7 @@ reports are identical for any worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,12 @@ class BootstrapSpec:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("replicates", "alpha", "seed", "grid_size", "workers"):
+            value = getattr(self, name)
+            kind = numbers.Real if name == "alpha" else numbers.Integral
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {'a number' if name == 'alpha' else 'an integer'}, "
+                                  f"got {value!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if not (0.0 < self.alpha <= 1.0):

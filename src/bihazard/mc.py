@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import censoring as cen
 from .errors import ConfigError, DomainError
@@ -161,8 +160,10 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
                              "limit covariance quadrature",
                              f"relative error <= {var_rtol}", _guarded(big_enough, ok)))
         if "normality" in checks:
+            from scipy import stats   # not at module level: it dominates every CLI command's start
+
             z = (x - mean) / sd if sd > 0 else x * 0.0
-            ks = float(_stats.kstest(z, "norm").statistic)
+            ks = float(stats.kstest(z, "norm").statistic)
             rows.append(_row(f"normality@{label}", ks, None, 0.0,
                              "standard normal CDF",
                              f"Kolmogorov distance <= {ks_bound}",

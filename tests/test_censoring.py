@@ -389,6 +389,8 @@ def test_region_json_errors():
         region_from_json({"kind": "rectangle", "tau": [1.5, 0.5]})
     with pytest.raises(DataError):
         region_from_json([1, 2])
+    with pytest.raises(DataError, match="needs keys"):
+        region_from_json({"kind": "grid_product", "x": [[0.0, 1.0]]})
 
 
 def test_censoring_model_json_round_trip():
@@ -415,3 +417,9 @@ def test_censoring_model_json_errors():
         censoring_model_from_json({"family": "full", "bogus": 1})
     with pytest.raises(ConfigError):
         censoring_model_from_json({"no_family": True})
+    fixed = {"kind": "fixed", "value": 0.5}
+    for missing in ({"family": "band_complement", "k1": fixed, "k2": fixed},
+                    {"family": "rectangle", "tau1": {"kind": "fixed"}, "tau2": fixed},
+                    {"family": "rectangle", "tau1": fixed, "tau2": "uniform"}):
+        with pytest.raises(ConfigError):
+            censoring_model_from_json(missing)

@@ -23,10 +23,11 @@ def test_tiny_hand_case():
 
 
 def test_matches_naive_on_random_sets_with_ties():
+    # sizes fall on both sides of the 64-point/64-query switch to the Fenwick sweep
     rng = np.random.default_rng(59)
     for trial in range(100):
-        n = int(rng.integers(0, 60))
-        k = int(rng.integers(0, 60))
+        n = int(rng.integers(0, 160))
+        k = int(rng.integers(0, 160))
         if rng.random() < 0.5:
             # continuous coordinates
             pts = rng.random((n, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
-                                LowerLayer, QuantileTable, Raster, Rectangle)
+                                LowerLayer, QuantileTable, Raster, Rectangle, contains)
 from bihazard.errors import (ConfigError, DataError, DomainError, ObservabilityError,
                              QuantileRangeError, ReductionError)
 from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, at_risk,
@@ -195,8 +195,8 @@ def test_fast_and_naive_identical_on_random_samples():
 
 
 def test_general_path_agrees_with_fast_on_equivalent_regions():
-    # a one-interval GridProduct is the same set as a Rectangle but runs the
-    # record-by-record path; counts must agree
+    # a one-interval GridProduct is the same set as a Rectangle but is counted
+    # as a region of its own, not on the minima; counts must agree
     rng = np.random.default_rng(79)
     for _ in range(10):
         n = int(rng.integers(1, 50))
@@ -218,7 +218,7 @@ def test_general_path_agrees_with_fast_on_equivalent_regions():
 def test_take_matches_rebuild():
     rng = np.random.default_rng(83)
     s = CensoredSample(_random_rect_records(rng, 60))
-    marginal_nelson_aalen(s, 0)      # fill the marginal cache before slicing
+    marginal_nelson_aalen(s, 0)      # build the shared interval table before slicing
     idx = rng.integers(0, 60, size=60)
     sliced = s.take(idx)
     rebuilt = CensoredSample([s.records[i] for i in idx])
@@ -231,6 +231,117 @@ def test_take_matches_rebuild():
         assert np.array_equal(a.cum, b.cum)
     with pytest.raises(DataError):
         s.take(np.empty(0, dtype=np.int64))
+
+
+def _mixed_family_records(rng):
+    """Every censoring family in one sample, on the 1/8 lattice so ties and
+    region boundaries occur: box records (rectangles in both record forms, full
+    space), one shared grid product, lower layer and raster, and band
+    complements drawn per record (some coincide, most are singletons)."""
+    def lattice(lo, hi, size=None):
+        return rng.integers(lo, hi + 1, size=size) / 8.0
+
+    shared = [GridProduct(((0.0, 0.375), (0.625, 1.0)), ((0.0, 0.5), (0.75, 1.0))),
+              LowerLayer(((0.375, 1.0), (0.75, 0.625), (1.0, 0.25))),
+              Raster(4, rng.random((4, 4)) < 0.7)]
+    censors = ([Rectangle(tuple(lattice(3, 8, 2))) for _ in range(55)] + [FULL] * 25
+               + [r for r in shared for _ in range(70)])
+    for _ in range(40):
+        k1 = lattice(1, 4)
+        censors.append(BandComplement(k1, k1 + lattice(0, 3), lattice(1, 2)))
+    recs = []
+    for i, censor in enumerate(censors):
+        y = tuple(lattice(0, 8, 2))
+        if 30 <= i < 55:
+            tau = censor.tau
+            recs.append(SubjectRecord(censor=censor, status="censored_opaque",
+                                      minima=(min(y[0], tau[0]), min(y[1], tau[1])),
+                                      events=(int(y[0] <= tau[0]), int(y[1] <= tau[1]))))
+        elif contains(censor, y):
+            recs.append(SubjectRecord(censor=censor, status="observed", point=y))
+        else:
+            recs.append(SubjectRecord(censor=censor, status="censored_latent", latent=y))
+    return recs
+
+
+def _carrier(rec):
+    return rec.point if rec.status == "observed" else rec.latent if rec.latent else rec.minima
+
+
+def _brute_at_risk_2d(recs, queries):
+    """Per-record Z_n; minima under a rectangle already lie inside it."""
+    q = np.asarray(queries, dtype=float).reshape(-1, 2)
+    z = np.zeros(len(q), dtype=np.int64)
+    for rec in recs:
+        c = _carrier(rec)
+        z += (c[0] >= q[:, 0]) & (c[1] >= q[:, 1]) & contains(rec.censor, q)
+    return z
+
+
+def _axis_intervals(region, axis):
+    """Per-axis observable intervals, written from each family's definition."""
+    if isinstance(region, FullSpace):
+        return [(0.0, 1.0)]
+    if isinstance(region, Rectangle):
+        return [(0.0, region.tau[axis])]
+    if isinstance(region, GridProduct):
+        return (region.x_intervals, region.y_intervals)[axis]
+    if isinstance(region, LowerLayer):
+        return [(0.0, max(c[axis] for c in region.corners))]
+    if axis == 0:
+        return [(0.0, 1.0)]
+    far = region.k2 + region.c
+    return [(0.0, region.k1)] + ([(far, 1.0)] if far <= 1.0 else [])
+
+
+def _brute_marginal(recs, axis):
+    """(values, counts, at-risk) of the marginal reduction, record by record."""
+    vals, ivs, events = [], [], []
+    for rec in recs:
+        v = _carrier(rec)[axis]
+        iv = _axis_intervals(rec.censor, axis)
+        vals.append(v)
+        ivs.append(iv)
+        if rec.status == "censored_opaque":
+            events.append(rec.events[axis] == 1)
+        else:
+            events.append(any(a <= v <= b for a, b in iv))
+    values = sorted({v for v, e in zip(vals, events) if e})
+    counts = [sum(1 for v, e in zip(vals, events) if e and v == u) for u in values]
+    risk = [sum(1 for v, iv in zip(vals, ivs) if v >= u and any(a <= u <= b for a, b in iv))
+            for u in values]
+    return values, counts, risk
+
+
+def test_region_table_kernels_match_per_record_counts_on_every_family():
+    rng = np.random.default_rng(89)
+    recs = _mixed_family_records(rng)
+    s = CensoredSample(recs)
+    assert not s.fast and len(s.regions) < len(recs)
+    lattice = np.stack(np.meshgrid(np.arange(9) / 8.0, np.arange(9) / 8.0), axis=-1).reshape(-1, 2)
+    reducible = [i for i, r in enumerate(recs) if not isinstance(r.censor, Raster)]
+    with pytest.raises(ReductionError):
+        marginal_nelson_aalen(s, 0)
+    n = len(recs)
+    for idx in (np.arange(n), rng.integers(0, n, size=n), rng.choice(reducible, size=150)):
+        sub = s.take(idx)
+        sub_recs = [recs[i] for i in idx]
+        q = np.vstack([lattice, rng.random((40, 2)), sub.event_points])
+        assert np.array_equal(at_risk(sub, q), _brute_at_risk_2d(sub_recs, q))
+        masses = 1.0 / _brute_at_risk_2d(sub_recs, sub.event_points)
+        assert np.array_equal(jump_masses(sub), masses)
+        assert np.array_equal(jump_masses(sub, method="naive"), masses)
+
+    for idx in (np.array(reducible), rng.choice(reducible, size=len(reducible))):
+        sub = s.take(idx)
+        sub_recs = [recs[i] for i in idx]
+        for axis in (0, 1):
+            est = marginal_nelson_aalen(sub, axis)
+            values, counts, risk = _brute_marginal(sub_recs, axis)
+            assert est.values.tolist() == values
+            assert est.counts.tolist() == counts
+            assert est.at_risk.tolist() == risk
+            assert np.array_equal(est.jumps, np.array(counts) / np.array(risk))
 
 
 # ---------------------------------------------------------------------------

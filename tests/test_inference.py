@@ -47,6 +47,10 @@ def test_spec_validation():
         BootstrapSpec(sided="both")
     with pytest.raises(ConfigError):
         BootstrapSpec(workers=0)
+    for bad in ({"replicates": "x"}, {"replicates": True}, {"alpha": False},
+                {"seed": 1.5}, {"grid_size": None}, {"workers": "2"}):
+        with pytest.raises(ConfigError):
+            BootstrapSpec(**bad)
 
 
 def test_finish_frozen_values():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bihazard
 from bihazard.censoring import (CensoringModel, FullSpace, LowerLayer, QuantileTable,
                                 Rectangle)
 from bihazard.cli import main
@@ -285,7 +290,7 @@ def test_cli_hazard_order_with_region(tmp_path):
     assert report["diagnostics"]["regionMode"] == "fixed"
 
 
-def test_cli_test_config_errors(tmp_path):
+def test_cli_test_config_errors(tmp_path, capsys):
     d1, d2 = _write_two_samples(tmp_path)
     out = str(tmp_path / "x")
 
@@ -308,6 +313,26 @@ def test_cli_test_config_errors(tmp_path):
     assert run({"masterSeed": -3, "test": "independence"}) == 2
     assert run({"masterSeed": 1, "test": "independence"},
                data=str(tmp_path / "missing.jsonl")) == 3
+    capsys.readouterr()
+
+    # malformed values and missing keys name the key instead of a traceback
+    for b in ("x", True, 9.5):
+        assert run({"masterSeed": 1, "test": "independence", "bootstrap": {"B": b}}) == 2
+        assert "replicates must be an integer" in capsys.readouterr().err
+    assert run({"masterSeed": 1, "test": "independence",
+                "bootstrap": {"alpha": "0.05"}}) == 2
+    assert "alpha must be a number" in capsys.readouterr().err
+    assert run({"masterSeed": 1, "test": "hazard-order", "region": {"kind": "rectangle"}},
+               data2=d2) == 3
+    assert "needs keys ['tau']" in capsys.readouterr().err
+    for cm, key in (({"family": "rectangle", "tau2": RECT_CM["tau2"]}, "tau1"),
+                    ({"family": "rectangle", "tau1": {"kind": "uniform", "low": 0.5},
+                      "tau2": RECT_CM["tau2"]}, "high"),
+                    ({"family": "grid_product"}, "region")):
+        cfgp = wjson(tmp_path / "sim.json", {"masterSeed": 1, "n": 5, "model": {"theta": 0.0},
+                                             "censorModel": cm})
+        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "sim")]) == 2
+        assert f"needs key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_fgm_unattainable_is_numeric_error(tmp_path):
@@ -401,3 +426,12 @@ def test_cli_config_plumbing_errors(tmp_path):
                  "--set", "censorModel.family.deep=1"]) == 2
     assert main(["validate", "--config", cfgp, "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(bihazard.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, bihazard.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
