@@ -1,16 +1,6 @@
 import numpy as np
 
-from bihazard.dominance import FenwickTree, dominating_count, dominating_count_naive
-
-
-def test_fenwick_prefix_sums():
-    t = FenwickTree(8)
-    for i in (3, 3, 5, 8):
-        t.update(i)
-    assert t.query(2) == 0
-    assert t.query(3) == 2
-    assert t.query(5) == 3
-    assert t.query(8) == 4
+from bihazard.dominance import dominating_count, dominating_count_naive
 
 
 def test_tiny_hand_case():
@@ -23,7 +13,7 @@ def test_tiny_hand_case():
 
 
 def test_matches_naive_on_random_sets_with_ties():
-    # sizes fall on both sides of the 64-point/64-query switch to the Fenwick sweep
+    # sizes fall on both sides of the 64-point/64-query switch to the Fenwick blocks
     rng = np.random.default_rng(59)
     for trial in range(100):
         n = int(rng.integers(0, 160))
