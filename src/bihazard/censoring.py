@@ -402,19 +402,11 @@ def inclusion_prob(model, pts, with_se=False):
     if model.family == "rectangle":
         out = (model.params["tau1"].tail_prob(p[..., 0])
                * model.params["tau2"].tail_prob(p[..., 1]))
-        out = np.asarray(out, dtype=float)
     elif model.family in _FIXED_FAMILIES:
-        out = np.asarray(contains(model.params["region"], p), dtype=float)
+        out = contains(model.params["region"], p)
     else:
-        out, se = _mc_inclusion(model, p)
-        out, se = np.asarray(out), np.asarray(se)
-        if with_se:
-            return (out, se) if out.ndim else (float(out), float(se))
-        return out if out.ndim else float(out)
-    if with_se:
-        z = np.zeros_like(out)
-        return (out, z) if out.ndim else (float(out), 0.0)
-    return out if out.ndim else float(out)
+        return _returned(*_mc_inclusion(model, 0, p), with_se)
+    return _returned(out, 0.0, with_se)
 
 
 def joint_inclusion_prob(model, s, t, with_se=False):
@@ -424,48 +416,34 @@ def joint_inclusion_prob(model, s, t, with_se=False):
     if model.family == "rectangle":
         out = (model.params["tau1"].tail_prob(np.maximum(s[..., 0], t[..., 0]))
                * model.params["tau2"].tail_prob(np.maximum(s[..., 1], t[..., 1])))
-        out = np.asarray(out, dtype=float)
     elif model.family in _FIXED_FAMILIES:
         region = model.params["region"]
-        both = np.logical_and(contains(region, s), contains(region, t))
-        out = np.asarray(both, dtype=float)
+        out = np.logical_and(contains(region, s), contains(region, t))
     else:
-        out, se = _mc_joint_inclusion(model, s, t)
-        out, se = np.asarray(out), np.asarray(se)
-        if with_se:
-            return (out, se) if out.ndim else (float(out), float(se))
-        return out if out.ndim else float(out)
-    if with_se:
-        z = np.zeros_like(out)
-        return (out, z) if out.ndim else (float(out), 0.0)
-    return out if out.ndim else float(out)
+        return _returned(*_mc_inclusion(model, 1, s, t), with_se)
+    return _returned(out, 0.0, with_se)
 
 
-def _mc_inclusion(model, p):
-    rng = substream(model.mc_seed, 0)
-    flat = p.reshape(-1, 2)
-    hits = np.zeros(len(flat))
-    n = model.mc_prob_samples
-    for _ in range(n):
-        hits += contains(model.sample_region(rng), flat)
-    prob = hits / n
-    se = np.sqrt(prob * (1.0 - prob) / n)
-    return prob.reshape(p.shape[:-1]), se.reshape(p.shape[:-1])
+def _returned(out, se, with_se):
+    """Float arrays, or floats for a single point; (prob, se) when the SE is asked for."""
+    out = np.asarray(out, dtype=float)
+    se = np.zeros_like(out) + se
+    if out.ndim == 0:
+        out, se = float(out), float(se)
+    return (out, se) if with_se else out
 
 
-def _mc_joint_inclusion(model, s, t):
-    rng = substream(model.mc_seed, 1)
-    s_flat, t_flat = np.broadcast_arrays(s, t)
-    shape = s_flat.shape[:-1]
-    s2, t2 = s_flat.reshape(-1, 2), t_flat.reshape(-1, 2)
-    hits = np.zeros(len(s2))
+def _mc_inclusion(model, key, *point_sets):
+    """Share of drawn regions holding every point set, and its SE; draws from substream key."""
+    rng = substream(model.mc_seed, key)
+    sets = np.broadcast_arrays(*point_sets)
+    hits = np.zeros(sets[0].shape[:-1])
     n = model.mc_prob_samples
     for _ in range(n):
         xi = model.sample_region(rng)
-        hits += contains(xi, s2) & contains(xi, t2)
+        hits += np.logical_and.reduce([contains(xi, p) for p in sets])
     prob = hits / n
-    se = np.sqrt(prob * (1.0 - prob) / n)
-    return prob.reshape(shape), se.reshape(shape)
+    return prob, np.sqrt(prob * (1.0 - prob) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -226,15 +226,13 @@ def cmd_simulate(args):
     out = OutputDir(args.out, "simulate", cfg, {args.config: sha256_file(args.config)})
     header = {"n": n, "masterSeed": seed, "form": form, "version": __version__}
     if n == 0:
-        records = []
+        records, events = [], 0
     else:
-        records = simulate_sample(model, censor, n, substream(seed, DATA), form=form).records
+        sample = simulate_sample(model, censor, n, substream(seed, DATA), form=form)
+        records, events = sample.records, int(np.count_nonzero(sample.event_mask))
     write_dataset(out.file("dataset.jsonl"), records, header=header)
     out.wrote("dataset.jsonl")
     out.seal()
-    events = sum(1 for r in records
-                 if r.status == "observed"
-                 or (r.status == "censored_opaque" and r.events == (1, 1)))
     print(f"wrote {len(records)} records ({events} events) to {out.file('dataset.jsonl')}")
     return EXIT_OK
 

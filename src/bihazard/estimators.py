@@ -1,13 +1,16 @@
 """Set-indexed Nelson-Aalen estimation for region-censored planar data.
 
-A dataset is a list of subjects.  Subject i has a failure point Y_i in
-[0,1]^2 and an observable region xi_i; the point is recorded only if
-Y_i in xi_i.  Three record forms exist:
+Subject i has a failure point Y_i in [0,1]^2 and an observable region
+xi_i; the point is recorded only if Y_i in xi_i.  Three record forms exist:
 
   observed          the point itself (necessarily in its region),
   censored_latent   the latent point is carried along (simulation truth),
   censored_opaque   componentwise minima Y ^ tau with per-coordinate event
                     flags, available only under rectangle censoring.
+
+A CensoredSample holds them as columns plus a table of distinct regions
+and checks them in one vectorized pass; SubjectRecord is the per-subject
+form that dataset I/O reads and writes.
 
 The at-risk count at t is Z_n(t) = sum_i 1{Y_i >= t} 1{t in xi_i}; the
 counting measure of a region A is N_A = #{i : Y_i in A and observed};
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 _STATUSES = ("observed", "censored_latent", "censored_opaque")
+_FIELDS = ("point", "latent", "minima")      # the coordinates each status carries
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class SubjectRecord:
     def __post_init__(self):
         if self.status not in _STATUSES:
             raise DataError(f"unknown record status {self.status!r}")
-        for name in ("point", "latent", "minima"):
+        for name in _FIELDS:
             v = getattr(self, name)
             if v is not None:
                 t = tuple(float(x) for x in np.asarray(v, dtype=float).reshape(2))
@@ -72,80 +76,103 @@ class SubjectRecord:
             object.__setattr__(self, "events", ev)
 
 
-def _validate_record(rec, index):
-    where = f"record {index}"
-    if rec.status == "observed":
-        if rec.point is None:
-            raise DataError(f"{where}: observed record needs a point")
-        if not cen.contains(rec.censor, rec.point):
-            raise DataError(f"{where}: observed point {rec.point} lies outside its observable region")
-    elif rec.status == "censored_latent":
-        if rec.latent is None:
-            raise DataError(f"{where}: censored_latent record needs the latent point")
-        if cen.contains(rec.censor, rec.latent):
-            raise DataError(f"{where}: latent point {rec.latent} lies inside its observable region")
-    else:  # censored_opaque
-        if rec.minima is None or rec.events is None:
-            raise DataError(f"{where}: censored_opaque record needs minima and event flags")
-        if not isinstance(rec.censor, cen.Rectangle):
-            raise ObservabilityError(
-                f"{where}: censored_opaque records are decidable only under rectangle censoring, "
-                f"got {type(rec.censor).__name__}")
-        tau = rec.censor.tau
-        for j in (0, 1):
-            if rec.events[j] == 1 and rec.minima[j] > tau[j]:
-                raise DataError(f"{where}: coordinate {j} flagged observed but minimum exceeds tau")
-            if rec.events[j] == 0 and rec.minima[j] != tau[j]:
-                raise DataError(f"{where}: coordinate {j} flagged censored so its minimum must equal tau")
+def _region_table(censors):
+    """Distinct regions in first-seen order and each record's index into them."""
+    table = {}
+    index = np.fromiter((table.setdefault(c, len(table)) for c in censors), dtype=np.int64)
+    return list(table), index
+
+
+def _region_runs(region_index, rows):
+    """rows ordered by region, and where each region's run of rows starts."""
+    rows = rows[np.argsort(region_index[rows], kind="stable")]
+    return rows, np.flatnonzero(np.diff(region_index[rows], prepend=-1))
+
+
+def _boxes(regions):
+    """Per region: whether it is a box (the full square or a rectangle), and its corner."""
+    boxed = np.array([isinstance(r, (cen.FullSpace, cen.Rectangle)) for r in regions])
+    tau = np.array([r.tau if isinstance(r, cen.Rectangle) else (1.0, 1.0) for r in regions])
+    return boxed, tau
+
+
+def _inside(points, regions, region_index, boxed, tau):
+    """1{point_i in region i}: a tau comparison for boxes, one contains call per other region."""
+    inside = (points <= tau[region_index]).all(axis=1)
+    rows, starts = _region_runs(region_index, np.flatnonzero(~boxed[region_index]))
+    for group, region in zip(np.split(rows, starts[1:]), region_index[rows[starts]]):
+        inside[group] = cen.contains(regions[region], points[group])
+    return inside
 
 
 class CensoredSample:
-    """Immutable dataset wrapper with cached arrays for the estimators.
-
-    `regions` lists the distinct censoring regions in first-seen order and
-    `region_index[i]` is record i's entry; resamples share the table."""
+    """Immutable columnar dataset: record i is `carrier[i]` (the coordinates its `status[i]`,
+    an index into _STATUSES, carries), opaque flags `events[i]` and `regions[region_index[i]]`."""
 
     def __init__(self, records):
         records = list(records)
         if not records:
             raise DataError("empty dataset")
-        n = len(records)
-        carrier = np.empty((n, 2))
-        status = np.empty(n, dtype=np.int8)
-        events = np.zeros((n, 2), dtype=bool)
-        region_index = np.empty(n, dtype=np.int64)
-        table = {}
+        carrier, status, events = [], [], []
         for i, rec in enumerate(records):
-            _validate_record(rec, i)
-            if rec.status == "observed":
-                carrier[i] = rec.point
-                status[i] = 0
-            elif rec.status == "censored_latent":
-                carrier[i] = rec.latent
-                status[i] = 1
-            else:
-                carrier[i] = rec.minima
-                status[i] = 2
-                events[i] = rec.events
-            region_index[i] = table.setdefault(rec.censor, len(table))
-        self.records = records
-        self.n = n
+            k = _STATUSES.index(rec.status)
+            value = getattr(rec, _FIELDS[k])
+            if value is None or (k == 2 and rec.events is None):
+                needs = ("a point", "the latent point", "minima and event flags")[k]
+                raise DataError(f"record {i}: {rec.status} record needs {needs}")
+            carrier.append(value)
+            status.append(k)
+            events.append(rec.events if k == 2 else (0, 0))
+        self._init(np.array(carrier, dtype=float), np.array(status, dtype=np.int8),
+                   np.array(events, dtype=bool), *_region_table(rec.censor for rec in records))
+
+    def _init(self, carrier, status, events, regions, region_index):
+        """The one construction path: columns plus region table, checked together."""
+        self.n = len(status)
         self.carrier = carrier
         self.status = status
         self.events = events
         self.event_mask = (status == 0) | ((status == 2) & events.all(axis=1))
-        self.regions = list(table)
+        self.regions = regions
         self.region_index = region_index
-        self.boxed = np.array([isinstance(r, (cen.FullSpace, cen.Rectangle)) for r in self.regions])
+        self.boxed, tau = _boxes(regions)
         self.fast = bool(self.boxed.all())
-        tau = np.array([r.tau if isinstance(r, cen.Rectangle) else (1.0, 1.0) for r in self.regions])
         self.risk_min = np.minimum(carrier, tau[region_index])
         self._mass_cache = {}
         self._intervals = {}
+        # every record check at once; the first offending record is named
+        inside = _inside(carrier, regions, region_index, self.boxed, tau)
+        rect = np.array([isinstance(r, cen.Rectangle) for r in regions])[region_index]
+        t = tau[region_index]
+        wrong = ((status == 2) & rect)[:, None] & np.where(events, carrier > t, carrier != t)
+        failed = np.array([~((0.0 <= carrier) & (carrier <= 1.0)).all(axis=1), (status == 0) & ~inside,
+                           (status == 1) & inside, (status == 2) & ~rect, wrong.any(axis=1)])
+        if not failed.any():
+            return self
+        i = int(np.argmax(failed.any(axis=0)))
+        k = int(np.argmax(failed[:, i]))
+        j = int(np.argmax(wrong[i]))
+        p = tuple(carrier[i].tolist())
+        messages = (f"{_FIELDS[status[i]]} {p} outside the unit square",
+                    f"observed point {p} lies outside its observable region",
+                    f"latent point {p} lies inside its observable region",
+                    "censored_opaque records are decidable only under rectangle censoring, "
+                    f"got {type(regions[region_index[i]]).__name__}",
+                    f"coordinate {j} flagged observed but minimum exceeds tau" if events[i, j]
+                    else f"coordinate {j} flagged censored so its minimum must equal tau")
+        raise (ObservabilityError if k == 3 else DataError)(f"record {i}: {messages[k]}")
 
     @property
     def event_points(self):
         return self.carrier[self.event_mask]
+
+    @property
+    def records(self):
+        """The sample as SubjectRecords, built on demand (for writing datasets)."""
+        return [SubjectRecord(censor=self.regions[r], status=_STATUSES[k], **{_FIELDS[k]: tuple(c)},
+                              events=tuple(e) if k == 2 else None)
+                for r, k, c, e in zip(self.region_index.tolist(), self.status.tolist(),
+                                      self.carrier.tolist(), self.events.tolist())]
 
     def take(self, idx):
         """Sub- or resample by index; the region table is shared, not copied."""
@@ -153,7 +180,6 @@ class CensoredSample:
         if len(idx) == 0:
             raise DataError("empty dataset")
         out = object.__new__(CensoredSample)
-        out.records = [self.records[i] for i in idx]
         out.n = len(idx)
         for name in ("carrier", "status", "events", "event_mask", "region_index", "risk_min"):
             setattr(out, name, getattr(self, name)[idx])
@@ -163,6 +189,13 @@ class CensoredSample:
         out._mass_cache = {}
         out._intervals = self._intervals
         return out
+
+    def concat(self, other):
+        """Pooled sample; a region both hold appears twice in its table, which changes no count."""
+        return object.__new__(CensoredSample)._init(
+            np.concatenate([self.carrier, other.carrier]), np.concatenate([self.status, other.status]),
+            np.concatenate([self.events, other.events]), self.regions + other.regions,
+            np.concatenate([self.region_index, other.region_index + len(self.regions)]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +216,7 @@ def _risk_counts(sample, queries):
     out = dominating_count(sample.risk_min[boxed], q)
     if boxed.all():
         return out
-    rows = np.flatnonzero(~boxed)
-    rows = rows[np.argsort(sample.region_index[rows], kind="stable")]
-    starts = np.flatnonzero(np.diff(sample.region_index[rows], prepend=-1))
+    rows, starts = _region_runs(sample.region_index, np.flatnonzero(~boxed))
     tops = np.maximum.reduceat(sample.carrier[rows], starts)
     order = np.argsort(q[:, 0], kind="stable")
     qs = q[order]
@@ -662,30 +693,22 @@ def simulate_sample(model, censor_model, n, rng, form="latent"):
     n = int(n)
     if n < 1:
         raise ConfigError("n must be at least 1")
-    pts = model.sample(n, rng)
-    regions = censor_model.sample_regions(n, rng)
-    records = []
+    carrier = np.array(model.sample(n, rng), dtype=float)
+    regions, region_index = _region_table(censor_model.sample_regions(n, rng))
+    status = np.zeros(n, dtype=np.int8)
+    events = np.zeros((n, 2), dtype=bool)
     if form == "latent":
-        for y, xi in zip(pts, regions):
-            if cen.contains(xi, y):
-                records.append(SubjectRecord(censor=xi, status="observed", point=tuple(y)))
-            else:
-                records.append(SubjectRecord(censor=xi, status="censored_latent", latent=tuple(y)))
+        status[~_inside(carrier, regions, region_index, *_boxes(regions))] = 1
     elif form == "observable":
         fam = censor_model.family
-        if fam == "full":
-            for y, xi in zip(pts, regions):
-                records.append(SubjectRecord(censor=xi, status="observed", point=tuple(y)))
-        elif fam == "rectangle":
-            for y, xi in zip(pts, regions):
-                tau = np.asarray(xi.tau)
-                minima = np.minimum(y, tau)
-                delta = tuple(int(v) for v in (y <= tau))
-                records.append(SubjectRecord(censor=xi, status="censored_opaque",
-                                             minima=tuple(minima), events=delta))
-        else:
+        if fam == "rectangle":
+            tau = _boxes(regions)[1][region_index]
+            events = carrier <= tau
+            carrier = np.minimum(carrier, tau)
+            status[:] = 2
+        elif fam != "full":
             raise ConfigError(
                 f"censoring family {fam!r} has no observable record form; simulate with form='latent'")
     else:
         raise ConfigError(f"unknown form {form!r}")
-    return CensoredSample(records)
+    return object.__new__(CensoredSample)._init(carrier, status, events, regions, region_index)

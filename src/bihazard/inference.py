@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, QuantileRangeError
-from .estimators import (CensoredSample, at_risk, jump_masses, kaplan_meier,
+from .estimators import (at_risk, jump_masses, kaplan_meier,
                          marginal_nelson_aalen, nelson_aalen, nelson_aalen_surface,
                          surface_values)
 from .geometry import Grid, PredicateRegion
@@ -196,7 +196,7 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
     n, m = sample_f.n, sample_g.n
     total = n + m
     scale = math.sqrt(n * m / total)
-    pooled = CensoredSample(sample_f.records + sample_g.records)
+    pooled = sample_f.concat(sample_g)
     diag = {"n": n, "m": m, "seed": spec.seed, "sided": spec.sided}
 
     if region is not None:
@@ -295,7 +295,7 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
 
     if marginals_equal:
         region = _order_window_region(t)
-        pooled = CensoredSample(sample1.records + sample2.records)
+        pooled = sample1.concat(sample2)
 
         def stat_fn(s1, s2):
             return scale * (nelson_aalen(s2, region) - nelson_aalen(s1, region))

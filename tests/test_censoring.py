@@ -332,6 +332,13 @@ def test_inclusion_prob_monte_carlo_fallback():
     # same model, same seed: identical output
     again = inclusion_prob(model, pts)
     assert np.array_equal(got, again)
+    # the joint probability takes the same fallback: the indicator of both points inside
+    other = np.array([[0.1, 0.15], [0.7, 0.75], [0.5, 0.55]])
+    got, se = joint_inclusion_prob(model, pts, other, with_se=True)
+    want = (contains(region, pts) & contains(region, other)).astype(float)
+    assert np.array_equal(got, want) and want.tolist() == [0.0, 1.0, 0.0]
+    assert np.all(se == 0.0)
+    assert joint_inclusion_prob(model, (0.1, 0.15), (0.4, 0.9), with_se=True) == (1.0, 0.0)
 
 
 def test_inclusion_prob_monte_carlo_accuracy():

@@ -13,6 +13,7 @@ from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, 
                                  marginal_nelson_aalen, nelson_aalen,
                                  nelson_aalen_surface, simulate_sample, surface_values)
 from bihazard.geometry import Grid, LowerRect, PredicateRegion
+from bihazard.io import read_dataset, write_dataset
 from bihazard.models import FgmModel
 from bihazard.quadrature import QuadratureSpec
 
@@ -72,6 +73,23 @@ def test_record_validation():
         CensoredSample([SubjectRecord(censor=FULL, status="observed")])
     with pytest.raises(DataError):
         CensoredSample([])
+    # several records: the checks run over all of them at once and name the first offender
+    grid = GridProduct(((0.0, 0.3), (0.6, 1.0)), ((0.0, 0.5),))
+    box = Rectangle((0.4, 0.4))
+    ok = [obs((0.2, 0.3), censor=grid), obs((0.1, 0.1), censor=box),
+          SubjectRecord(censor=grid, status="censored_latent", latent=(0.5, 0.2))]
+    cases = [
+        (ok + [obs((0.5, 0.2), censor=grid), obs((0.9, 0.9), censor=box)], 3, "outside"),
+        (ok[:1] + [SubjectRecord(censor=grid, status="censored_latent", latent=(0.7, 0.4))] + ok,
+         1, "inside"),
+        (ok + [obs((0.5, 0.1), censor=box)], 3, "outside"),
+        (ok[:2] + [SubjectRecord(censor=box, status="censored_latent", latent=(0.3, 0.2))], 2, "inside"),
+        (ok[:1] + [SubjectRecord(censor=box, status="censored_latent")], 1, "needs"),
+    ]
+    for records, bad, words in cases:
+        with pytest.raises(DataError, match=rf"^record {bad}: .*{words}") as err:
+            CensoredSample(records)
+        assert type(err.value) is DataError
 
 
 def test_opaque_record_validation():
@@ -88,6 +106,26 @@ def test_opaque_record_validation():
         CensoredSample([SubjectRecord(censor=Rectangle((0.3, 0.3)),
                                       status="censored_opaque",
                                       minima=(0.2, 0.2), events=(0, 1))])
+    # several records: the first offender is named, with its own error class
+    box = Rectangle((0.3, 0.3))
+    grid = GridProduct(((0.0, 1.0),), ((0.0, 1.0),))
+
+    def opaque(minima, events, censor=box):
+        return SubjectRecord(censor=censor, status="censored_opaque", minima=minima, events=events)
+
+    ok = [opaque((0.2, 0.1), (1, 1)), opaque((0.3, 0.25), (0, 1)), obs((0.5, 0.5))]
+    cases = [
+        (ok[:1] + [opaque((0.2, 0.2), (1, 1), censor=grid), opaque((0.2, 0.2), (1, 1), censor=FULL)],
+         1, ObservabilityError, "rectangle censoring, got GridProduct"),
+        (ok + [opaque((0.1, 0.4), (1, 1)), opaque((0.4, 0.1), (1, 1))], 3, DataError,
+         "coordinate 1 flagged observed"),
+        (ok[:2] + [opaque((0.3, 0.2), (1, 0))] + ok, 2, DataError, "coordinate 1 flagged censored"),
+        (ok + [opaque((0.25, 0.3), (0, 1), censor=FULL)], 3, ObservabilityError, "got FullSpace"),
+    ]
+    for records, bad, error, words in cases:
+        with pytest.raises(error, match=rf"^record {bad}: .*{words}") as err:
+            CensoredSample(records)
+        assert type(err.value) is error
 
 
 def test_event_mask():
@@ -692,6 +730,54 @@ def test_simulate_observable_full():
     s = simulate_sample(FgmModel(0.0), CensoringModel("full"), 20,
                         np.random.default_rng(7), form="observable")
     assert all(r.status == "observed" for r in s.records)
+
+
+_RASTER = np.zeros((8, 8), dtype=bool)
+_RASTER[:6, :5] = True
+_RASTER[:3, :] = True
+FAMILIES = {
+    "full": CensoringModel("full"),
+    "rectangle": CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.3, 0.9),
+                                              "tau2": QuantileTable.uniform(0.3, 0.9)}),
+    "grid_product": CensoringModel("grid_product", {"region": GridProduct(
+        ((0.0, 0.3), (0.4, 0.7), (0.8, 1.0)), ((0.0, 0.5), (0.6, 1.0)))}),
+    "band_complement": CensoringModel("band_complement", {
+        "k1": QuantileTable.uniform(0.1, 0.5), "k2": QuantileTable.uniform(0.4, 0.8), "c": 0.2}),
+    "lower_layer": CensoringModel("lower_layer", {"region": LowerLayer(
+        ((0.3, 1.0), (0.6, 0.8), (0.9, 0.5), (1.0, 0.2)))}),
+    "raster": CensoringModel("raster", {"region": Raster(8, _RASTER)}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_columns_round_trip_through_records_and_files(family, tmp_path):
+    cm = FAMILIES[family]
+    q = np.random.default_rng(33).random((40, 2))
+    for form in ("latent", "observable") if family in ("full", "rectangle") else ("latent",):
+        s = simulate_sample(FgmModel(0.5), cm, 150, np.random.default_rng(31), form=form)
+        rebuilt = CensoredSample(s.records)
+        for name in ("carrier", "status", "events", "region_index", "event_mask", "risk_min"):
+            a, b = getattr(rebuilt, name), getattr(s, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert rebuilt.regions == s.regions
+        assert np.array_equal(jump_masses(rebuilt), jump_masses(s))
+        for axis in (0, 1):
+            if family == "raster":
+                with pytest.raises(ReductionError):
+                    marginal_nelson_aalen(s, axis)
+                continue
+            a, b = marginal_nelson_aalen(rebuilt, axis), marginal_nelson_aalen(s, axis)
+            assert np.array_equal(a.values, b.values) and np.array_equal(a.at_risk, b.at_risk)
+            assert np.array_equal(a.cum, b.cum)
+        path = tmp_path / f"{form}.jsonl"
+        write_dataset(path, s.records)
+        assert read_dataset(path)[0] == s.records
+        # pooled columns count like a sample built from the concatenated records
+        t = simulate_sample(FgmModel(-0.3), cm, 90, np.random.default_rng(32), form=form)
+        pooled, joined = s.concat(t), CensoredSample(s.records + t.records)
+        assert np.array_equal(pooled.event_points, joined.event_points)
+        assert np.array_equal(at_risk(pooled, q), at_risk(joined, q))
+        assert np.array_equal(jump_masses(pooled), jump_masses(joined))
 
 
 def test_simulate_errors():
