@@ -3,9 +3,9 @@
 One JSON config file is the source of truth per run; --set key=value
 overrides single leaves (dotted paths descend into sections).  Unknown
 config keys are hard errors.  Commands that draw randomness require
-masterSeed and are bit-reproducible for any --threads value.  Every
-output directory gets the fully resolved config and a manifest with the
-tool version and content digests of all inputs and outputs.
+masterSeed and are bit-reproducible; --threads is accepted and ignored.
+Every output directory gets the fully resolved config and a manifest with
+the tool version and content digests of all inputs and outputs.
 
 Exit codes: 0 ok, 2 usage/config, 3 data, 4 numeric, 5 a pre-registered
 criterion or validation failed.
@@ -313,11 +313,11 @@ _TEST_SCHEMA = {
 }
 
 
-def _bootstrap_spec(cfg, seed, workers):
+def _bootstrap_spec(cfg, seed):
     b = cfg.get("bootstrap", {})
     return BootstrapSpec(replicates=b.get("B", 999), alpha=b.get("alpha", 0.05),
                          seed=seed, grid_size=b.get("gridSize", 64),
-                         sided=b.get("sided", "one-sided"), workers=workers)
+                         sided=b.get("sided", "one-sided"))
 
 
 def cmd_test(args):
@@ -325,7 +325,7 @@ def cmd_test(args):
     _check_keys(cfg, _TEST_SCHEMA)
     seed = _seed(cfg)
     which = _require(cfg, "test")
-    spec = _bootstrap_spec(cfg, seed, args.threads)
+    spec = _bootstrap_spec(cfg, seed)
     tau = cfg.get("tau")
     if tau is not None:
         tau = _pair_of_floats(tau, "tau")
@@ -408,6 +408,9 @@ def _translate_scenario(d, idx):
             s[dst] = model_from_json(d[src])
     if "censorModel" in d:
         s["censor_model"] = cen.censoring_model_from_json(d["censorModel"])
+    for key in ("n", "m"):
+        if key in d and (not isinstance(d[key], int) or isinstance(d[key], bool) or d[key] < 1):
+            raise ConfigError(f"scenario {idx} {key} must be a positive integer, got {d[key]!r}")
     for src, dst in (("n", "n"), ("m", "m"), ("alpha", "alpha"), ("B", "B"),
                      ("gridSize", "grid_size"), ("sided", "sided"),
                      ("marginalsEqual", "marginals_equal")):
@@ -436,8 +439,7 @@ def cmd_mc(args):
     censor = cen.censoring_model_from_json(_require(cfg, "censorModel"))
     mccfg = MCConfig(model=model, censor_model=censor,
                      n=cfg.get("n", 500), replicates=cfg.get("replicates", 200),
-                     grid_size=cfg.get("gridSize", 32), seed=seed,
-                     workers=args.threads)
+                     grid_size=cfg.get("gridSize", 32), seed=seed)
 
     if experiment == "clt":
         pts = [_pair_of_floats(t, "checkpoint") for t in _require(cfg, "checkpoints")]
@@ -538,8 +540,8 @@ def _build_parser():
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config leaf (dotted path)")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap; results do not depend on it")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
         if data:
             sp.add_argument("--data", required=True, help="dataset file (.jsonl or .csv)")
         if data2:

@@ -285,10 +285,7 @@ def nelson_aalen(sample, region, method="auto"):
         return 0.0
     masses = jump_masses(sample, method)
     sel = np.asarray(region.contains(ev), dtype=bool)
-    total = 0.0
-    for w in masses[sel]:
-        total += float(w)
-    return total
+    return float(np.cumsum(masses[sel])[-1]) if sel.any() else 0.0
 
 
 def surface_values(points, masses, xs, ys):

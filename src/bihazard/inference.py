@@ -7,14 +7,15 @@ rejected exactly when the statistic exceeds the critical value.  Those
 three conventions are mutually consistent (reject iff p <= alpha holds
 even with ties) and give a valid level for finite B.
 
-Replicate r always draws from the substream (masterSeed, branch, r), so
-reports are identical for any worker count.
+Every test draws its replicates through one engine, `_bootstrap`: replicate r
+resamples subjects together with their censoring sets from the substream
+(masterSeed, branch, r) and recomputes the test's statistic on them, either
+per sample or from the pooled two-sample multiset.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .estimators import (at_risk, jump_masses, kaplan_meier,
                          surface_values)
 from .geometry import Grid, PredicateRegion
 from .models import fgm_order_region
-from .util import BOOTSTRAP, BOOTSTRAP_SECOND, run_indexed, substream
+from .util import BOOTSTRAP, check_types, run_indexed, substream
 
 __all__ = [
     "BootstrapSpec", "TestReport", "bootstrap_resample",
@@ -35,7 +36,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BootstrapSpec:
-    """Replicate count, level, master seed, sup-evaluation grid, sidedness."""
+    """Replicate count, level, master seed, sup-evaluation grid, sidedness.
+
+    workers is accepted and validated for compatibility; replicates always
+    run in order in one thread, so it has no effect.
+    """
 
     replicates: int = 999
     alpha: float = 0.05
@@ -45,12 +50,7 @@ class BootstrapSpec:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("replicates", "alpha", "seed", "grid_size", "workers"):
-            value = getattr(self, name)
-            kind = numbers.Real if name == "alpha" else numbers.Integral
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{name} must be {'a number' if name == 'alpha' else 'an integer'}, "
-                                  f"got {value!r}")
+        check_types(self, ("replicates", "alpha", "seed", "grid_size", "workers"), reals=("alpha",))
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if not (0.0 < self.alpha <= 1.0):
@@ -111,7 +111,31 @@ def bootstrap_resample(sample, rng):
     return sample.take(idx)
 
 
-def _auto_tau(check_samples, grid_size):
+def _bootstrap(name, stat, stat_fn, samples, spec, diag, pooled=False):
+    """Report for stat calibrated by spec.replicates values of stat_fn on resamples.
+
+    Separate resampling draws sample k of replicate r from the substream
+    (seed, BOOTSTRAP + k, r), so the second sample uses BOOTSTRAP_SECOND.
+    Pooled resampling draws n + m records from the two samples' union on
+    (seed, BOOTSTRAP, r) and gives the first n to the first sample, which
+    imposes the null of one common law.
+    """
+    if pooled:
+        n = samples[0].n
+        union = samples[0].concat(samples[1])
+
+        def one(r):
+            idx = substream(spec.seed, BOOTSTRAP, r).integers(0, union.n, size=union.n)
+            return stat_fn(union.take(idx[:n]), union.take(idx[n:]))
+    else:
+        def one(r):
+            return stat_fn(*(bootstrap_resample(s, substream(spec.seed, BOOTSTRAP + k, r))
+                             for k, s in enumerate(samples)))
+
+    return _finish(name, stat, run_indexed(one, spec.replicates), spec, diag)
+
+
+def _auto_tau(check_samples):
     """Componentwise 0.8-quantile of the pooled observed points, stepped down
     by 0.05 per coordinate until every sample is at risk there."""
     pts = np.concatenate([s.event_points for s in check_samples], axis=0)
@@ -128,7 +152,7 @@ def _auto_tau(check_samples, grid_size):
     return (float(tau[0]), float(tau[1])), steps
 
 
-def _resolve_tau(check_samples, tau, grid_size):
+def _resolve_tau(check_samples, tau):
     if tau is not None:
         t = (float(tau[0]), float(tau[1]))
         if not (0.0 < t[0] <= 1.0 and 0.0 < t[1] <= 1.0):
@@ -136,7 +160,7 @@ def _resolve_tau(check_samples, tau, grid_size):
         if any(at_risk(s, t) == 0 for s in check_samples):
             raise ConfigError(f"requested window corner {t} has an empty at-risk set")
         return t, {"tau": list(t), "tauSource": "given"}
-    t, steps = _auto_tau(check_samples, grid_size)
+    t, steps = _auto_tau(check_samples)
     return t, {"tau": list(t), "tauSource": "auto", "tauFallbackSteps": steps}
 
 
@@ -162,20 +186,17 @@ def independence_test(sample, spec, tau=None):
     if nobody is at risk there); an explicit tau with an empty at-risk
     set is refused.
     """
-    t, diag = _resolve_tau([sample], tau, spec.grid_size)
+    t, diag = _resolve_tau([sample], tau)
     grid = Grid(spec.grid_size, t)
     root_n = math.sqrt(sample.n)
     base = _independence_diff(sample, grid)
     stat = root_n * float(np.max(np.abs(base)))
 
-    def one(r):
-        rng = substream(spec.seed, BOOTSTRAP, r)
-        rs = bootstrap_resample(sample, rng)
+    def stat_fn(rs):
         return root_n * float(np.max(np.abs(_independence_diff(rs, grid) - base)))
 
-    reps = run_indexed(one, spec.replicates, spec.workers)
     diag.update({"gridSize": spec.grid_size, "seed": spec.seed, "n": sample.n})
-    return _finish("independence", stat, reps, spec, diag)
+    return _bootstrap("independence", stat, stat_fn, [sample], spec, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +215,7 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
     imposes the null.
     """
     n, m = sample_f.n, sample_g.n
-    total = n + m
-    scale = math.sqrt(n * m / total)
-    pooled = sample_f.concat(sample_g)
+    scale = math.sqrt(n * m / (n + m))
     diag = {"n": n, "m": m, "seed": spec.seed, "sided": spec.sided}
 
     if region is not None:
@@ -204,7 +223,7 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
             return scale * (nelson_aalen(sf, region) - nelson_aalen(sg, region))
         diag["regionMode"] = "fixed"
     else:
-        t, tdiag = _resolve_tau([sample_f, sample_g], tau, spec.grid_size)
+        t, tdiag = _resolve_tau([sample_f, sample_g], tau)
         grid = Grid(spec.grid_size, t)
         diag.update(tdiag)
         diag["regionMode"] = "grid"
@@ -216,15 +235,8 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
                 return scale * float(np.max(np.abs(diff)))
             return scale * float(np.max(diff))
 
-    stat = stat_fn(sample_f, sample_g)
-
-    def one(r):
-        rng = substream(spec.seed, BOOTSTRAP, r)
-        idx = rng.integers(0, total, size=total)
-        return stat_fn(pooled.take(idx[:n]), pooled.take(idx[n:]))
-
-    reps = run_indexed(one, spec.replicates, spec.workers)
-    return _finish("hazard-order", stat, reps, spec, diag)
+    return _bootstrap("hazard-order", stat_fn(sample_f, sample_g), stat_fn,
+                      [sample_f, sample_g], spec, diag, pooled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +300,18 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
     if not (0.0 < t[0] < 1.0 and 0.0 < t[1] < 1.0):
         raise ConfigError(f"tau components must lie strictly inside (0,1), got {t}")
     n, m = sample1.n, sample2.n
-    total = n + m
-    scale = math.sqrt(n * m / total)
+    scale = math.sqrt(n * m / (n + m))
     diag = {"n": n, "m": m, "seed": spec.seed, "tau": list(t),
             "marginalsEqual": bool(marginals_equal)}
 
     if marginals_equal:
         region = _order_window_region(t)
-        pooled = sample1.concat(sample2)
 
         def stat_fn(s1, s2):
             return scale * (nelson_aalen(s2, region) - nelson_aalen(s1, region))
 
-        stat = stat_fn(sample1, sample2)
-
-        def one(r):
-            rng = substream(spec.seed, BOOTSTRAP, r)
-            idx = rng.integers(0, total, size=total)
-            return stat_fn(pooled.take(idx[:n]), pooled.take(idx[n:]))
-
-        reps = run_indexed(one, spec.replicates, spec.workers)
-        return _finish("fgm-order", stat, reps, spec, diag)
+        return _bootstrap("fgm-order", stat_fn(sample1, sample2), stat_fn,
+                          [sample1, sample2], spec, diag, pooled=True)
 
     # unknown marginals: KM-quantile corner lattice
     ps = np.linspace(0.0, t[0], spec.grid_size + 1)[1:]
@@ -326,9 +329,7 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
             "every copula-scale node in the order region has an unattainable KM quantile")
     stat = scale * float(np.max((v2 - v1)[usable]))
 
-    def one(r):
-        r1 = bootstrap_resample(sample1, substream(spec.seed, BOOTSTRAP, r))
-        r2 = bootstrap_resample(sample2, substream(spec.seed, BOOTSTRAP_SECOND, r))
+    def stat_fn(r1, r2):
         w1, a1, b1 = _copula_corner_surface(r1, ps, qs)
         w2, a2, b2 = _copula_corner_surface(r2, ps, qs)
         ok = usable & (a1 & a2)[:, None] & (b1 & b2)[None, :]
@@ -337,6 +338,7 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
         centered = (w2 - v2) - (w1 - v1)
         return scale * float(np.max(centered[ok]))
 
-    reps = run_indexed(one, spec.replicates, spec.workers)
-    diag["emptyReplicates"] = int(np.count_nonzero(np.isneginf(reps)))
-    return _finish("fgm-order", stat, reps, spec, diag)
+    report = _bootstrap("fgm-order", stat, stat_fn, [sample1, sample2], spec, diag)
+    report.diagnostics["emptyReplicates"] = int(np.count_nonzero(
+        np.isneginf(report.replicate_statistics)))
+    return report

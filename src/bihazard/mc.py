@@ -31,12 +31,11 @@ from .errors import ConfigError, DomainError
 from .estimators import (asymptotic_cov, at_risk, compensator_residual, nelson_aalen,
                          simulate_sample)
 from .geometry import Grid, LowerRect
-from .inference import (BootstrapSpec, _finish, _independence_diff, _resolve_tau,
-                        bootstrap_resample, fgm_order_test, hazard_order_test,
-                        independence_test)
+from .inference import (BootstrapSpec, _independence_diff, fgm_order_test,
+                        hazard_order_test, independence_test)
 from .models import integrated_hazard
 from .quadrature import QuadratureSpec, midpoints
-from .util import BOOTSTRAP, DATA, PROBE, run_indexed, substream
+from .util import DATA, PROBE, check_types, run_indexed, substream
 
 __all__ = ["MCConfig", "MCReport", "MIN_REPLICATES_FOR_THRESHOLDS",
            "verify_clt", "verify_glivenko", "verify_iid_representation",
@@ -53,18 +52,16 @@ class MCConfig:
     replicates: int = 200
     grid_size: int = 32
     seed: int = 0
-    workers: int = 1
     quadrature: QuadratureSpec = QuadratureSpec()
 
     def __post_init__(self):
+        check_types(self, ("n", "replicates", "grid_size", "seed"))
         if self.replicates < 2:
             raise ConfigError("replicates must be at least 2")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
         if self.grid_size < 2:
             raise ConfigError("grid_size must be at least 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
 
 
 @dataclass
@@ -139,7 +136,7 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
         return np.array([root_n * (nelson_aalen(s, LowerRect(t)) - truth[i])
                          for i, t in enumerate(pts)])
 
-    vals = np.array(run_indexed(one, cfg.replicates, cfg.workers))   # (R, K)
+    vals = np.array(run_indexed(one, cfg.replicates))   # (R, K)
     rows = []
     big_enough = cfg.replicates
     for i, t in enumerate(pts):
@@ -160,10 +157,7 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
                              "limit covariance quadrature",
                              f"relative error <= {var_rtol}", _guarded(big_enough, ok)))
         if "normality" in checks:
-            from scipy import stats   # not at module level: it dominates every CLI command's start
-
-            z = (x - mean) / sd if sd > 0 else x * 0.0
-            ks = float(stats.kstest(z, "norm").statistic)
+            ks = _normal_distance((x - mean) / sd if sd > 0 else x * 0.0)
             rows.append(_row(f"normality@{label}", ks, None, 0.0,
                              "standard normal CDF",
                              f"Kolmogorov distance <= {ks_bound}",
@@ -171,6 +165,14 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
     meta = {"n": cfg.n, "replicates": cfg.replicates, "seed": cfg.seed,
             "checkpoints": [list(t) for t in pts]}
     return MCReport("clt", rows, _overall(rows), time.perf_counter() - start, meta)
+
+
+def _normal_distance(z):
+    """Kolmogorov distance sup |F_n - Phi| of the values z to the standard normal."""
+    z = np.sort(z)
+    phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+    i = np.arange(1, len(z) + 1)
+    return float(max(np.max(i / len(z) - phi), np.max(phi - (i - 1) / len(z))))
 
 
 def _limit_variance(cfg, t):
@@ -208,7 +210,7 @@ def verify_glivenko(cfg, ladder=(250, 500, 1000, 2000), bound=0.05):
             sups.append(float(np.max(np.abs(z / n - ref))))
         return np.array(sups)
 
-    vals = np.array(run_indexed(one, cfg.replicates, cfg.workers))   # (R, L)
+    vals = np.array(run_indexed(one, cfg.replicates))   # (R, L)
     medians = np.median(vals, axis=0)
     rows = []
     for i, n in enumerate(ladder):
@@ -271,7 +273,7 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
             gaps.append(lhs - resid.value / math.sqrt(n))
         return np.array(gaps)
 
-    vals = np.abs(np.array(run_indexed(one, cfg.replicates, cfg.workers)))
+    vals = np.abs(np.array(run_indexed(one, cfg.replicates)))
     medians = np.median(vals, axis=0)
     rows = []
     for i, n in enumerate(ladder):
@@ -300,7 +302,7 @@ def _scenario_reject(cfg, s_idx, scen, r):
     censor = scen.get("censor_model", cfg.censor_model)
     spec = BootstrapSpec(replicates=b, alpha=alpha, seed=boot_seed,
                          grid_size=scen.get("grid_size", cfg.grid_size),
-                         sided=scen.get("sided", "one-sided"), workers=1)
+                         sided=scen.get("sided", "one-sided"))
     if test == "independence":
         model = scen.get("model", cfg.model)
         sample = simulate_sample(model, censor, scen.get("n", cfg.n), rng, form="latent")
@@ -333,8 +335,7 @@ def size_power_study(cfg, scenarios):
     rates = {}
     rows = []
     for s_idx, scen in enumerate(scenarios):
-        flags = run_indexed(lambda r: _scenario_reject(cfg, s_idx, scen, r),
-                            cfg.replicates, cfg.workers)
+        flags = run_indexed(lambda r: _scenario_reject(cfg, s_idx, scen, r), cfg.replicates)
         rate = float(np.mean(flags))
         rates[scen["name"]] = rate
         se = math.sqrt(max(rate * (1 - rate), 1e-12) / cfg.replicates)
@@ -388,34 +389,26 @@ def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
     """Fraction of replicates whose bootstrap band covers the true difference.
 
     The band for H - H1*H2 is the estimate plus/minus c_alpha/sqrt(n)
-    uniformly over the grid; one replicate is covered when the true
-    surface stays inside, which is exactly sup sqrt(n)|Dhat - truth|
-    <= c_alpha.
+    uniformly over the grid, with c_alpha the critical value of
+    independence_test on the replicate's sample; one replicate is covered
+    when the true surface stays inside, which is exactly
+    sup sqrt(n)|Dhat - truth| <= c_alpha.
     """
     start = time.perf_counter()
 
     def one(r):
         sample = simulate_sample(cfg.model, cfg.censor_model, cfg.n,
                                  substream(cfg.seed, DATA, r), form="latent")
-        t, _ = _resolve_tau([sample], None, cfg.grid_size)
-        grid = Grid(cfg.grid_size, t)
-        root_n = math.sqrt(sample.n)
-        base = _independence_diff(sample, grid)
         boot_seed = int(substream(cfg.seed, PROBE, r).integers(2 ** 62))
         spec = BootstrapSpec(replicates=b, alpha=alpha, seed=boot_seed,
-                             grid_size=cfg.grid_size, workers=1)
+                             grid_size=cfg.grid_size)
+        report = independence_test(sample, spec)
+        grid = Grid(cfg.grid_size, report.diagnostics["tau"])
+        sup = float(np.max(np.abs(_independence_diff(sample, grid)
+                                  - _truth_difference(cfg.model, grid))))
+        return sup * math.sqrt(sample.n) <= report.critical_value
 
-        def rep(j):
-            rng = substream(boot_seed, BOOTSTRAP, j)
-            rs = bootstrap_resample(sample, rng)
-            return root_n * float(np.max(np.abs(_independence_diff(rs, grid) - base)))
-
-        reps = run_indexed(rep, b, 1)
-        crit = _finish("band", 0.0, reps, spec, {}).critical_value
-        truth = _truth_difference(cfg.model, grid)
-        return float(np.max(np.abs(base - truth))) * root_n <= crit
-
-    flags = run_indexed(one, cfg.replicates, cfg.workers)
+    flags = run_indexed(one, cfg.replicates)
     rate = float(np.mean(flags))
     se = math.sqrt(max(rate * (1 - rate), 1e-12) / cfg.replicates)
     lo, hi = band

@@ -1,11 +1,13 @@
-"""Deterministic RNG streams, worker scheduling, and small I/O helpers."""
+"""Deterministic RNG streams, the replicate loop, and small config and I/O helpers."""
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 
 import numpy as np
+
+from .errors import ConfigError
 
 # Stream-path components, so call sites read as substream(seed, DATA, i)
 # instead of bare integers.  Distinct components give independent streams.
@@ -19,30 +21,27 @@ def substream(master_seed, *path):
     """Independent random Generator keyed by (master_seed, path).
 
     Streams for distinct paths are statistically independent and do not
-    depend on creation order, so per-replicate work can be scheduled onto
-    any number of workers without changing a single drawn bit.
+    depend on creation order, so replicate r draws the same bits however
+    many replicates are run, and in whatever order.
     """
     key = tuple(int(p) for p in path)
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
     return np.random.default_rng(ss)
 
 
-def run_indexed(fn, count, workers=1):
-    """Evaluate fn(i) for i in range(count) and return results in index order.
+def run_indexed(fn, count):
+    """[fn(0), ..., fn(count - 1)], evaluated in index order."""
+    return [fn(i) for i in range(int(count))]
 
-    With workers > 1 the calls run on a thread pool; results are collected
-    by index, so the output is identical to the sequential run provided
-    fn(i) depends only on i.
-    """
-    count = int(count)
-    if workers is None or workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    out = [None] * count
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        futures = [pool.submit(fn, i) for i in range(count)]
-        for i, fut in enumerate(futures):
-            out[i] = fut.result()
-    return out
+
+def check_types(obj, names, reals=()):
+    """ConfigError naming the first field of obj, in names order, that is not an
+    integer (any real number for those in reals); booleans pass as neither."""
+    for name in names:
+        value = getattr(obj, name)
+        real = name in reals
+        if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
+            raise ConfigError(f"{name} must be {'a number' if real else 'an integer'}, got {value!r}")
 
 
 def sha256_file(path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bihazard import estimators as est
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, Rectangle, contains)
 from bihazard.errors import (ConfigError, DataError, DomainError, ObservabilityError,
@@ -172,6 +173,24 @@ def test_nelson_aalen_worked_values():
     assert nelson_aalen(s, empty) == 0.0
     assert nelson_aalen(worked_censored(), LowerRect((1.0, 1.0))) == pytest.approx(1.0, abs=0)
     assert nelson_aalen(worked_censored_opaque(), LowerRect((1.0, 1.0))) == pytest.approx(1.0, abs=0)
+
+
+def test_nelson_aalen_sums_left_to_right(monkeypatch):
+    # bit for bit the sequential float sum, on masses spread over many magnitudes
+    rng = np.random.default_rng(29)
+    s = simulate_sample(FgmModel(0.2), CensoringModel("full"), 300, rng)
+    region = LowerRect((0.6, 0.7))
+    sel = np.asarray(region.contains(s.event_points), dtype=bool)
+    for _ in range(200):
+        masses = rng.random(s.n) * 10.0 ** rng.integers(-8, 8, size=s.n)
+        monkeypatch.setattr(est, "jump_masses", lambda sample, method="auto": masses)
+        want = 0.0
+        for w in masses[sel]:
+            want += float(w)
+        got = nelson_aalen(s, region)
+        assert type(got) is float and got == want
+    monkeypatch.setattr(est, "jump_masses", lambda sample, method="auto": masses)
+    assert nelson_aalen(s, LowerRect((1e-9, 1e-9))) == 0.0
 
 
 def test_opaque_equals_latent_on_worked_sample():

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from bihazard import mc
 from bihazard.censoring import CensoringModel, FullSpace, QuantileTable, Rectangle
 from bihazard.errors import ConfigError, QuantileRangeError
-from bihazard.estimators import (CensoredSample, SubjectRecord, at_risk,
-                                 simulate_sample)
-from bihazard.geometry import LowerRect, PredicateRegion
-from bihazard.inference import (BootstrapSpec, _finish, bootstrap_resample,
-                                fgm_order_test, hazard_order_test,
+from bihazard.estimators import (CensoredSample, SubjectRecord, at_risk, nelson_aalen,
+                                 nelson_aalen_surface, simulate_sample)
+from bihazard.geometry import Grid, LowerRect, PredicateRegion
+from bihazard.inference import (BootstrapSpec, _copula_corner_surface, _finish,
+                                _independence_diff, _order_window_region, _resolve_tau,
+                                bootstrap_resample, fgm_order_test, hazard_order_test,
                                 independence_test)
-from bihazard.models import FgmModel
+from bihazard.mc import MCConfig, _truth_difference
+from bihazard.models import FgmModel, fgm_order_region
+from bihazard.util import BOOTSTRAP, BOOTSTRAP_SECOND, DATA, PROBE, run_indexed, substream
 
 FULL = FullSpace()
 
@@ -305,3 +309,127 @@ def test_fgm_deterministic_and_worker_invariant():
     d = fgm_order_test(s1, s2, (0.8, 0.8),
                        BootstrapSpec(replicates=13, seed=17, grid_size=6), True)
     assert np.array_equal(c.replicate_statistics, d.replicate_statistics)
+
+
+# ---------------------------------------------------------------------------
+# the bootstrap engine against the per-replicate loops it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_one_sample(stat_fn, sample, seed, b):
+    return np.array([stat_fn(bootstrap_resample(sample, substream(seed, BOOTSTRAP, r)))
+                     for r in range(b)], dtype=float)
+
+
+def _loop_pooled(stat_fn, f, g, seed, b):
+    pooled = CensoredSample(f.records + g.records)
+    total = f.n + g.n
+    out = []
+    for r in range(b):
+        idx = substream(seed, BOOTSTRAP, r).integers(0, total, size=total)
+        out.append(stat_fn(pooled.take(idx[:f.n]), pooled.take(idx[f.n:])))
+    return np.array(out, dtype=float)
+
+
+def _loop_separate(stat_fn, f, g, seed, b):
+    return np.array([stat_fn(bootstrap_resample(f, substream(seed, BOOTSTRAP, r)),
+                             bootstrap_resample(g, substream(seed, BOOTSTRAP_SECOND, r)))
+                     for r in range(b)], dtype=float)
+
+
+def test_bootstrap_engine_matches_replicate_loop_oracle():
+    f, g = sim(0.4, 70, 35, rect_model()), sim(0.0, 55, 43, rect_model())
+    b, seed = 15, 9
+    spec = BootstrapSpec(replicates=b, seed=seed, grid_size=8)
+    scale = math.sqrt(f.n * g.n / (f.n + g.n))
+
+    # independence: one-sample resampling, centered at the base difference
+    rep = independence_test(f, spec)
+    grid = Grid(8, rep.diagnostics["tau"])
+    base = _independence_diff(f, grid)
+    want = _loop_one_sample(
+        lambda rs: math.sqrt(f.n) * float(np.max(np.abs(_independence_diff(rs, grid) - base))),
+        f, seed, b)
+    assert np.array_equal(rep.replicate_statistics, want)
+    other = independence_test(f, BootstrapSpec(replicates=b, seed=seed + 1, grid_size=8))
+    assert not np.array_equal(other.replicate_statistics, want)
+
+    # hazard order over the node grid and over a fixed region: pooled resampling
+    rep = hazard_order_test(f, g, spec)
+    grid = Grid(8, rep.diagnostics["tau"])
+    want = _loop_pooled(lambda a, c: scale * float(np.max(
+        nelson_aalen_surface(a, grid).values - nelson_aalen_surface(c, grid).values)),
+        f, g, seed, b)
+    assert np.array_equal(rep.replicate_statistics, want)
+    region = LowerRect((0.7, 0.6))
+    rep = hazard_order_test(f, g, spec, region=region)
+    want = _loop_pooled(lambda a, c: scale * (nelson_aalen(a, region) - nelson_aalen(c, region)),
+                        f, g, seed, b)
+    assert np.array_equal(rep.replicate_statistics, want)
+
+    # copula order with equal marginals: pooled resampling over the order window
+    tau = (0.8, 0.8)
+    rep = fgm_order_test(f, g, tau, spec, True)
+    window = _order_window_region(tau)
+    want = _loop_pooled(lambda a, c: scale * (nelson_aalen(c, window) - nelson_aalen(a, window)),
+                        f, g, seed, b)
+    assert np.array_equal(rep.replicate_statistics, want)
+
+    # copula order with estimated marginals: separate resampling, second stream
+    rep = fgm_order_test(f, g, tau, spec, False)
+    ps, qs = np.linspace(0.0, 0.8, 9)[1:], np.linspace(0.0, 0.8, 9)[1:]
+    v1, x1, y1 = _copula_corner_surface(f, ps, qs)
+    v2, x2, y2 = _copula_corner_surface(g, ps, qs)
+    usable = fgm_order_region(ps[:, None], qs[None, :]) & (x1 & x2)[:, None] & (y1 & y2)[None, :]
+
+    def km_stat(r1, r2):
+        w1, a1, b1 = _copula_corner_surface(r1, ps, qs)
+        w2, a2, b2 = _copula_corner_surface(r2, ps, qs)
+        ok = usable & (a1 & a2)[:, None] & (b1 & b2)[None, :]
+        return scale * float(np.max(((w2 - v2) - (w1 - v1))[ok])) if ok.any() else -math.inf
+
+    want = _loop_separate(km_stat, f, g, seed, b)
+    assert np.array_equal(rep.replicate_statistics, want)
+    assert rep.diagnostics["emptyReplicates"] == int(np.count_nonzero(np.isneginf(want)))
+
+    # workers is accepted and ignored
+    for run in (lambda sp: independence_test(f, sp), lambda sp: hazard_order_test(f, g, sp),
+                lambda sp: fgm_order_test(f, g, tau, sp, True),
+                lambda sp: fgm_order_test(f, g, tau, sp, False)):
+        one, many = run(spec), run(BootstrapSpec(replicates=b, seed=seed, grid_size=8, workers=4))
+        assert np.array_equal(one.replicate_statistics, many.replicate_statistics)
+        assert one.to_json() == many.to_json()
+
+
+def test_coverage_flags_match_replicate_loop_oracle(monkeypatch):
+    # a wide level so that both covered and missed replicates occur
+    cfg = MCConfig(model=FgmModel(0.2), censor_model=rect_model(), n=40, replicates=8,
+                   grid_size=8, seed=4)
+    alpha, b = 0.5, 19
+
+    def flag(r):
+        sample = simulate_sample(cfg.model, cfg.censor_model, cfg.n,
+                                 substream(cfg.seed, DATA, r), form="latent")
+        t, _ = _resolve_tau([sample], None)
+        grid = Grid(cfg.grid_size, t)
+        base = _independence_diff(sample, grid)
+        boot_seed = int(substream(cfg.seed, PROBE, r).integers(2 ** 62))
+        root_n = math.sqrt(sample.n)
+        reps = _loop_one_sample(
+            lambda rs: root_n * float(np.max(np.abs(_independence_diff(rs, grid) - base))),
+            sample, boot_seed, b)
+        crit = _finish("band", 0.0, reps, BootstrapSpec(replicates=b, alpha=alpha), {})
+        truth = _truth_difference(cfg.model, grid)
+        return float(np.max(np.abs(base - truth))) * root_n <= crit.critical_value
+
+    seen = []
+
+    def recording(fn, count):
+        out = run_indexed(fn, count)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(mc, "run_indexed", recording)
+    rep = mc.coverage_study(cfg, alpha=alpha, b=b)
+    assert seen == [[flag(r) for r in range(cfg.replicates)]]
+    assert any(seen[0]) and not all(seen[0])
+    assert rep.rows[0]["value"] == float(np.mean(seen[0]))

@@ -380,7 +380,7 @@ def test_cli_mc_thread_invariance(tmp_path):
     assert (out1 / "mc_report.csv").exists()
 
 
-def test_cli_mc_scenario_errors(tmp_path):
+def test_cli_mc_scenario_errors(tmp_path, capsys):
     base = {"masterSeed": 1, "experiment": "size_power", "model": {"theta": 0.0},
             "censorModel": {"family": "full"}, "replicates": 2}
     bad1 = dict(base, scenarios=[{"name": "s", "test": "independence", "mean": 1}])
@@ -392,6 +392,23 @@ def test_cli_mc_scenario_errors(tmp_path):
     bad3 = dict(base, experiment="mystery")
     assert main(["mc", "--config", wjson(tmp_path / "3.json", bad3),
                  "--out", str(tmp_path / "o3")]) == 2
+
+    # mistyped values exit 2 with a message naming the field, not a traceback
+    clt = wjson(tmp_path / "clt.json", dict(base, experiment="clt", checkpoints=[[0.5, 0.5]]))
+    capsys.readouterr()
+    for assignment, field in (('replicates="x"', "replicates"), ("n=null", "n"),
+                              ("gridSize=2.5", "grid_size")):
+        assert main(["mc", "--config", clt, "--out", str(tmp_path / "o4"),
+                     "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be an integer" in err and "Traceback" not in err
+    for key, value in (("n", None), ("m", 0), ("n", 2.5), ("n", True)):
+        scen = {"name": "s", "test": "hazard-order", "B": 9, key: value}
+        bad = dict(base, scenarios=[{"name": "ok", "test": "independence"}, scen])
+        assert main(["mc", "--config", wjson(tmp_path / "5.json", bad),
+                     "--out", str(tmp_path / "o5")]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario 1 {key} must be a positive integer" in err and "Traceback" not in err
 
 
 def test_cli_validate(tmp_path):
@@ -431,7 +448,12 @@ def test_cli_config_plumbing_errors(tmp_path):
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(bihazard.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, bihazard.cli; print('scipy.stats' in sys.modules)"
+    # the CLT normality row is the one place that used scipy.stats.kstest
+    probe = ("import sys, bihazard.cli\n"
+             "from bihazard import CensoringModel, FgmModel, MCConfig, verify_clt\n"
+             "verify_clt(MCConfig(FgmModel(0.0), CensoringModel('full'), n=20, replicates=3),\n"
+             "           [(0.5, 0.5)], checks=('normality',))\n"
+             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"

@@ -5,8 +5,8 @@ from bihazard.censoring import CensoringModel, QuantileTable
 from bihazard.errors import ConfigError, DomainError
 from bihazard.estimators import asymptotic_cov
 from bihazard.geometry import Grid, LowerRect, PredicateRegion
-from bihazard.mc import (MCConfig, MIN_REPLICATES_FOR_THRESHOLDS, _truth_difference,
-                         coverage_study, size_power_study, verify_clt,
+from bihazard.mc import (MCConfig, MIN_REPLICATES_FOR_THRESHOLDS, _normal_distance,
+                         _truth_difference, coverage_study, size_power_study, verify_clt,
                          verify_glivenko, verify_iid_representation)
 from bihazard.models import FgmModel, integrated_hazard
 from bihazard.quadrature import QuadratureSpec
@@ -33,8 +33,10 @@ def test_config_validation():
         tiny_cfg(n=0)
     with pytest.raises(ConfigError):
         tiny_cfg(grid_size=1)
-    with pytest.raises(ConfigError):
-        tiny_cfg(workers=0)
+    for bad in ({"replicates": "x"}, {"n": None}, {"grid_size": 2.5}, {"seed": True},
+                {"n": 40.0}):
+        with pytest.raises(ConfigError):
+            tiny_cfg(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +72,14 @@ def test_verify_clt_variance_reference_is_limit_covariance():
     assert rep.rows[0]["reference"] == pytest.approx(want, rel=1e-12)
 
 
-def test_verify_clt_worker_invariant():
-    a = verify_clt(tiny_cfg(workers=1), [(0.5, 0.5)])
-    b = verify_clt(tiny_cfg(workers=3), [(0.5, 0.5)])
-    assert a.rows == b.rows
-    assert a.passed == b.passed
+def test_normal_distance_matches_scipy_kstest():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 400):
+        for _ in range(20):
+            z = rng.standard_normal(n) * rng.uniform(0.5, 2.0) + rng.uniform(-0.5, 0.5)
+            want = stats.kstest(z, "norm").statistic
+            assert _normal_distance(z) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_min_replicate_guard_constant():
@@ -182,13 +187,6 @@ def test_size_power_structure_and_determinism():
     assert rep.meta["scenarios"] == ["size", "power", "note"]
     again = size_power_study(cfg, _tiny_scenarios())
     assert again.rows == rep.rows
-
-
-def test_size_power_worker_invariant():
-    scen = _tiny_scenarios()[:1]
-    a = size_power_study(tiny_cfg(n=25, workers=1), scen)
-    b = size_power_study(tiny_cfg(n=25, workers=2), scen)
-    assert a.rows == b.rows
 
 
 def test_size_power_scenario_options():
