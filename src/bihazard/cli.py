@@ -35,7 +35,7 @@ from .mc import (MCConfig, coverage_study, size_power_study, verify_clt,
                  verify_glivenko, verify_iid_representation)
 from .models import integrated_hazard, model_from_json
 from .quadrature import QuadratureSpec
-from .util import DATA, fmt_float, sha256_file, substream
+from .util import DATA, check_types, fmt_float, sha256_file, substream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,6 +105,11 @@ def _seed(cfg):
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("masterSeed must be a nonnegative integer")
     return seed
+
+
+def _check_numbers(cfg, *keys):
+    """ConfigError naming the first of keys present in cfg whose value is not a number."""
+    check_types(cfg, [k for k in keys if k in cfg], reals=keys)
 
 
 def _pair_of_floats(value, what):
@@ -435,6 +440,7 @@ def cmd_mc(args):
     _check_keys(cfg, _MC_SCHEMA)
     seed = _seed(cfg)
     experiment = _require(cfg, "experiment")
+    _check_numbers(cfg, "varRtol", "ksBound", "bound")
     model = model_from_json(_require(cfg, "model"))
     censor = cen.censoring_model_from_json(_require(cfg, "censorModel"))
     mccfg = MCConfig(model=model, censor_model=censor,
@@ -496,6 +502,7 @@ def cmd_validate(args):
     gcfg = cfg.get("grid", {})
     grid = Grid(gcfg.get("size", 32), _pair_of_floats(gcfg.get("tau", [1.0, 1.0]),
                                                       "grid.tau"))
+    _check_numbers(cfg, "epsilon")
     eps = float(cfg.get("epsilon", 0.05))
     diag = cen.validate_censoring(censor, grid, epsilon=eps)
     result = {"censoring": diag.to_json(), "model": None}

@@ -5,9 +5,15 @@ set satisfy p >= q componentwise (closed comparisons).  With the points
 in decreasing first coordinate, those with x >= qx are a prefix; the
 prefix splits into Fenwick blocks (one per set bit of its length), and
 each block's second coordinates are sorted once per level, so one
-binary search per level counts those with y >= qy.  That is
-O((n + k) log^2 n) in vectorized steps instead of the quadratic pairwise
-scan; below 64 points or queries one broadcast comparison costs less.
+binary search per level finds where the points with y >= qy start and
+end in key order.  That is O((n + k) log^2 n) in vectorized steps
+instead of the quadratic pairwise scan; below 64 points or queries one
+broadcast comparison costs less.
+
+With weights (one row per bootstrap resample, say), every point counts
+with its weight: the levels are laid out once, and each level adds the
+difference of two cumulative sums of the weights in key order, for all
+rows at once; the broadcast branch becomes a weighted product.
 """
 
 from __future__ import annotations
@@ -15,31 +21,59 @@ from __future__ import annotations
 import numpy as np
 
 
-def dominating_count(points, queries):
-    """#{j : points[j] >= q componentwise} for each row q of queries."""
+def dominating_count(points, queries, weights=None):
+    """#{j : points[j] >= q componentwise} for each row q of queries.
+
+    weights, of shape (..., n), counts point j weights[..., j] times
+    instead; the result then has shape (..., k) and the weights' dtype,
+    so integer weights give exact integer counts.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     qs = np.asarray(queries, dtype=float).reshape(-1, 2)
     n, k = len(pts), len(qs)
+    w = None if weights is None else np.asarray(weights)
+    lead = () if w is None else w.shape[:-1]
+    if w is not None:
+        w = w.reshape(int(np.prod(lead)), n)
     if n < 64 or k < 64:
-        return ((pts[None, :, 0] >= qs[:, None, 0])
-                & (pts[None, :, 1] >= qs[:, None, 1])).sum(axis=1, dtype=np.int64)
+        hits = (pts[None, :, 0] >= qs[:, None, 0]) & (pts[None, :, 1] >= qs[:, None, 1])
+        if w is None:
+            return hits.sum(axis=1, dtype=np.int64)
+        return (w @ hits.T.astype(w.dtype)).reshape(lead + (k,))
 
-    order = np.argsort(-pts[:, 0], kind="stable")
+    order = np.argsort(-pts[:, 0])
     # reach[j]: how many points have x >= qs[j, 0], a prefix of `order`
     reach = n - np.searchsorted(pts[order[::-1], 0], qs[:, 0], side="left")
-    all_y = np.unique(np.concatenate([pts[:, 1], qs[:, 1]]))
+    all_y, rank = np.unique(np.concatenate([pts[order, 1], qs[:, 1]]), return_inverse=True)
     m = len(all_y)
-    p_rank = np.searchsorted(all_y, pts[order, 1])
-    q_rank = np.searchsorted(all_y, qs[:, 1])
+    p_rank, q_rank = rank[:n], rank[n:]
     pos = np.arange(n)
-    out = np.zeros(k, dtype=np.int64)
+    if w is None:
+        out = np.zeros(k, dtype=np.int64)
+    else:
+        out = np.zeros((len(w), k), dtype=w.dtype)
+        cum = np.zeros((len(w), n + 1), dtype=w.dtype)
     for level in range(n.bit_length()):
         # a set bit adds the prefix block of 2**level points ending at (reach >> level) << level
         use = np.flatnonzero((reach >> level) & 1)
-        keys = np.sort((pos >> level) * m + p_rank)     # by block, then y rank
+        if len(use) == 0:
+            continue
+        keys = (pos >> level) * m + p_rank              # by block, then y rank
         block = (reach[use] >> level) - 1
-        out[use] += ((block + 1) << level) - np.searchsorted(keys, block * m + q_rank[use])
-    return out
+        hi = (block + 1) << level
+        target = block * m + q_rank[use]
+        if w is None:
+            keys.sort()
+            out[use] += hi - np.searchsorted(keys, target)
+            continue
+        perm = np.argsort(keys)                         # ties share a key: their order never matters
+        lo = np.searchsorted(keys[perm], target)
+        np.take(w, order[perm], axis=1, out=cum[:, 1:])
+        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+        hits = cum[:, hi]
+        hits -= cum[:, lo]
+        out[:, use] += hits
+    return out if w is None else out.reshape(lead + (k,))
 
 
 def dominating_count_naive(points, queries):

@@ -202,7 +202,7 @@ class CensoredSample:
 # at-risk, counting, Nelson-Aalen
 # ---------------------------------------------------------------------------
 
-def _risk_counts(sample, queries):
+def _risk_counts(sample, queries, weights=None):
     """Z_n at each query (exact integers), counted once per distinct region.
 
     Records under box regions share one dominance count on their minima.
@@ -210,28 +210,31 @@ def _risk_counts(sample, queries):
     of its own points.  With queries sorted by x, those the points can
     dominate are a prefix, cut by their largest y; a region held by one
     record (band complements are drawn per subject) needs no count then.
+    A (rows x n) weights matrix counts record i weights[r, i] times in
+    row r, and the counts gain that leading rows axis.
     """
     q = np.asarray(queries, dtype=float).reshape(-1, 2)
     boxed = sample.boxed[sample.region_index]
-    out = dominating_count(sample.risk_min[boxed], q)
     if boxed.all():
-        return out
+        return dominating_count(sample.risk_min, q, weights)
+    out = dominating_count(sample.risk_min[boxed], q, None if weights is None else weights[:, boxed])
     rows, starts = _region_runs(sample.region_index, np.flatnonzero(~boxed))
     tops = np.maximum.reduceat(sample.carrier[rows], starts)
     order = np.argsort(q[:, 0], kind="stable")
     qs = q[order]
     ends = np.searchsorted(qs[:, 0], tops[:, 0], side="right")
-    extra = np.zeros(len(q), dtype=np.int64)
+    extra = np.zeros_like(out)
     for group, region, top, end in zip(np.split(rows, starts[1:]), sample.region_index[rows[starts]],
                                        tops, ends):
         head = qs[:end]
         hit = (head[:, 1] <= top[1]) & cen.contains(sample.regions[region], head)
+        w = None if weights is None else weights[:, group]
         if len(group) == 1:
-            extra[:end] += hit
+            extra[..., :end] += hit if w is None else w * hit
         else:
             sel = np.flatnonzero(hit)
-            extra[sel] += dominating_count(sample.carrier[group], head[sel])
-    out[order] += extra
+            extra[..., sel] += dominating_count(sample.carrier[group], head[sel], w)
+    out[..., order] += extra
     return out
 
 
@@ -250,42 +253,46 @@ def counting(sample, region):
     return int(np.count_nonzero(region.contains(ev)))
 
 
-def jump_masses(sample, method="auto"):
+def jump_masses(sample, method="auto", weights=None):
     """1 / Z_n(Y_i) for each observed point, in record order.
 
     method 'fast' uses the Fenwick dominance counter (rectangle/full
     censoring only), 'naive' the quadratic reference scan; counts are
-    exact integers either way, so both give identical masses.
+    exact integers either way, so both give identical masses.  With a
+    (rows x n) count matrix `weights` (a bootstrap resample per row), row r
+    holds w_i / Z_w(Y_i): the total mass of record i's w_i copies.
     """
-    if method in sample._mass_cache:
+    if weights is None and method in sample._mass_cache:
         return sample._mass_cache[method]
     ev = sample.event_points
+    if method == "fast" and not sample.fast:
+        raise ConfigError("fast path needs rectangle or full-space censoring throughout")
+    if method not in ("auto", "fast", "naive"):
+        raise ConfigError(f"unknown method {method!r}")
+    w = np.ones((1, sample.n), dtype=np.int64) if weights is None else np.asarray(weights)
+    w_ev = w[:, sample.event_mask]
     if len(ev) == 0:
-        masses = np.empty(0)
+        z = w_ev
+    elif method == "naive" and sample.fast and weights is None:
+        z = dominating_count_naive(sample.risk_min, ev)
     else:
-        if method == "fast" and not sample.fast:
-            raise ConfigError("fast path needs rectangle or full-space censoring throughout")
-        if method == "naive" and sample.fast:
-            z = dominating_count_naive(sample.risk_min, ev)
-        elif method in ("auto", "fast", "naive"):
-            z = _risk_counts(sample, ev)
-        else:
-            raise ConfigError(f"unknown method {method!r}")
-        if np.any(z < 1):
-            raise DataError("internal inconsistency: an observed point is not at risk at itself")
-        masses = 1.0 / z
-    sample._mass_cache[method] = masses
+        z = _risk_counts(sample, ev, weights)
+    z = z.reshape(w_ev.shape)
+    if np.any(z < w_ev):
+        raise DataError("internal inconsistency: an observed point is not at risk at itself")
+    masses = np.divide(w_ev, z, out=np.zeros(z.shape), where=w_ev > 0)
+    if weights is None:
+        masses = sample._mass_cache[method] = masses[0]
     return masses
 
 
-def nelson_aalen(sample, region, method="auto"):
-    """Hhat_A: left-to-right sum of observed-point masses over the region."""
+def nelson_aalen(sample, region, method="auto", weights=None):
+    """Hhat_A: left-to-right sum of observed-point masses over the region (one per weight row)."""
     ev = sample.event_points
-    if len(ev) == 0:
-        return 0.0
-    masses = jump_masses(sample, method)
-    sel = np.asarray(region.contains(ev), dtype=bool)
-    return float(np.cumsum(masses[sel])[-1]) if sel.any() else 0.0
+    masses = jump_masses(sample, method, weights)
+    sel = np.asarray(region.contains(ev), dtype=bool) if len(ev) else np.zeros(0, dtype=bool)
+    total = np.cumsum(masses[..., sel], axis=-1)[..., -1] if sel.any() else np.zeros(masses.shape[:-1])
+    return float(total) if weights is None else total
 
 
 def surface_values(points, masses, xs, ys):
@@ -293,16 +300,25 @@ def surface_values(points, masses, xs, ys):
 
     Entry [i, j] is the total mass of points p with p <= (xs[i], ys[j]);
     node coordinate arrays must be nondecreasing but are otherwise free.
+    masses of shape (..., k) give one surface per leading index: each point
+    is binned into its cell once, and every cell sums its masses in point
+    order.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    cell = np.zeros((len(xs), len(ys)))
+    masses = np.asarray(masses, dtype=float)
+    lead = masses.shape[:-1]
+    sums = np.zeros((int(np.prod(lead)), len(xs) * len(ys)))
     if len(points):
         ix = np.searchsorted(xs, points[:, 0], side="left")
         iy = np.searchsorted(ys, points[:, 1], side="left")
         keep = (ix < len(xs)) & (iy < len(ys))
-        np.add.at(cell, (ix[keep], iy[keep]), masses[keep])
-    return cell.cumsum(axis=0).cumsum(axis=1)
+        cell = ix[keep] * len(ys) + iy[keep]
+        for row, mass in zip(sums, masses.reshape(len(sums), -1)):
+            row[:] = np.bincount(cell, weights=mass[keep], minlength=len(row))
+    sums = sums.reshape(lead + (len(xs), len(ys)))
+    np.cumsum(sums, axis=-2, out=sums)
+    return np.cumsum(sums, axis=-1, out=sums)
 
 
 @dataclass
@@ -314,15 +330,15 @@ class HazardSurface:
     method: str
 
 
-def nelson_aalen_surface(sample, grid, method="auto"):
-    """Nelson-Aalen estimates at every grid node.
+def nelson_aalen_surface(sample, grid, method="auto", weights=None):
+    """Nelson-Aalen estimates at every grid node (one surface per weight row).
 
     The node stage bins each observed point into the first dominating node
     and accumulates with two cumulative sums; 'fast' and 'naive' differ
     only in how the integer at-risk counts are obtained, so their outputs
     are bit-identical.
     """
-    masses = jump_masses(sample, method)
+    masses = jump_masses(sample, method, weights)
     ev = sample.event_points
     vals = surface_values(ev, masses, grid.xs, grid.ys)
     return HazardSurface(grid=grid, values=vals, jump_points=ev, jump_masses=masses,
@@ -443,7 +459,11 @@ def _interval_table(sample, axis):
 
 @dataclass
 class MarginalEstimate:
-    """One-axis Nelson-Aalen estimate: jumps at observed coordinate values."""
+    """One-axis Nelson-Aalen estimate: jumps at observed coordinate values.
+
+    A weighted estimate keeps the base sample's values and gives counts,
+    at_risk, jumps and cum a leading axis of one row per weight row.
+    """
 
     axis: int
     values: np.ndarray       # distinct observed values, sorted
@@ -455,19 +475,33 @@ class MarginalEstimate:
 
     def eval(self, t):
         """Hhat_j(t), right-continuous step function; vectorized."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.values, t, side="right")
-        levels = np.concatenate([[0.0], self.cum])
-        out = levels[idx]
-        return float(out) if out.ndim == 0 else out
+        return _step_eval(self.values, self.cum, t)
 
 
-def marginal_nelson_aalen(sample, axis):
+def _step_eval(locations, levels, t):
+    """Right-continuous step function at t: 0 before locations[0], levels[..., i] from locations[i]."""
+    idx = np.searchsorted(locations, np.asarray(t, dtype=float), side="right")
+    out = np.concatenate([np.zeros(levels.shape[:-1] + (1,)), levels], axis=-1)[..., idx]
+    return float(out) if out.ndim == 0 else out
+
+
+def _cumulative(w, cols):
+    """Running sums along each row of w[:, cols], with a leading 0 column."""
+    out = np.zeros((len(w), len(cols) + 1), dtype=w.dtype)
+    np.take(w, cols, axis=1, out=out[:, 1:])
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return out
+
+
+def marginal_nelson_aalen(sample, axis, weights=None):
     """Per-axis Nelson-Aalen estimate under the axis reduction of the censoring.
 
     axis is 0 or 1.  A coordinate is an observed marginal event iff it lies
     in its record's per-axis observable set; at-risk counts combine coordinate
-    dominance with per-axis membership.
+    dominance with per-axis membership.  With a (rows x n) count matrix
+    `weights`, record i counts weights[r, i] times in row r; a value that no
+    record of row r holds gets an exact 0 jump, so each row's levels equal
+    those of the resample it stands for.
     """
     if axis not in (0, 1):
         raise ConfigError("axis must be 0 or 1")
@@ -487,16 +521,27 @@ def marginal_nelson_aalen(sample, axis):
     live = a <= e
     inside = np.bincount(rec[live & (vr <= b)], minlength=sample.n) > 0
     obs = np.where(sample.status == 2, sample.events[:, axis], inside)
-    distinct, cnt = np.unique(v[obs], return_counts=True)
-    if len(distinct) == 0:
-        e = np.empty(0)
-        return MarginalEstimate(axis, e, e.astype(int), e.astype(int), e, e, sample.n)
-    z = (np.searchsorted(np.sort(a[live]), distinct, side="right")
-         - np.searchsorted(np.sort(e[live]), distinct, side="left"))
+    w = np.ones((1, sample.n), dtype=np.int64) if weights is None else np.asarray(weights)
+    lead = w.shape[:-1] if weights is not None else ()
+    events = np.flatnonzero(obs)
+    events = events[np.argsort(v[events], kind="stable")]
+    if len(events) == 0:
+        e = np.zeros(lead + (0,))
+        return MarginalEstimate(axis, np.empty(0), e.astype(int), e.astype(int), e, e, sample.n)
+    starts = np.flatnonzero(np.r_[True, v[events][1:] != v[events][:-1]])
+    distinct = v[events][starts]
+    cnt = np.add.reduceat(w[:, events], starts, axis=1)
+    # Z(u) = #{pairs with a <= u} - #{pairs with e < u}, each pair counting its record's weight
+    a, e, rec = a[live], e[live], rec[live]
+    by_a, by_e = np.argsort(a, kind="stable"), np.argsort(e, kind="stable")
+    z = _cumulative(w, rec[by_a])[:, np.searchsorted(a[by_a], distinct, side="right")]
+    z -= _cumulative(w, rec[by_e])[:, np.searchsorted(e[by_e], distinct, side="left")]
     if np.any(z < cnt):
         raise DataError("internal inconsistency: marginal event not at risk at itself")
-    jumps = cnt / z
-    cum = np.cumsum(jumps)
+    jumps = np.divide(cnt, z, out=np.zeros(cnt.shape), where=cnt > 0)
+    cum = np.cumsum(jumps, axis=1)
+    if weights is None:
+        cnt, z, jumps, cum = cnt[0], z[0], jumps[0], cum[0]
     return MarginalEstimate(axis, distinct, cnt, z, jumps, cum, sample.n)
 
 
@@ -508,11 +553,7 @@ class StepCdf:
     values: np.ndarray
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.locations, t, side="right")
-        levels = np.concatenate([[0.0], self.values])
-        out = levels[idx]
-        return float(out) if out.ndim == 0 else out
+        return _step_eval(self.locations, self.values, t)
 
     @property
     def max_value(self):
@@ -520,8 +561,8 @@ class StepCdf:
 
 
 def kaplan_meier(marginal):
-    """Product-limit CDF from a marginal hazard estimate (ties grouped)."""
-    surv = np.cumprod(1.0 - marginal.jumps)
+    """Product-limit CDF from a marginal hazard estimate (ties grouped; one row per weight row)."""
+    surv = np.cumprod(1.0 - marginal.jumps, axis=-1)
     return StepCdf(locations=marginal.values, values=1.0 - surv)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .util import check_types
 
 
 def as_points(pts):
@@ -106,7 +107,8 @@ class Grid:
     tau: tuple = (1.0, 1.0)
 
     def __post_init__(self):
-        if int(self.m) < 2:
+        check_types({"grid size": self.m}, ("grid size",))
+        if self.m < 2:
             raise ConfigError("grid needs at least 2 nodes per axis")
         object.__setattr__(self, "m", int(self.m))
         t = tuple(float(x) for x in np.asarray(self.tau, dtype=float).reshape(2))

@@ -9,8 +9,11 @@ even with ties) and give a valid level for finite B.
 
 Every test draws its replicates through one engine, `_bootstrap`: replicate r
 resamples subjects together with their censoring sets from the substream
-(masterSeed, branch, r) and recomputes the test's statistic on them, either
-per sample or from the pooled two-sample multiset.
+(masterSeed, branch, r), either per sample or from the pooled two-sample
+multiset.  A resample is a count vector over the base records (record i
+drawn w_i times: the exchangeable-weights bootstrap), so no resample is
+built: chunks of count rows, sized by a fixed byte budget, go through the
+weighted estimators on the base sample, one statistic per row.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .estimators import (at_risk, jump_masses, kaplan_meier,
                          surface_values)
 from .geometry import Grid, PredicateRegion
 from .models import fgm_order_region
-from .util import BOOTSTRAP, check_types, run_indexed, substream
+from .util import BOOTSTRAP, check_types, substream
 
 __all__ = [
     "BootstrapSpec", "TestReport", "bootstrap_resample",
@@ -111,28 +114,53 @@ def bootstrap_resample(sample, rng):
     return sample.take(idx)
 
 
-def _bootstrap(name, stat, stat_fn, samples, spec, diag, pooled=False):
+# A chunk holds as many replicates as fit rows x (records + grid nodes) float64s in this
+# budget: per-chunk set-up (Fenwick layout, sorts) is shared by its rows, while its
+# temporaries stay small enough not to move the process's peak memory much.
+_CHUNK_BYTES = 1 << 18
+
+
+def _count_rows(draws, n):
+    """One int32 row per index draw: how often each of the n records was drawn."""
+    out = np.empty((len(draws), n), dtype=np.int32)
+    for row, idx in zip(out, draws):
+        row[:] = np.bincount(idx, minlength=n)
+    return out
+
+
+def _bootstrap(name, stat, stat_fn, sizes, spec, diag, pooled=False):
     """Report for stat calibrated by spec.replicates values of stat_fn on resamples.
 
-    Separate resampling draws sample k of replicate r from the substream
-    (seed, BOOTSTRAP + k, r), so the second sample uses BOOTSTRAP_SECOND.
-    Pooled resampling draws n + m records from the two samples' union on
+    Separate resampling draws sample k of replicate r as `bootstrap_resample`
+    does, from the substream (seed, BOOTSTRAP + k, r), so the second sample
+    uses BOOTSTRAP_SECOND.  Pooled resampling draws n + m records from the
+    union of the two samples (the first one's records first) on
     (seed, BOOTSTRAP, r) and gives the first n to the first sample, which
-    imposes the null of one common law.
+    imposes the null of one common law.  Each draw becomes a row of counts,
+    and stat_fn gets a chunk of rows and returns one statistic per row:
+    separately, one (rows x n_k) matrix per sample; pooled, one
+    (2 rows x n + m) matrix whose first half counts the first sample's draws.
     """
-    if pooled:
-        n = samples[0].n
-        union = samples[0].concat(samples[1])
+    total = sum(sizes)
+    width = (2 * total if pooled else max(sizes)) + spec.grid_size ** 2
+    rows = max(1, _CHUNK_BYTES // (8 * width))
+    reps = []
+    for lo in range(0, spec.replicates, rows):
+        chunk = range(lo, min(lo + rows, spec.replicates))
+        if pooled:
+            draws = [substream(spec.seed, BOOTSTRAP, r).integers(0, total, size=total) for r in chunk]
+            counts = [_count_rows([d[:sizes[0]] for d in draws] + [d[sizes[0]:] for d in draws], total)]
+        else:
+            counts = [_count_rows([substream(spec.seed, BOOTSTRAP + k, r).integers(0, n, size=n)
+                                   for r in chunk], n) for k, n in enumerate(sizes)]
+        reps.append(stat_fn(*counts))
+    return _finish(name, stat, np.concatenate(reps), spec, diag)
 
-        def one(r):
-            idx = substream(spec.seed, BOOTSTRAP, r).integers(0, union.n, size=union.n)
-            return stat_fn(union.take(idx[:n]), union.take(idx[n:]))
-    else:
-        def one(r):
-            return stat_fn(*(bootstrap_resample(s, substream(spec.seed, BOOTSTRAP + k, r))
-                             for k, s in enumerate(samples)))
 
-    return _finish(name, stat, run_indexed(one, spec.replicates), spec, diag)
+def _own_counts(n, m):
+    """Pooled count rows that give the union of two samples back the first and the second."""
+    first = np.arange(n + m) < n
+    return np.array([first, ~first], dtype=np.int32)
 
 
 def _auto_tau(check_samples):
@@ -168,12 +196,13 @@ def _resolve_tau(check_samples, tau):
 # independence
 # ---------------------------------------------------------------------------
 
-def _independence_diff(sample, grid):
-    """Matrix of Hhat(t) - Hhat_1(t1)*Hhat_2(t2) over the grid nodes."""
-    surf = nelson_aalen_surface(sample, grid).values
-    h1 = marginal_nelson_aalen(sample, 0).eval(grid.xs)
-    h2 = marginal_nelson_aalen(sample, 1).eval(grid.ys)
-    return surf - np.outer(h1, h2)
+def _independence_diff(sample, grid, weights=None):
+    """Matrix of Hhat(t) - Hhat_1(t1)*Hhat_2(t2) over the grid nodes (one per weight row)."""
+    surf = nelson_aalen_surface(sample, grid, weights=weights).values
+    h1 = marginal_nelson_aalen(sample, 0, weights).eval(grid.xs)
+    h2 = marginal_nelson_aalen(sample, 1, weights).eval(grid.ys)
+    surf -= h1[..., :, None] * h2[..., None, :]
+    return surf
 
 
 def independence_test(sample, spec, tau=None):
@@ -192,11 +221,13 @@ def independence_test(sample, spec, tau=None):
     base = _independence_diff(sample, grid)
     stat = root_n * float(np.max(np.abs(base)))
 
-    def stat_fn(rs):
-        return root_n * float(np.max(np.abs(_independence_diff(rs, grid) - base)))
+    def stat_fn(w):
+        diff = _independence_diff(sample, grid, w)
+        diff -= base
+        return root_n * np.max(np.abs(diff, out=diff), axis=(1, 2))
 
     diag.update({"gridSize": spec.grid_size, "seed": spec.seed, "n": sample.n})
-    return _bootstrap("independence", stat, stat_fn, [sample], spec, diag)
+    return _bootstrap("independence", stat, stat_fn, [sample.n], spec, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +248,12 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
     n, m = sample_f.n, sample_g.n
     scale = math.sqrt(n * m / (n + m))
     diag = {"n": n, "m": m, "seed": spec.seed, "sided": spec.sided}
+    union = sample_f.concat(sample_g)
 
     if region is not None:
-        def stat_fn(sf, sg):
-            return scale * (nelson_aalen(sf, region) - nelson_aalen(sg, region))
+        def stat_fn(w):
+            h = nelson_aalen(union, region, weights=w)
+            return scale * (h[:len(w) // 2] - h[len(w) // 2:])
         diag["regionMode"] = "fixed"
     else:
         t, tdiag = _resolve_tau([sample_f, sample_g], tau)
@@ -229,14 +262,15 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
         diag["regionMode"] = "grid"
         diag["gridSize"] = spec.grid_size
 
-        def stat_fn(sf, sg):
-            diff = nelson_aalen_surface(sf, grid).values - nelson_aalen_surface(sg, grid).values
+        def stat_fn(w):
+            vals = nelson_aalen_surface(union, grid, weights=w).values
+            diff = vals[:len(w) // 2] - vals[len(w) // 2:]
             if spec.sided == "two-sided":
-                return scale * float(np.max(np.abs(diff)))
-            return scale * float(np.max(diff))
+                diff = np.abs(diff)
+            return scale * np.max(diff, axis=(1, 2))
 
-    return _bootstrap("hazard-order", stat_fn(sample_f, sample_g), stat_fn,
-                      [sample_f, sample_g], spec, diag, pooled=True)
+    return _bootstrap("hazard-order", float(stat_fn(_own_counts(n, m))[0]), stat_fn,
+                      [n, m], spec, diag, pooled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +287,9 @@ def _order_window_region(tau):
     return PredicateRegion(pred)
 
 
-def _km_quantile_row(cdf, levels):
-    """Vectorized generalized inverse; undefined levels get a sentinel above 1."""
-    vals, locs = cdf.values, cdf.locations
+def _km_quantile_row(locs, vals, levels):
+    """Vectorized generalized inverse of the step CDF with values vals at locs;
+    undefined levels get a sentinel above 1."""
     out = np.full(len(levels), 2.0)
     ok = np.zeros(len(levels), dtype=bool)
     if len(vals):
@@ -266,14 +300,23 @@ def _km_quantile_row(cdf, levels):
     return out, ok
 
 
-def _copula_corner_surface(sample, ps, qs):
-    """Hhat at the KM-quantile corner lattice; masks mark attainable levels."""
-    f = kaplan_meier(marginal_nelson_aalen(sample, 0))
-    g = kaplan_meier(marginal_nelson_aalen(sample, 1))
-    xs, x_ok = _km_quantile_row(f, ps)
-    ys, y_ok = _km_quantile_row(g, qs)
-    vals = surface_values(sample.event_points, jump_masses(sample), xs, ys)
-    return vals, x_ok, y_ok
+def _copula_corner_surface(sample, ps, qs, weights=None):
+    """Hhat at the KM-quantile corner lattice; masks mark attainable levels.
+
+    With a (rows x n) count matrix, each row gets its own lattice, so the
+    values and masks gain a leading rows axis.
+    """
+    f = kaplan_meier(marginal_nelson_aalen(sample, 0, weights))
+    g = kaplan_meier(marginal_nelson_aalen(sample, 1, weights))
+    masses = np.atleast_2d(jump_masses(sample, weights=weights))
+    vals = np.empty((len(masses), len(ps), len(qs)))
+    x_ok = np.empty((len(masses), len(ps)), dtype=bool)
+    y_ok = np.empty((len(masses), len(qs)), dtype=bool)
+    for r, (fv, gv) in enumerate(zip(np.atleast_2d(f.values), np.atleast_2d(g.values))):
+        xs, x_ok[r] = _km_quantile_row(f.locations, fv, ps)
+        ys, y_ok[r] = _km_quantile_row(g.locations, gv, qs)
+        vals[r] = surface_values(sample.event_points, masses[r], xs, ys)
+    return (vals, x_ok, y_ok) if weights is not None else (vals[0], x_ok[0], y_ok[0])
 
 
 def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
@@ -306,12 +349,14 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
 
     if marginals_equal:
         region = _order_window_region(t)
+        union = sample1.concat(sample2)
 
-        def stat_fn(s1, s2):
-            return scale * (nelson_aalen(s2, region) - nelson_aalen(s1, region))
+        def stat_fn(w):
+            h = nelson_aalen(union, region, weights=w)
+            return scale * (h[len(w) // 2:] - h[:len(w) // 2])
 
-        return _bootstrap("fgm-order", stat_fn(sample1, sample2), stat_fn,
-                          [sample1, sample2], spec, diag, pooled=True)
+        return _bootstrap("fgm-order", float(stat_fn(_own_counts(n, m))[0]), stat_fn,
+                          [n, m], spec, diag, pooled=True)
 
     # unknown marginals: KM-quantile corner lattice
     ps = np.linspace(0.0, t[0], spec.grid_size + 1)[1:]
@@ -329,16 +374,17 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
             "every copula-scale node in the order region has an unattainable KM quantile")
     stat = scale * float(np.max((v2 - v1)[usable]))
 
-    def stat_fn(r1, r2):
-        w1, a1, b1 = _copula_corner_surface(r1, ps, qs)
-        w2, a2, b2 = _copula_corner_surface(r2, ps, qs)
-        ok = usable & (a1 & a2)[:, None] & (b1 & b2)[None, :]
-        if not np.any(ok):
-            return -math.inf
-        centered = (w2 - v2) - (w1 - v1)
-        return scale * float(np.max(centered[ok]))
+    def stat_fn(w1, w2):
+        r1, a1, b1 = _copula_corner_surface(sample1, ps, qs, w1)
+        r2, a2, b2 = _copula_corner_surface(sample2, ps, qs, w2)
+        ok = usable & (a1 & a2)[:, :, None] & (b1 & b2)[:, None, :]
+        r2 -= v2
+        r1 -= v1
+        r2 -= r1
+        r2[~ok] = -math.inf
+        return scale * np.max(r2, axis=(1, 2))
 
-    report = _bootstrap("fgm-order", stat, stat_fn, [sample1, sample2], spec, diag)
+    report = _bootstrap("fgm-order", stat, stat_fn, [n, m], spec, diag)
     report.diagnostics["emptyReplicates"] = int(np.count_nonzero(
         np.isneginf(report.replicate_statistics)))
     return report

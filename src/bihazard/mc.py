@@ -124,6 +124,9 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
     Kolmogorov distance of standardized replicate values to the standard
     normal CDF (absolute bound ks_bound).
     """
+    unknown = [c for c in checks if c not in ("mean", "variance", "normality")]
+    if unknown:
+        raise ConfigError(f"unknown check {unknown[0]!r} in checks; expected mean, variance or normality")
     start = time.perf_counter()
     pts = [ (float(t[0]), float(t[1])) for t in checkpoints ]
     truth = np.array([float(integrated_hazard(cfg.model, LowerRect(t), cfg.quadrature))

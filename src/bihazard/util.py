@@ -35,10 +35,11 @@ def run_indexed(fn, count):
 
 
 def check_types(obj, names, reals=()):
-    """ConfigError naming the first field of obj, in names order, that is not an
-    integer (any real number for those in reals); booleans pass as neither."""
+    """ConfigError naming the first field of obj (an object, or a dict by key), in
+    names order, that is not an integer (any real number for those in reals);
+    booleans pass as neither."""
     for name in names:
-        value = getattr(obj, name)
+        value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
         real = name in reals
         if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
             raise ConfigError(f"{name} must be {'a number' if real else 'an integer'}, got {value!r}")

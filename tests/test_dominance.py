@@ -1,4 +1,7 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bihazard.dominance import dominating_count, dominating_count_naive
 
@@ -45,3 +48,32 @@ def test_empty_inputs():
     qs = np.array([[0.5, 0.5]])
     assert dominating_count(pts, qs).tolist() == [0]
     assert dominating_count(qs, np.empty((0, 2))).size == 0
+
+
+@st.composite
+def weighted_sets(draw):
+    """Points and queries on a lattice (ties in both axes), with integer weight rows
+    that include zeros; sizes fall on both sides of the 64 switch."""
+    n = draw(st.integers(0, 140))
+    k = draw(st.integers(0, 140))
+    rows = draw(st.integers(1, 3))
+    steps = draw(st.sampled_from([3, 8, 1000]))
+    coords = st.integers(0, steps)
+    pts = draw(hnp.arrays(np.int64, (n, 2), elements=coords)) / steps
+    qs = draw(hnp.arrays(np.int64, (k, 2), elements=coords)) / steps
+    return pts, qs, draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(0, 4)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(weighted_sets())
+def test_weighted_count_matches_weighted_broadcast(case):
+    pts, qs, w = case
+    hits = (pts[None, :, 0] >= qs[:, None, 0]) & (pts[None, :, 1] >= qs[:, None, 1])
+    want = w @ hits.T.astype(np.int64)
+    got = dominating_count(pts, qs, w)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # one weight row without the rows axis, and all-ones weights, reduce to plain counts
+    assert np.array_equal(dominating_count(pts, qs, w[0]), want[0])
+    assert np.array_equal(dominating_count(pts, qs, np.ones(len(pts), dtype=np.int64)),
+                          dominating_count(pts, qs))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihazard import estimators as est
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
@@ -183,13 +185,13 @@ def test_nelson_aalen_sums_left_to_right(monkeypatch):
     sel = np.asarray(region.contains(s.event_points), dtype=bool)
     for _ in range(200):
         masses = rng.random(s.n) * 10.0 ** rng.integers(-8, 8, size=s.n)
-        monkeypatch.setattr(est, "jump_masses", lambda sample, method="auto": masses)
+        monkeypatch.setattr(est, "jump_masses", lambda sample, method="auto", weights=None: masses)
         want = 0.0
         for w in masses[sel]:
             want += float(w)
         got = nelson_aalen(s, region)
         assert type(got) is float and got == want
-    monkeypatch.setattr(est, "jump_masses", lambda sample, method="auto": masses)
+    monkeypatch.setattr(est, "jump_masses", lambda sample, method="auto", weights=None: masses)
     assert nelson_aalen(s, LowerRect((1e-9, 1e-9))) == 0.0
 
 
@@ -401,6 +403,67 @@ def test_region_table_kernels_match_per_record_counts_on_every_family():
             assert np.array_equal(est.jumps, np.array(counts) / np.array(risk))
 
 
+def _lattice_sample(family, n, rng):
+    """n records on the 1/8 lattice under one censoring family, every form it has."""
+    def lattice(lo, hi, size=None):
+        return rng.integers(lo, hi + 1, size=size) / 8.0
+
+    shared = GridProduct(((0.0, 0.375), (0.625, 1.0)), ((0.0, 0.5), (0.75, 1.0)))
+    recs = []
+    for i in range(n):
+        y = tuple(lattice(0, 8, 2))
+        if family == "box":
+            censor = Rectangle(tuple(lattice(3, 8, 2))) if i % 3 else FULL
+        elif family == "grid":
+            censor = shared
+        else:
+            k1 = lattice(1, 4)
+            censor = BandComplement(k1, k1 + lattice(0, 3), lattice(1, 2))
+        if family == "box" and i % 3 == 2:
+            tau = censor.tau
+            recs.append(SubjectRecord(censor=censor, status="censored_opaque",
+                                      minima=(min(y[0], tau[0]), min(y[1], tau[1])),
+                                      events=(int(y[0] <= tau[0]), int(y[1] <= tau[1]))))
+        elif contains(censor, y):
+            recs.append(obs(y, censor))
+        else:
+            recs.append(SubjectRecord(censor=censor, status="censored_latent", latent=y))
+    return recs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["box", "grid", "band"]), n=st.integers(1, 150),
+       seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3))
+def test_weighted_risk_counts_match_per_record_counts(family, n, seed, rows):
+    # weight rows with zeros and repeats stand for resamples; sizes cross the 64 switch
+    rng = np.random.default_rng(seed)
+    recs = _lattice_sample(family, n, rng)
+    s = CensoredSample(recs)
+    w = rng.integers(0, 4, size=(rows, n))
+    lattice = np.stack(np.meshgrid(np.arange(9) / 8.0, np.arange(9) / 8.0), axis=-1).reshape(-1, 2)
+    q = np.vstack([lattice, s.event_points])
+    per_record = np.array([_brute_at_risk_2d([rec], q) for rec in recs]).reshape(n, len(q))
+    got = est._risk_counts(s, q, w)
+    assert got.dtype == np.int64 and np.array_equal(got, w @ per_record)
+    masses = jump_masses(s, weights=w)
+    z = (w @ per_record)[:, len(lattice):]
+    w_ev = w[:, s.event_mask]
+    assert np.array_equal(masses, np.where(w_ev > 0, w_ev / np.maximum(z, 1), 0.0))
+    # each row's marginals equal those of the resample it stands for, bit for bit
+    xs = np.arange(17) / 16.0
+    for axis in (0, 1):
+        est_w = marginal_nelson_aalen(s, axis, weights=w)
+        for r in range(rows):
+            if w[r].sum() == 0:
+                continue
+            one = marginal_nelson_aalen(s.take(np.repeat(np.arange(n), w[r])), axis)
+            assert np.array_equal(est_w.eval(xs)[r], one.eval(xs))
+            held = est_w.counts[r] > 0
+            assert np.array_equal(est_w.values[held], one.values)
+            assert np.array_equal(kaplan_meier(est_w).values[r][held], kaplan_meier(one).values)
+            assert np.array_equal(kaplan_meier(est_w).eval(xs)[r], kaplan_meier(one).eval(xs))
+
+
 # ---------------------------------------------------------------------------
 # surfaces
 # ---------------------------------------------------------------------------
@@ -414,6 +477,11 @@ def test_surface_values_binning():
     assert vals[-1, -1] == pytest.approx(2.0, abs=0)
     # node just above (0.45, 0.65) sees exactly the two dominated points
     assert vals[9, 13] == pytest.approx(1.0, abs=0)
+    # rows of masses give one surface each; nothing below the lattice still gives floats
+    rows = surface_values(pts, np.array([masses, 2 * masses]), xs, xs)
+    assert np.array_equal(rows[0], vals) and np.array_equal(rows[1], 2 * vals)
+    none = surface_values(pts, np.array([masses]), [0.1], [0.1])
+    assert none.dtype == float and none.shape == (1, 1, 1) and none[0, 0, 0] == 0.0
 
 
 def test_surface_values_duplicate_nodes_and_dropped_points():

@@ -104,3 +104,7 @@ def test_grid_validation():
         Grid(4, (0.0, 1.0))
     with pytest.raises(ConfigError):
         Grid(4, (1.0, 1.2))
+    for m in (2.5, "8", True, None):
+        with pytest.raises(ConfigError, match="grid size must be an integer"):
+            Grid(m, (1.0, 1.0))
+    assert Grid(np.int64(3)).m == 3

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bihazard import mc
-from bihazard.censoring import CensoringModel, FullSpace, QuantileTable, Rectangle
+from bihazard import inference, mc
+from bihazard.censoring import CensoringModel, FullSpace, GridProduct, QuantileTable, Rectangle
 from bihazard.errors import ConfigError, QuantileRangeError
 from bihazard.estimators import (CensoredSample, SubjectRecord, at_risk, nelson_aalen,
                                  nelson_aalen_surface, simulate_sample)
@@ -336,8 +336,22 @@ def _loop_separate(stat_fn, f, g, seed, b):
                      for r in range(b)], dtype=float)
 
 
-def test_bootstrap_engine_matches_replicate_loop_oracle():
-    f, g = sim(0.4, 70, 35, rect_model()), sim(0.0, 55, 43, rect_model())
+def _assert_close_to_loop(got, want, scale):
+    # the engine sums w_i / Z once where the loop adds 1 / Z per copy, in
+    # resample order: equal within 1e-12 relative (scale as in
+    # bench/checks.close), with the same empty (-inf) replicates
+    assert got.shape == want.shape
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.isfinite(got) == fin)
+    tol = 1e-12 * np.maximum(np.maximum(np.abs(got[fin]), np.abs(want[fin])), scale)
+    assert np.all(np.abs(got[fin] - want[fin]) <= tol)
+
+
+def _engine_against_loops(model):
+    # n and m put the pooled event count above the 64-point switch to the Fenwick blocks
+    f, g = sim(0.4, 90, 35, model), sim(0.0, 75, 43, model)
+    assert int(f.event_mask.sum() + g.event_mask.sum()) > 64
     b, seed = 15, 9
     spec = BootstrapSpec(replicates=b, seed=seed, grid_size=8)
     scale = math.sqrt(f.n * g.n / (f.n + g.n))
@@ -349,9 +363,9 @@ def test_bootstrap_engine_matches_replicate_loop_oracle():
     want = _loop_one_sample(
         lambda rs: math.sqrt(f.n) * float(np.max(np.abs(_independence_diff(rs, grid) - base))),
         f, seed, b)
-    assert np.array_equal(rep.replicate_statistics, want)
+    _assert_close_to_loop(rep.replicate_statistics, want, math.sqrt(f.n))
     other = independence_test(f, BootstrapSpec(replicates=b, seed=seed + 1, grid_size=8))
-    assert not np.array_equal(other.replicate_statistics, want)
+    assert not np.allclose(other.replicate_statistics, want)
 
     # hazard order over the node grid and over a fixed region: pooled resampling
     rep = hazard_order_test(f, g, spec)
@@ -359,12 +373,12 @@ def test_bootstrap_engine_matches_replicate_loop_oracle():
     want = _loop_pooled(lambda a, c: scale * float(np.max(
         nelson_aalen_surface(a, grid).values - nelson_aalen_surface(c, grid).values)),
         f, g, seed, b)
-    assert np.array_equal(rep.replicate_statistics, want)
+    _assert_close_to_loop(rep.replicate_statistics, want, scale)
     region = LowerRect((0.7, 0.6))
     rep = hazard_order_test(f, g, spec, region=region)
     want = _loop_pooled(lambda a, c: scale * (nelson_aalen(a, region) - nelson_aalen(c, region)),
                         f, g, seed, b)
-    assert np.array_equal(rep.replicate_statistics, want)
+    _assert_close_to_loop(rep.replicate_statistics, want, scale)
 
     # copula order with equal marginals: pooled resampling over the order window
     tau = (0.8, 0.8)
@@ -372,7 +386,7 @@ def test_bootstrap_engine_matches_replicate_loop_oracle():
     window = _order_window_region(tau)
     want = _loop_pooled(lambda a, c: scale * (nelson_aalen(c, window) - nelson_aalen(a, window)),
                         f, g, seed, b)
-    assert np.array_equal(rep.replicate_statistics, want)
+    _assert_close_to_loop(rep.replicate_statistics, want, scale)
 
     # copula order with estimated marginals: separate resampling, second stream
     rep = fgm_order_test(f, g, tau, spec, False)
@@ -388,13 +402,31 @@ def test_bootstrap_engine_matches_replicate_loop_oracle():
         return scale * float(np.max(((w2 - v2) - (w1 - v1))[ok])) if ok.any() else -math.inf
 
     want = _loop_separate(km_stat, f, g, seed, b)
-    assert np.array_equal(rep.replicate_statistics, want)
+    _assert_close_to_loop(rep.replicate_statistics, want, scale)
     assert rep.diagnostics["emptyReplicates"] == int(np.count_nonzero(np.isneginf(want)))
+    return f, g, spec, tau
+
+
+def test_bootstrap_engine_matches_replicate_loop_oracle_on_grid_product():
+    _engine_against_loops(CensoringModel("grid_product", {
+        "region": GridProduct(((0.0, 0.3), (0.4, 1.0)), ((0.0, 0.6), (0.7, 1.0)))}))
+
+
+def test_bootstrap_engine_matches_replicate_loop_oracle(monkeypatch):
+    f, g, spec, tau = _engine_against_loops(rect_model())
+    b, seed = spec.replicates, spec.seed
+    tests = (lambda sp: independence_test(f, sp), lambda sp: hazard_order_test(f, g, sp),
+             lambda sp: fgm_order_test(f, g, tau, sp, True),
+             lambda sp: fgm_order_test(f, g, tau, sp, False))
+
+    # rows are independent, so the chunk size changes no replicate
+    whole = [run(spec).replicate_statistics for run in tests]
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 1)
+    assert all(np.array_equal(run(spec).replicate_statistics, w) for run, w in zip(tests, whole))
+    monkeypatch.undo()
 
     # workers is accepted and ignored
-    for run in (lambda sp: independence_test(f, sp), lambda sp: hazard_order_test(f, g, sp),
-                lambda sp: fgm_order_test(f, g, tau, sp, True),
-                lambda sp: fgm_order_test(f, g, tau, sp, False)):
+    for run in tests:
         one, many = run(spec), run(BootstrapSpec(replicates=b, seed=seed, grid_size=8, workers=4))
         assert np.array_equal(one.replicate_statistics, many.replicate_statistics)
         assert one.to_json() == many.to_json()

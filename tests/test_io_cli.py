@@ -410,6 +410,19 @@ def test_cli_mc_scenario_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"scenario 1 {key} must be a positive integer" in err and "Traceback" not in err
 
+    # float fields are checked as numbers, and unknown checks are refused
+    glivenko = wjson(tmp_path / "gl.json", dict(base, experiment="glivenko", ladder=[20, 40]))
+    for cfgp, assignment, field in ((clt, 'varRtol="x"', "varRtol"), (clt, "ksBound=true", "ksBound"),
+                                    (glivenko, "bound=[0.1]", "bound")):
+        assert main(["mc", "--config", cfgp, "--out", str(tmp_path / "o6"),
+                     "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a number" in err and "Traceback" not in err
+    assert main(["mc", "--config", clt, "--out", str(tmp_path / "o7"),
+                 "--set", 'checks=["mean","bogus"]']) == 2
+    err = capsys.readouterr().err
+    assert "unknown check 'bogus'" in err and "Traceback" not in err
+
 
 def test_cli_validate(tmp_path):
     good = {"censorModel": {"family": "full"}, "model": {"theta": 0.2},
@@ -428,6 +441,24 @@ def test_cli_validate(tmp_path):
     assert code == 5
     result = json.loads((tmp_path / "bad" / "validation.json").read_text())
     assert result["passed"] is False
+
+
+def test_cli_validate_and_estimate_type_errors(tmp_path, capsys):
+    good = {"censorModel": {"family": "full"}, "grid": {"size": 8, "tau": [0.8, 0.8]}}
+    cfgp = wjson(tmp_path / "v.json", good)
+    data = tmp_path / "worked.jsonl"
+    write_dataset(data, worked_records())
+    ecfg = wjson(tmp_path / "e.json", {"grid": {"size": 8, "tau": [1.0, 1.0]}})
+    capsys.readouterr()
+    cases = [(["validate", "--config", cfgp], 'epsilon="x"', "epsilon must be a number")]
+    for size in ("2.5", '"8"', "true"):
+        for cmd in (["validate", "--config", cfgp], ["estimate", "--config", ecfg, "--data", str(data)]):
+            cases.append((cmd, f"grid.size={size}", "grid size must be an integer"))
+    for k, (cmd, assignment, message) in enumerate(cases):
+        assert main(cmd + ["--out", str(tmp_path / f"o{k}"), "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / f"o{k}").exists()
 
 
 def test_cli_config_plumbing_errors(tmp_path):

@@ -61,6 +61,9 @@ def test_verify_clt_checks_subset():
     for r in rep.rows:
         assert r["reference"] == 0.0
         assert r["se"] > 0
+    # a misspelt check is refused instead of dropped from the verdict
+    with pytest.raises(ConfigError, match="unknown check 'varaince'"):
+        verify_clt(tiny_cfg(), [(0.4, 0.4)], checks=("mean", "varaince"))
 
 
 def test_verify_clt_variance_reference_is_limit_covariance():
