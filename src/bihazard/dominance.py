@@ -10,10 +10,12 @@ end in key order.  That is O((n + k) log^2 n) in vectorized steps
 instead of the quadratic pairwise scan; below 64 points or queries one
 broadcast comparison costs less.
 
-With weights (one row per bootstrap resample, say), every point counts
-with its weight: the levels are laid out once, and each level adds the
-difference of two cumulative sums of the weights in key order, for all
-rows at once; the broadcast branch becomes a weighted product.
+Every point counts with a weight (one row of weights per bootstrap
+resample, say; all ones for a plain count).  dominance_counter lays the
+levels out once for a set of points and queries and returns the count
+as a function of the weights: each level adds the difference of two
+cumulative sums of the weights in key order, for all rows at once, and
+the broadcast branch is a weighted product.
 """
 
 from __future__ import annotations
@@ -21,25 +23,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def dominating_count(points, queries, weights=None):
-    """#{j : points[j] >= q componentwise} for each row q of queries.
+def dominance_counter(points, queries):
+    """Weighted dominating counts as a function of a (rows x n) weight matrix.
 
-    weights, of shape (..., n), counts point j weights[..., j] times
-    instead; the result then has shape (..., k) and the weights' dtype,
-    so integer weights give exact integer counts.
+    The returned function gives, for row r and query j, the sum of
+    weights[r, i] over the points i >= queries[j] componentwise, in the
+    weights' dtype, so integer weights give exact integer counts.  The
+    layout depends only on the points and queries, so it is built here
+    once and shared by every call.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     qs = np.asarray(queries, dtype=float).reshape(-1, 2)
     n, k = len(pts), len(qs)
-    w = None if weights is None else np.asarray(weights)
-    lead = () if w is None else w.shape[:-1]
-    if w is not None:
-        w = w.reshape(int(np.prod(lead)), n)
     if n < 64 or k < 64:
-        hits = (pts[None, :, 0] >= qs[:, None, 0]) & (pts[None, :, 1] >= qs[:, None, 1])
-        if w is None:
-            return hits.sum(axis=1, dtype=np.int64)
-        return (w @ hits.T.astype(w.dtype)).reshape(lead + (k,))
+        hits = (pts[:, None, 0] >= qs[None, :, 0]) & (pts[:, None, 1] >= qs[None, :, 1])
+        return lambda w: w @ hits.astype(w.dtype)
 
     order = np.argsort(-pts[:, 0])
     # reach[j]: how many points have x >= qs[j, 0], a prefix of `order`
@@ -48,32 +46,43 @@ def dominating_count(points, queries, weights=None):
     m = len(all_y)
     p_rank, q_rank = rank[:n], rank[n:]
     pos = np.arange(n)
-    if w is None:
-        out = np.zeros(k, dtype=np.int64)
-    else:
-        out = np.zeros((len(w), k), dtype=w.dtype)
-        cum = np.zeros((len(w), n + 1), dtype=w.dtype)
+    levels = []
     for level in range(n.bit_length()):
         # a set bit adds the prefix block of 2**level points ending at (reach >> level) << level
         use = np.flatnonzero((reach >> level) & 1)
         if len(use) == 0:
             continue
         keys = (pos >> level) * m + p_rank              # by block, then y rank
-        block = (reach[use] >> level) - 1
-        hi = (block + 1) << level
-        target = block * m + q_rank[use]
-        if w is None:
-            keys.sort()
-            out[use] += hi - np.searchsorted(keys, target)
-            continue
         perm = np.argsort(keys)                         # ties share a key: their order never matters
-        lo = np.searchsorted(keys[perm], target)
-        np.take(w, order[perm], axis=1, out=cum[:, 1:])
-        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
-        hits = cum[:, hi]
-        hits -= cum[:, lo]
-        out[:, use] += hits
-    return out if w is None else out.reshape(lead + (k,))
+        block = (reach[use] >> level) - 1
+        lo = np.searchsorted(keys[perm], block * m + q_rank[use])
+        levels.append((use, order[perm], lo, (block + 1) << level))
+
+    def count(w):
+        out = np.zeros((len(w), k), dtype=w.dtype)
+        cum = np.zeros((len(w), n + 1), dtype=w.dtype)
+        for use, cols, lo, hi in levels:
+            np.take(w, cols, axis=1, out=cum[:, 1:])
+            np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+            hits = cum[:, hi]
+            hits -= cum[:, lo]
+            out[:, use] += hits
+        return out
+
+    return count
+
+
+def dominating_count(points, queries, weights=None):
+    """#{j : points[j] >= q componentwise} for each row q of queries.
+
+    weights, of shape (..., n), counts point j weights[..., j] times
+    instead; the result then has shape (..., k) and the weights' dtype.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    w = np.ones((1, len(pts)), dtype=np.int64) if weights is None else np.asarray(weights)
+    lead = w.shape[:-1]
+    out = dominance_counter(pts, queries)(w.reshape(int(np.prod(lead)), len(pts)))
+    return out[0] if weights is None else out.reshape(lead + out.shape[-1:])
 
 
 def dominating_count_naive(points, queries):

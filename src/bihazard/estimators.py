@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import censoring as cen
-from .dominance import dominating_count, dominating_count_naive
+from .dominance import dominance_counter, dominating_count, dominating_count_naive
 from .errors import ConfigError, DataError, DomainError, ObservabilityError, QuantileRangeError, ReductionError
 from .geometry import Grid, LowerRect, Region, as_points
 from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, midpoints
@@ -139,7 +139,7 @@ class CensoredSample:
         self.fast = bool(self.boxed.all())
         self.risk_min = np.minimum(carrier, tau[region_index])
         self._mass_cache = {}
-        self._intervals = {}
+        self._layouts = {}
         # every record check at once; the first offending record is named
         inside = _inside(carrier, regions, region_index, self.boxed, tau)
         rect = np.array([isinstance(r, cen.Rectangle) for r in regions])[region_index]
@@ -187,7 +187,7 @@ class CensoredSample:
         out.boxed = self.boxed
         out.fast = self.fast
         out._mass_cache = {}
-        out._intervals = self._intervals
+        out._layouts = {}
         return out
 
     def concat(self, other):
@@ -202,40 +202,46 @@ class CensoredSample:
 # at-risk, counting, Nelson-Aalen
 # ---------------------------------------------------------------------------
 
-def _risk_counts(sample, queries, weights=None):
-    """Z_n at each query (exact integers), counted once per distinct region.
+def _region_counts(sample, q, w):
+    """What the records under non-box regions add to Z at the queries q, one row per row of w.
 
-    Records under box regions share one dominance count on their minima.
-    Each other region adds, at the queries it contains, the dominance count
-    of its own points.  With queries sorted by x, those the points can
-    dominate are a prefix, cut by their largest y; a region held by one
-    record (band complements are drawn per subject) needs no count then.
-    A (rows x n) weights matrix counts record i weights[r, i] times in
-    row r, and the counts gain that leading rows axis.
+    Row r counts record i w[r, i] times, exactly for integer weights.  Each
+    distinct region adds, at the queries it contains, the dominance count of
+    its own points.  With queries sorted by x, those the points can dominate
+    are a prefix, cut by their largest y; a region held by one record (band
+    complements are drawn per subject) needs no count then.
     """
-    q = np.asarray(queries, dtype=float).reshape(-1, 2)
-    boxed = sample.boxed[sample.region_index]
-    if boxed.all():
-        return dominating_count(sample.risk_min, q, weights)
-    out = dominating_count(sample.risk_min[boxed], q, None if weights is None else weights[:, boxed])
-    rows, starts = _region_runs(sample.region_index, np.flatnonzero(~boxed))
+    extra = np.zeros((len(w), len(q)), dtype=w.dtype)
+    rows = np.flatnonzero(~sample.boxed[sample.region_index])
+    if len(rows) == 0:
+        return extra
+    rows, starts = _region_runs(sample.region_index, rows)
     tops = np.maximum.reduceat(sample.carrier[rows], starts)
     order = np.argsort(q[:, 0], kind="stable")
     qs = q[order]
     ends = np.searchsorted(qs[:, 0], tops[:, 0], side="right")
-    extra = np.zeros_like(out)
     for group, region, top, end in zip(np.split(rows, starts[1:]), sample.region_index[rows[starts]],
                                        tops, ends):
         head = qs[:end]
         hit = (head[:, 1] <= top[1]) & cen.contains(sample.regions[region], head)
-        w = None if weights is None else weights[:, group]
         if len(group) == 1:
-            extra[..., :end] += hit if w is None else w * hit
+            extra[:, :end] += w[:, group] * hit
         else:
             sel = np.flatnonzero(hit)
-            extra[..., sel] += dominating_count(sample.carrier[group], head[sel], w)
-    out[..., order] += extra
-    return out
+            extra[:, sel] += dominating_count(sample.carrier[group], head[sel], w[:, group])
+    return extra[:, np.argsort(order)]
+
+
+def _risk_counts(sample, queries):
+    """Z_n at each query (exact integers), counted once per distinct region.
+
+    Records under box regions share one dominance count on their minima;
+    the others add their `_region_counts`.
+    """
+    q = np.asarray(queries, dtype=float).reshape(-1, 2)
+    boxed = sample.boxed[sample.region_index]
+    ones = np.ones((1, sample.n), dtype=np.int64)
+    return dominating_count(sample.risk_min[boxed], q) + _region_counts(sample, q, ones)[0]
 
 
 def at_risk(sample, t):
@@ -273,10 +279,16 @@ def jump_masses(sample, method="auto", weights=None):
     w_ev = w[:, sample.event_mask]
     if len(ev) == 0:
         z = w_ev
-    elif method == "naive" and sample.fast and weights is None:
+    elif weights is not None:
+        # the box records' dominance layout at the events serves every chunk of a bootstrap
+        boxed = sample.boxed[sample.region_index]
+        if "events" not in sample._layouts:
+            sample._layouts["events"] = dominance_counter(sample.risk_min[boxed], ev)
+        z = sample._layouts["events"](w[:, boxed]) + _region_counts(sample, ev, w)
+    elif method == "naive" and sample.fast:
         z = dominating_count_naive(sample.risk_min, ev)
     else:
-        z = _risk_counts(sample, ev, weights)
+        z = _risk_counts(sample, ev)
     z = z.reshape(w_ev.shape)
     if np.any(z < w_ev):
         raise DataError("internal inconsistency: an observed point is not at risk at itself")
@@ -440,23 +452,6 @@ def _marginal_intervals(region):
     return None
 
 
-def _interval_table(sample, axis):
-    """Every region's intervals on one axis, stacked, with each region's first row and count.
-
-    Built once per base sample and shared by its resamples; a region with no
-    reduction gets count -1, which raises only where a record uses it.
-    """
-    if axis not in sample._intervals:
-        rows, first, count = [], [], []
-        for ivs in map(_marginal_intervals, sample.regions):
-            first.append(len(rows))
-            count.append(len(ivs[axis]) if ivs else -1)
-            rows.extend(ivs[axis] if ivs else ())
-        sample._intervals[axis] = (np.array(rows, dtype=float).reshape(-1, 2),
-                                   np.array(first, dtype=np.int64), np.array(count, dtype=np.int64))
-    return sample._intervals[axis]
-
-
 @dataclass
 class MarginalEstimate:
     """One-axis Nelson-Aalen estimate: jumps at observed coordinate values.
@@ -493,19 +488,21 @@ def _cumulative(w, cols):
     return out
 
 
-def marginal_nelson_aalen(sample, axis, weights=None):
-    """Per-axis Nelson-Aalen estimate under the axis reduction of the censoring.
+def _marginal_layout(sample, axis):
+    """The base sample's part of a marginal estimate on one axis.
 
-    axis is 0 or 1.  A coordinate is an observed marginal event iff it lies
-    in its record's per-axis observable set; at-risk counts combine coordinate
-    dominance with per-axis membership.  With a (rows x n) count matrix
-    `weights`, record i counts weights[r, i] times in row r; a value that no
-    record of row r holds gets an exact 0 jump, so each row's levels equal
-    those of the resample it stands for.
+    A coordinate is an observed marginal event iff it lies in its record's
+    per-axis observable set.  Gives the observed records sorted by value,
+    where each distinct value starts among them, the distinct values, and
+    for the at-risk counts the pair table's records in order of a and of e
+    (below) with each distinct value's cut in either order.
     """
-    if axis not in (0, 1):
-        raise ConfigError("axis must be 0 or 1")
-    intervals, first, count = _interval_table(sample, axis)
+    # every region's intervals stacked, with its first row and count (-1: no reduction,
+    # which raises only where a record uses it)
+    ivs = [iv[axis] if iv else None for iv in map(_marginal_intervals, sample.regions)]
+    count = np.array([len(iv) if iv is not None else -1 for iv in ivs])
+    first = np.cumsum(np.maximum(count, 0)) - np.maximum(count, 0)
+    intervals = np.array([ab for iv in ivs if iv for ab in iv], dtype=float).reshape(-1, 2)
     k = count[sample.region_index]
     if np.any(k < 0):
         region = sample.regions[sample.region_index[np.argmax(k < 0)]]
@@ -520,22 +517,41 @@ def marginal_nelson_aalen(sample, axis, weights=None):
     e = np.minimum(b, vr)
     live = a <= e
     inside = np.bincount(rec[live & (vr <= b)], minlength=sample.n) > 0
-    obs = np.where(sample.status == 2, sample.events[:, axis], inside)
+    events = np.flatnonzero(np.where(sample.status == 2, sample.events[:, axis], inside))
+    events = events[np.argsort(v[events])]
+    starts = np.flatnonzero(np.diff(v[events], prepend=-np.inf))
+    distinct = v[events][starts]
+    # Z(u) = #{pairs with a <= u} - #{pairs with e < u}
+    a, e, rec = a[live], e[live], rec[live]
+    by_a, by_e = np.argsort(a), np.argsort(e)      # ties fall on one side of every cut
+    return (events, starts, distinct, rec[by_a], np.searchsorted(a[by_a], distinct, side="right"),
+            rec[by_e], np.searchsorted(e[by_e], distinct, side="left"))
+
+
+def marginal_nelson_aalen(sample, axis, weights=None):
+    """Per-axis Nelson-Aalen estimate under the axis reduction of the censoring.
+
+    axis is 0 or 1.  At-risk counts combine coordinate dominance with
+    per-axis membership.  With a (rows x n) count matrix `weights`, record
+    i counts weights[r, i] times in row r; a value that no record of row r
+    holds gets an exact 0 jump, so each row's levels equal those of the
+    resample it stands for.
+    """
+    if axis not in (0, 1):
+        raise ConfigError("axis must be 0 or 1")
+    layout = sample._layouts.get(("marginal", axis)) or _marginal_layout(sample, axis)
+    if weights is not None:
+        sample._layouts["marginal", axis] = layout
+    events, starts, distinct, a_recs, a_cut, e_recs, e_cut = layout
     w = np.ones((1, sample.n), dtype=np.int64) if weights is None else np.asarray(weights)
     lead = w.shape[:-1] if weights is not None else ()
-    events = np.flatnonzero(obs)
-    events = events[np.argsort(v[events], kind="stable")]
     if len(events) == 0:
         e = np.zeros(lead + (0,))
         return MarginalEstimate(axis, np.empty(0), e.astype(int), e.astype(int), e, e, sample.n)
-    starts = np.flatnonzero(np.r_[True, v[events][1:] != v[events][:-1]])
-    distinct = v[events][starts]
     cnt = np.add.reduceat(w[:, events], starts, axis=1)
-    # Z(u) = #{pairs with a <= u} - #{pairs with e < u}, each pair counting its record's weight
-    a, e, rec = a[live], e[live], rec[live]
-    by_a, by_e = np.argsort(a, kind="stable"), np.argsort(e, kind="stable")
-    z = _cumulative(w, rec[by_a])[:, np.searchsorted(a[by_a], distinct, side="right")]
-    z -= _cumulative(w, rec[by_e])[:, np.searchsorted(e[by_e], distinct, side="left")]
+    # each pair counts its record's weight
+    z = _cumulative(w, a_recs)[:, a_cut]
+    z -= _cumulative(w, e_recs)[:, e_cut]
     if np.any(z < cnt):
         raise DataError("internal inconsistency: marginal event not at risk at itself")
     jumps = np.divide(cnt, z, out=np.zeros(cnt.shape), where=cnt > 0)

@@ -13,7 +13,9 @@ resamples subjects together with their censoring sets from the substream
 multiset.  A resample is a count vector over the base records (record i
 drawn w_i times: the exchangeable-weights bootstrap), so no resample is
 built: chunks of count rows, sized by a fixed byte budget, go through the
-weighted estimators on the base sample, one statistic per row.
+weighted estimators on the base sample, one statistic per row.  What the
+estimators derive from the base sample alone (the Fenwick layout at its
+events, the marginals' pair table) is built once and shared by the chunks.
 """
 
 from __future__ import annotations
@@ -115,20 +117,17 @@ def bootstrap_resample(sample, rng):
 
 
 # A chunk holds as many replicates as fit rows x (records + grid nodes) float64s in this
-# budget: per-chunk set-up (Fenwick layout, sorts) is shared by its rows, while its
-# temporaries stay small enough not to move the process's peak memory much.
-_CHUNK_BYTES = 1 << 18
+# budget: large enough that each estimator call's fixed cost is shared by several rows,
+# small enough that its temporaries do not move the process's peak memory much.
+_CHUNK_BYTES = 1 << 17
 
 
 def _count_rows(draws, n):
     """One int32 row per index draw: how often each of the n records was drawn."""
-    out = np.empty((len(draws), n), dtype=np.int32)
-    for row, idx in zip(out, draws):
-        row[:] = np.bincount(idx, minlength=n)
-    return out
+    return np.array([np.bincount(idx, minlength=n) for idx in draws], dtype=np.int32)
 
 
-def _bootstrap(name, stat, stat_fn, sizes, spec, diag, pooled=False):
+def _bootstrap(name, stat, stat_fn, samples, spec, diag, pooled=False):
     """Report for stat calibrated by spec.replicates values of stat_fn on resamples.
 
     Separate resampling draws sample k of replicate r as `bootstrap_resample`
@@ -140,7 +139,9 @@ def _bootstrap(name, stat, stat_fn, sizes, spec, diag, pooled=False):
     and stat_fn gets a chunk of rows and returns one statistic per row:
     separately, one (rows x n_k) matrix per sample; pooled, one
     (2 rows x n + m) matrix whose first half counts the first sample's draws.
+    The layouts the estimators cache on the samples serve this bootstrap only.
     """
+    sizes = [s.n for s in samples]
     total = sum(sizes)
     width = (2 * total if pooled else max(sizes)) + spec.grid_size ** 2
     rows = max(1, _CHUNK_BYTES // (8 * width))
@@ -154,6 +155,8 @@ def _bootstrap(name, stat, stat_fn, sizes, spec, diag, pooled=False):
             counts = [_count_rows([substream(spec.seed, BOOTSTRAP + k, r).integers(0, n, size=n)
                                    for r in chunk], n) for k, n in enumerate(sizes)]
         reps.append(stat_fn(*counts))
+    for s in samples:
+        s._layouts.clear()
     return _finish(name, stat, np.concatenate(reps), spec, diag)
 
 
@@ -227,7 +230,7 @@ def independence_test(sample, spec, tau=None):
         return root_n * np.max(np.abs(diff, out=diff), axis=(1, 2))
 
     diag.update({"gridSize": spec.grid_size, "seed": spec.seed, "n": sample.n})
-    return _bootstrap("independence", stat, stat_fn, [sample.n], spec, diag)
+    return _bootstrap("independence", stat, stat_fn, [sample], spec, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +273,7 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
             return scale * np.max(diff, axis=(1, 2))
 
     return _bootstrap("hazard-order", float(stat_fn(_own_counts(n, m))[0]), stat_fn,
-                      [n, m], spec, diag, pooled=True)
+                      [sample_f, sample_g], spec, diag, pooled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +359,7 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
             return scale * (h[len(w) // 2:] - h[:len(w) // 2])
 
         return _bootstrap("fgm-order", float(stat_fn(_own_counts(n, m))[0]), stat_fn,
-                          [n, m], spec, diag, pooled=True)
+                          [sample1, sample2], spec, diag, pooled=True)
 
     # unknown marginals: KM-quantile corner lattice
     ps = np.linspace(0.0, t[0], spec.grid_size + 1)[1:]
@@ -384,7 +387,7 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
         r2[~ok] = -math.inf
         return scale * np.max(r2, axis=(1, 2))
 
-    report = _bootstrap("fgm-order", stat, stat_fn, [n, m], spec, diag)
+    report = _bootstrap("fgm-order", stat, stat_fn, [sample1, sample2], spec, diag)
     report.diagnostics["emptyReplicates"] = int(np.count_nonzero(
         np.isneginf(report.replicate_statistics)))
     return report

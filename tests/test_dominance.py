@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bihazard.dominance import dominating_count, dominating_count_naive
+from bihazard.dominance import dominance_counter, dominating_count, dominating_count_naive
 
 
 def test_tiny_hand_case():
@@ -77,3 +77,7 @@ def test_weighted_count_matches_weighted_broadcast(case):
     assert np.array_equal(dominating_count(pts, qs, w[0]), want[0])
     assert np.array_equal(dominating_count(pts, qs, np.ones(len(pts), dtype=np.int64)),
                           dominating_count(pts, qs))
+    # one layout serves any number of weight matrices, in any dtype
+    count = dominance_counter(pts, qs)
+    assert np.array_equal(count(w[::-1]), want[::-1])
+    assert np.array_equal(count(w.astype(np.int32)), want) and count(w.astype(np.int32)).dtype == np.int32

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bihazard import estimators as est
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, Rectangle, contains)
+from bihazard.dominance import dominating_count
 from bihazard.errors import (ConfigError, DataError, DomainError, ObservabilityError,
                              QuantileRangeError, ReductionError)
 from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, at_risk,
@@ -214,6 +215,14 @@ def test_fast_flag_and_method_errors():
         jump_masses(mixed, method="fast")
     with pytest.raises(ConfigError):
         jump_masses(worked_uncensored(), method="bogus")
+    # the method is checked before the data: a sample without events is no exception
+    quiet = CensoredSample([SubjectRecord(censor=LowerLayer(((0.5, 0.5),)), status="censored_latent",
+                                          latent=(0.7, 0.8))])
+    assert quiet.fast is False and len(quiet.event_points) == 0
+    assert jump_masses(quiet).size == 0
+    for method in ("fast", "bogus"):
+        with pytest.raises(ConfigError):
+            jump_masses(quiet, method=method)
 
 
 def test_jump_masses_cache_and_paths():
@@ -443,7 +452,8 @@ def test_weighted_risk_counts_match_per_record_counts(family, n, seed, rows):
     lattice = np.stack(np.meshgrid(np.arange(9) / 8.0, np.arange(9) / 8.0), axis=-1).reshape(-1, 2)
     q = np.vstack([lattice, s.event_points])
     per_record = np.array([_brute_at_risk_2d([rec], q) for rec in recs]).reshape(n, len(q))
-    got = est._risk_counts(s, q, w)
+    boxed = s.boxed[s.region_index]
+    got = dominating_count(s.risk_min[boxed], q, w[:, boxed]) + est._region_counts(s, q, w)
     assert got.dtype == np.int64 and np.array_equal(got, w @ per_record)
     masses = jump_masses(s, weights=w)
     z = (w @ per_record)[:, len(lattice):]

@@ -421,6 +421,8 @@ def test_bootstrap_engine_matches_replicate_loop_oracle(monkeypatch):
 
     # rows are independent, so the chunk size changes no replicate
     whole = [run(spec).replicate_statistics for run in tests]
+    # the layouts cached for the chunks go with the bootstrap that built them
+    assert f._layouts == {} and g._layouts == {}
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 1)
     assert all(np.array_equal(run(spec).replicate_statistics, w) for run, w in zip(tests, whole))
     monkeypatch.undo()
