@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .decode import INT, NUM, PAIR, STR, Built, Schema, Tagged
 from .errors import ConfigError, DataError
 from .geometry import as_points
 from .util import substream
@@ -292,24 +293,6 @@ class QuantileTable:
         return {"kind": "table", "points": [[float(p), float(x)] for p, x in zip(self.ps, self.xs)]}
 
 
-def _table_from_json(obj):
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    what = f"{kind} parameter distribution"
-    if kind == "fixed":
-        return QuantileTable.fixed(_required(obj, "value", what))
-    if kind == "uniform":
-        return QuantileTable.uniform(_required(obj, "low", what), _required(obj, "high", what))
-    if kind == "table":
-        return QuantileTable(_required(obj, "points", what))
-    raise ConfigError(f"unknown parameter-distribution kind {kind!r}")
-
-
-def _required(obj, key, what):
-    if key not in obj:
-        raise ConfigError(f"{what} needs key {key!r}")
-    return obj[key]
-
-
 # ---------------------------------------------------------------------------
 # censoring models
 # ---------------------------------------------------------------------------
@@ -540,46 +523,27 @@ def region_to_json(region):
     raise ConfigError(f"unknown region type {type(region).__name__}")
 
 
+def _raster_from_json(d):
+    m, bits = d["m"], d["mask"]
+    if m < 0 or len(bits) != m * m or set(bits) - {"0", "1"}:
+        raise DataError("raster mask must be a string of m * m 0s and 1s, with m >= 0")
+    return Raster(m, np.frombuffer(bits.encode(), dtype=np.uint8).reshape(m, m) == ord("1"))
+
+
+REGION = Schema(Tagged("kind", {
+    "full": Built({}, lambda d: FullSpace()),
+    "rectangle": Built({"tau": PAIR}, lambda d: Rectangle(d["tau"])),
+    "grid_product": Built({"x": [PAIR], "y": [PAIR]},
+                          lambda d: GridProduct(tuple(d["x"]), tuple(d["y"]))),
+    "band_complement": Built({"k1": NUM, "k2": NUM, "c": NUM},
+                             lambda d: BandComplement(d["k1"], d["k2"], d["c"])),
+    "lower_layer": Built({"corners": [PAIR]}, lambda d: LowerLayer(tuple(d["corners"]))),
+    "raster": Built({"m": INT, "mask": STR}, _raster_from_json),
+}), DataError)
+
+
 def region_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise DataError(f"region JSON must be an object with a 'kind' field, got {obj!r}")
-    kind = obj["kind"]
-    try:
-        if kind == "full":
-            _expect_keys(obj, {"kind"})
-            return FullSpace()
-        if kind == "rectangle":
-            _expect_keys(obj, {"kind", "tau"})
-            return Rectangle(tuple(obj["tau"]))
-        if kind == "grid_product":
-            _expect_keys(obj, {"kind", "x", "y"})
-            return GridProduct(tuple(map(tuple, obj["x"])), tuple(map(tuple, obj["y"])))
-        if kind == "band_complement":
-            _expect_keys(obj, {"kind", "k1", "k2", "c"})
-            return BandComplement(obj["k1"], obj["k2"], obj["c"])
-        if kind == "lower_layer":
-            _expect_keys(obj, {"kind", "corners"})
-            return LowerLayer(tuple(map(tuple, obj["corners"])))
-        if kind == "raster":
-            _expect_keys(obj, {"kind", "m", "mask"})
-            m = int(obj["m"])
-            bits = obj["mask"]
-            if len(bits) != m * m or set(bits) - {"0", "1"}:
-                raise DataError(f"raster mask must be a {m * m}-character bitstring")
-            mask = np.frombuffer(bits.encode(), dtype=np.uint8).reshape(m, m) == ord("1")
-            return Raster(m, mask)
-    except ConfigError as exc:
-        raise DataError(str(exc)) from exc
-    raise DataError(f"unknown region kind {kind!r}")
-
-
-def _expect_keys(obj, allowed):
-    extra = set(obj) - allowed
-    if extra:
-        raise DataError(f"unknown keys in region JSON: {sorted(extra)}")
-    missing = allowed - set(obj)
-    if missing:
-        raise DataError(f"{obj['kind']} region JSON needs keys {sorted(missing)}")
+    return REGION.decode(obj, "region")
 
 
 def censoring_model_to_json(model):
@@ -597,29 +561,28 @@ def censoring_model_to_json(model):
     return out
 
 
+_QUANTILE_TABLE = Tagged("kind", {
+    "fixed": Built({"value": NUM}, lambda d: QuantileTable.fixed(d["value"])),
+    "uniform": Built({"low": NUM, "high": NUM}, lambda d: QuantileTable.uniform(d["low"], d["high"])),
+    "table": Built({"points": [PAIR]}, lambda d: QuantileTable(d["points"])),
+})
+
+
+def _censoring_model(d):
+    params = {k: v for k, v in d.items() if k not in ("family", "mc_prob_samples", "mc_seed")}
+    return CensoringModel(family=d["family"], params=params,
+                          mc_prob_samples=d["mc_prob_samples"], mc_seed=d["mc_seed"])
+
+
+_MC_PROB = {"mc_prob_samples": (INT, 10000), "mc_seed": (INT, 0)}
+CENSORING_MODEL = Schema(Built(Tagged("family", {
+    "full": _MC_PROB,
+    "rectangle": {**_MC_PROB, "tau1": _QUANTILE_TABLE, "tau2": _QUANTILE_TABLE},
+    "band_complement": {**_MC_PROB, "k1": _QUANTILE_TABLE, "k2": _QUANTILE_TABLE,
+                        "c": Built(NUM, float)},
+    **{fam: {**_MC_PROB, "region": REGION} for fam in ("grid_product", "lower_layer", "raster")},
+}), _censoring_model))
+
+
 def censoring_model_from_json(obj):
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ConfigError("censoring model JSON must be an object with a 'family' field")
-    fam = obj["family"]
-    extras = {"mc_prob_samples": int(obj.get("mc_prob_samples", 10000)),
-              "mc_seed": int(obj.get("mc_seed", 0))}
-    known = {"family", "mc_prob_samples", "mc_seed"}
-    what = f"{fam} censoring model"
-    if fam == "rectangle":
-        known |= {"tau1", "tau2"}
-        params = {k: _table_from_json(_required(obj, k, what)) for k in ("tau1", "tau2")}
-    elif fam == "band_complement":
-        known |= {"k1", "k2", "c"}
-        params = {k: _table_from_json(_required(obj, k, what)) for k in ("k1", "k2")}
-        params["c"] = float(_required(obj, "c", what))
-    elif fam == "full":
-        params = {}
-    elif fam in ("grid_product", "lower_layer", "raster"):
-        known |= {"region"}
-        params = {"region": region_from_json(_required(obj, "region", what))}
-    else:
-        raise ConfigError(f"unknown censoring family {fam!r}")
-    extra = set(obj) - known
-    if extra:
-        raise ConfigError(f"unknown keys in censoring model JSON: {sorted(extra)}")
-    return CensoringModel(family=fam, params=params, **extras)
+    return CENSORING_MODEL.decode(obj, "censoring model")

@@ -1,9 +1,9 @@
 """Command-line front end: simulate, estimate, test, mc, validate.
 
 One JSON config file is the source of truth per run; --set key=value
-overrides single leaves (dotted paths descend into sections).  Unknown
-config keys are hard errors.  Commands that draw randomness require
-masterSeed and are bit-reproducible; --threads is accepted and ignored.
+overrides single leaves (dotted paths descend into sections).  Configs are
+decoded strictly; errors name the key path.  Commands that draw randomness
+require masterSeed and are bit-reproducible; --threads is accepted and ignored.
 Every output directory gets the fully resolved config and a manifest with
 the tool version and content digests of all inputs and outputs.
 
@@ -23,6 +23,8 @@ import numpy as np
 
 from . import __version__
 from . import censoring as cen
+from .censoring import CENSORING_MODEL
+from .decode import BOOL, INT, NUM, OPTIONAL, PAIR, STR, Built, Schema, Tagged
 from .errors import BihazardError, ConfigError, DataError, NumericError
 from .estimators import (CensoredSample, jump_masses, kaplan_meier,
                          marginal_nelson_aalen, nelson_aalen_surface,
@@ -33,9 +35,9 @@ from .inference import (BootstrapSpec, fgm_order_test, hazard_order_test,
 from .io import read_dataset, read_dataset_csv, write_dataset
 from .mc import (MCConfig, coverage_study, size_power_study, verify_clt,
                  verify_glivenko, verify_iid_representation)
-from .models import integrated_hazard, model_from_json
+from .models import MODEL, integrated_hazard
 from .quadrature import QuadratureSpec
-from .util import DATA, check_types, fmt_float, sha256_file, substream
+from .util import DATA, fmt_float, sha256_file, substream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,45 +81,6 @@ def _apply_overrides(cfg, assignments):
             node = nxt
         node[parts[-1]] = value
     return cfg
-
-
-def _check_keys(obj, schema, prefix=""):
-    """Reject unknown keys anywhere the schema covers; 'opaque' sections are
-    validated by their own parsers downstream."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config section {prefix.rstrip('.') or '<root>'} must be an object")
-    for k, v in obj.items():
-        if k not in schema:
-            raise ConfigError(f"unknown config key {prefix}{k}")
-        sub = schema[k]
-        if isinstance(sub, dict):
-            _check_keys(v, sub, prefix + k + ".")
-
-
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"config key {key!r} is required")
-    return cfg[key]
-
-
-def _seed(cfg):
-    seed = _require(cfg, "masterSeed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("masterSeed must be a nonnegative integer")
-    return seed
-
-
-def _check_numbers(cfg, *keys):
-    """ConfigError naming the first of keys present in cfg whose value is not a number."""
-    check_types(cfg, [k for k in keys if k in cfg], reals=keys)
-
-
-def _pair_of_floats(value, what):
-    try:
-        a, b = value
-        return (float(a), float(b))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a pair of numbers") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +147,9 @@ class OutputDir:
             fh.write("\n")
 
 
-def _region_from_config(obj):
-    """Censoring-region JSON as a geometry Region usable by the estimators."""
-    shape = cen.region_from_json(obj)
-    return PredicateRegion(lambda pts, _s=shape: cen.contains(_s, pts))
-
-
-def _read_records(path):
+def _load_sample(path):
     try:
-        if path.endswith(".csv"):
-            return read_dataset_csv(path)
-        records, _ = read_dataset(path)
-        return records
+        return CensoredSample(read_dataset_csv(path) if path.endswith(".csv") else read_dataset(path)[0])
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
 
@@ -207,34 +161,26 @@ def _hash_input(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_sample(path):
-    return CensoredSample(_read_records(path))
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIM_SCHEMA = {"masterSeed": None, "n": None, "model": "opaque", "censorModel": "opaque"}
+_SIMULATE = Schema({"masterSeed": INT, "n": INT, "model": MODEL, "censorModel": CENSORING_MODEL})
 
 
 def cmd_simulate(args):
     cfg = _apply_overrides(_load_config(args.config), args.set)
-    _check_keys(cfg, _SIM_SCHEMA)
-    seed = _seed(cfg)
-    n = _require(cfg, "n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ConfigError("n must be a nonnegative integer")
-    model = model_from_json(_require(cfg, "model"))
-    censor = cen.censoring_model_from_json(_require(cfg, "censorModel"))
+    c = _SIMULATE.decode(cfg)
+    n, seed, rng = c["n"], c["masterSeed"], substream(c["masterSeed"], DATA)
+    if n < 0:
+        raise ConfigError(f"n must be at least 0, got {n}")
     form = "latent" if args.latent else "observable"
+    records, events = [], 0
+    if n:
+        sample = simulate_sample(c["model"], c["censorModel"], n, rng, form=form)
+        records, events = sample.records, int(np.count_nonzero(sample.event_mask))
     out = OutputDir(args.out, "simulate", cfg, {args.config: sha256_file(args.config)})
     header = {"n": n, "masterSeed": seed, "form": form, "version": __version__}
-    if n == 0:
-        records, events = [], 0
-    else:
-        sample = simulate_sample(model, censor, n, substream(seed, DATA), form=form)
-        records, events = sample.records, int(np.count_nonzero(sample.event_mask))
     write_dataset(out.file("dataset.jsonl"), records, header=header)
     out.wrote("dataset.jsonl")
     out.seal()
@@ -246,19 +192,16 @@ def cmd_simulate(args):
 # estimate
 # ---------------------------------------------------------------------------
 
-_EST_SCHEMA = {"grid": {"size": None, "tau": None}, "method": None, "marginals": None}
+_ESTIMATE = Schema({"grid": ({"size": (INT, 64), "tau": (PAIR, [1.0, 1.0])}, {}),
+                    "method": (STR, "auto"),
+                    "marginals": ({True, False, "auto"}, "auto")})
 
 
 def cmd_estimate(args):
     cfg = _apply_overrides(_load_config(args.config), args.set)
-    _check_keys(cfg, _EST_SCHEMA)
-    gcfg = cfg.get("grid", {})
-    size = gcfg.get("size", 64)
-    tau = _pair_of_floats(gcfg.get("tau", [1.0, 1.0]), "grid.tau")
-    method = cfg.get("method", "auto")
-    marginals = cfg.get("marginals", "auto")
-    if marginals not in (True, False, "auto"):
-        raise ConfigError("marginals must be true, false, or 'auto'")
+    c = _ESTIMATE.decode(cfg)
+    size, tau = c["grid"]["size"], c["grid"]["tau"]
+    method, marginals = c["method"], c["marginals"]
     sample = _load_sample(args.data)
     grid = Grid(size, tau)
     surf = nelson_aalen_surface(sample, grid, method=method)
@@ -311,63 +254,43 @@ def cmd_estimate(args):
 # test
 # ---------------------------------------------------------------------------
 
-_TEST_SCHEMA = {
-    "masterSeed": None, "test": None,
-    "bootstrap": {"B": None, "alpha": None, "gridSize": None, "sided": None},
-    "tau": None, "region": "opaque", "marginalsEqual": None, "replicateDump": None,
-}
-
-
-def _bootstrap_spec(cfg, seed):
-    b = cfg.get("bootstrap", {})
-    return BootstrapSpec(replicates=b.get("B", 999), alpha=b.get("alpha", 0.05),
-                         seed=seed, grid_size=b.get("gridSize", 64),
-                         sided=b.get("sided", "one-sided"))
+# a config region is a censoring-region JSON; as a test window it is its membership predicate
+_REGION = Built(cen.REGION, lambda shape: PredicateRegion(lambda pts: cen.contains(shape, pts)))
+_BOOTSTRAP = {"B": (INT, 999), "alpha": (NUM, 0.05), "gridSize": (INT, 64),
+              "sided": (STR, "one-sided")}
+_TEST_ANY = {"masterSeed": INT, "bootstrap": (_BOOTSTRAP, {}), "tau": (PAIR, OPTIONAL),
+             "replicateDump": (BOOL, False)}
+_TEST = Schema(Tagged("test", {
+    "independence": _TEST_ANY,
+    "hazard-order": {**_TEST_ANY, "region": (_REGION, OPTIONAL)},
+    "fgm-order": {**_TEST_ANY, "tau": PAIR, "marginalsEqual": BOOL},
+}))
 
 
 def cmd_test(args):
     cfg = _apply_overrides(_load_config(args.config), args.set)
-    _check_keys(cfg, _TEST_SCHEMA)
-    seed = _seed(cfg)
-    which = _require(cfg, "test")
-    spec = _bootstrap_spec(cfg, seed)
-    tau = cfg.get("tau")
-    if tau is not None:
-        tau = _pair_of_floats(tau, "tau")
+    c = _TEST.decode(cfg)
+    which, tau, b = c["test"], c.get("tau"), c["bootstrap"]
+    spec = BootstrapSpec(replicates=b["B"], alpha=b["alpha"], seed=c["masterSeed"],
+                         grid_size=b["gridSize"], sided=b["sided"])
+    if (which == "independence") == bool(args.data2):
+        raise ConfigError("independence takes --data only; the two-sample tests need --data2")
 
     inputs = {args.config: sha256_file(args.config), args.data: _hash_input(args.data)}
     sample = _load_sample(args.data)
-    sample2 = None
-    if args.data2:
+    if which == "independence":
+        report = independence_test(sample, spec, tau=tau)
+    else:
         inputs[args.data2] = _hash_input(args.data2)
         sample2 = _load_sample(args.data2)
-
-    if which == "independence":
-        if sample2 is not None:
-            raise ConfigError("independence test takes a single dataset")
-        report = independence_test(sample, spec, tau=tau)
-    elif which == "hazard-order":
-        if sample2 is None:
-            raise ConfigError("hazard-order test needs --data2")
-        region = None
-        if "region" in cfg:
-            region = _region_from_config(cfg["region"])
-        report = hazard_order_test(sample, sample2, spec, region=region, tau=tau)
-    elif which == "fgm-order":
-        if sample2 is None:
-            raise ConfigError("fgm-order test needs --data2")
-        if tau is None:
-            raise ConfigError("fgm-order test needs tau in the config")
-        if "marginalsEqual" not in cfg:
-            raise ConfigError("fgm-order test needs marginalsEqual in the config")
-        report = fgm_order_test(sample, sample2, tau, spec, bool(cfg["marginalsEqual"]))
-    else:
-        raise ConfigError(f"unknown test {which!r}; "
-                          "expected independence, hazard-order, or fgm-order")
+        if which == "hazard-order":
+            report = hazard_order_test(sample, sample2, spec, region=c.get("region"), tau=tau)
+        else:
+            report = fgm_order_test(sample, sample2, tau, spec, c["marginalsEqual"])
 
     out = OutputDir(args.out, "test", cfg, inputs)
     out.write_json("test_report.json", report.to_json())
-    if cfg.get("replicateDump"):
+    if c["replicateDump"]:
         rows = [["replicateIndex", "statistic"]]
         for i, v in enumerate(report.replicate_statistics):
             rows.append([i, float(v)])
@@ -383,96 +306,50 @@ def cmd_test(args):
 # mc
 # ---------------------------------------------------------------------------
 
-_MC_SCHEMA = {
-    "masterSeed": None, "experiment": None, "model": "opaque", "censorModel": "opaque",
-    "n": None, "replicates": None, "gridSize": None,
-    "checkpoints": None, "checks": None, "varRtol": None, "ksBound": None,
-    "ladder": None, "bound": None, "region": None,
-    "scenarios": "opaque", "alpha": None, "B": None, "band": None,
-}
+_SCENARIO_NAMES = {"modelF": "model_f", "modelG": "model_g", "model1": "model_1",
+                   "model2": "model_2", "censorModel": "censor_model", "gridSize": "grid_size",
+                   "marginalsEqual": "marginals_equal"}
+_SCENARIO = Built({
+    "name": STR, "test": {"independence", "hazard-order", "fgm-order"},
+    **{key: (MODEL, OPTIONAL) for key in ("model", "modelF", "modelG", "model1", "model2")},
+    "censorModel": (CENSORING_MODEL, OPTIONAL), "n": (INT, OPTIONAL), "m": (INT, OPTIONAL),
+    "alpha": (NUM, OPTIONAL), "B": (INT, OPTIONAL), "gridSize": (INT, OPTIONAL),
+    "sided": (STR, OPTIONAL), "tau": (PAIR, OPTIONAL), "marginalsEqual": (BOOL, OPTIONAL),
+    "band": (PAIR, OPTIONAL), "region": (_REGION, OPTIONAL),
+    "exceeds": (Built([STR, NUM], lambda e: (e[0], float(e[1]))), OPTIONAL),
+}, lambda d: {_SCENARIO_NAMES.get(k, k): v for k, v in d.items()})
 
-_SCENARIO_KEYS = {
-    "name", "test", "model", "modelF", "modelG", "model1", "model2",
-    "censorModel", "n", "m", "alpha", "B", "gridSize", "sided",
-    "tau", "marginalsEqual", "band", "exceeds", "region",
-}
-
-
-def _translate_scenario(d, idx):
-    if not isinstance(d, dict):
-        raise ConfigError(f"scenario {idx} must be an object")
-    unknown = set(d) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"scenario {idx}: unknown keys {sorted(unknown)}")
-    if "name" not in d or "test" not in d:
-        raise ConfigError(f"scenario {idx}: name and test are required")
-    s = {"name": d["name"], "test": d["test"]}
-    for src, dst in (("model", "model"), ("modelF", "model_f"), ("modelG", "model_g"),
-                     ("model1", "model_1"), ("model2", "model_2")):
-        if src in d:
-            s[dst] = model_from_json(d[src])
-    if "censorModel" in d:
-        s["censor_model"] = cen.censoring_model_from_json(d["censorModel"])
-    for key in ("n", "m"):
-        if key in d and (not isinstance(d[key], int) or isinstance(d[key], bool) or d[key] < 1):
-            raise ConfigError(f"scenario {idx} {key} must be a positive integer, got {d[key]!r}")
-    for src, dst in (("n", "n"), ("m", "m"), ("alpha", "alpha"), ("B", "B"),
-                     ("gridSize", "grid_size"), ("sided", "sided"),
-                     ("marginalsEqual", "marginals_equal")):
-        if src in d:
-            s[dst] = d[src]
-    if "tau" in d:
-        s["tau"] = _pair_of_floats(d["tau"], f"scenario {idx} tau")
-    if "band" in d:
-        s["band"] = _pair_of_floats(d["band"], f"scenario {idx} band")
-    if "exceeds" in d:
-        e = d["exceeds"]
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise ConfigError(f"scenario {idx}: exceeds must be [scenarioName, margin]")
-        s["exceeds"] = (e[0], float(e[1]))
-    if "region" in d:
-        s["region"] = _region_from_config(d["region"])
-    return s
+_LADDER = ([INT], [250, 500, 1000, 2000])
+_MC_ANY = {"masterSeed": INT, "model": MODEL, "censorModel": CENSORING_MODEL,
+           "n": (INT, 500), "replicates": (INT, 200), "gridSize": (INT, 32)}
+_MC = Schema(Tagged("experiment", {
+    "clt": {**_MC_ANY, "checkpoints": [PAIR], "varRtol": (NUM, 0.10), "ksBound": (NUM, 0.05),
+            "checks": ([STR], ["mean", "variance", "normality"])},
+    "glivenko": {**_MC_ANY, "ladder": _LADDER, "bound": (NUM, 0.05)},
+    "iid_repr": {**_MC_ANY, "region": PAIR, "ladder": _LADDER},
+    "size_power": {**_MC_ANY, "scenarios": [_SCENARIO]},
+    "coverage": {**_MC_ANY, "alpha": (NUM, 0.05), "B": (INT, 200), "band": (PAIR, [0.88, 0.99])},
+}))
 
 
 def cmd_mc(args):
     cfg = _apply_overrides(_load_config(args.config), args.set)
-    _check_keys(cfg, _MC_SCHEMA)
-    seed = _seed(cfg)
-    experiment = _require(cfg, "experiment")
-    _check_numbers(cfg, "varRtol", "ksBound", "bound")
-    model = model_from_json(_require(cfg, "model"))
-    censor = cen.censoring_model_from_json(_require(cfg, "censorModel"))
-    mccfg = MCConfig(model=model, censor_model=censor,
-                     n=cfg.get("n", 500), replicates=cfg.get("replicates", 200),
-                     grid_size=cfg.get("gridSize", 32), seed=seed)
-
+    c = _MC.decode(cfg)
+    experiment = c["experiment"]
+    mccfg = MCConfig(model=c["model"], censor_model=c["censorModel"], n=c["n"],
+                     replicates=c["replicates"], grid_size=c["gridSize"], seed=c["masterSeed"])
     if experiment == "clt":
-        pts = [_pair_of_floats(t, "checkpoint") for t in _require(cfg, "checkpoints")]
-        report = verify_clt(mccfg, pts,
-                            var_rtol=cfg.get("varRtol", 0.10),
-                            ks_bound=cfg.get("ksBound", 0.05),
-                            checks=tuple(cfg.get("checks",
-                                                 ["mean", "variance", "normality"])))
+        report = verify_clt(mccfg, c["checkpoints"], var_rtol=c["varRtol"],
+                            ks_bound=c["ksBound"], checks=tuple(c["checks"]))
     elif experiment == "glivenko":
-        report = verify_glivenko(mccfg, ladder=tuple(cfg.get("ladder",
-                                                             [250, 500, 1000, 2000])),
-                                 bound=cfg.get("bound", 0.05))
+        report = verify_glivenko(mccfg, ladder=tuple(c["ladder"]), bound=c["bound"])
     elif experiment == "iid_repr":
-        corner = _pair_of_floats(_require(cfg, "region"), "region")
-        report = verify_iid_representation(mccfg, LowerRect(corner),
-                                           ladder=tuple(cfg.get("ladder",
-                                                                [250, 500, 1000, 2000])))
+        report = verify_iid_representation(mccfg, LowerRect(c["region"]),
+                                           ladder=tuple(c["ladder"]))
     elif experiment == "size_power":
-        scen = [_translate_scenario(s, i)
-                for i, s in enumerate(_require(cfg, "scenarios"))]
-        report = size_power_study(mccfg, scen)
-    elif experiment == "coverage":
-        band = _pair_of_floats(cfg.get("band", [0.88, 0.99]), "band")
-        report = coverage_study(mccfg, alpha=cfg.get("alpha", 0.05),
-                                b=cfg.get("B", 200), band=band)
+        report = size_power_study(mccfg, c["scenarios"])
     else:
-        raise ConfigError(f"unknown experiment {experiment!r}")
+        report = coverage_study(mccfg, alpha=c["alpha"], b=c["B"], band=c["band"])
 
     out = OutputDir(args.out, "mc", cfg, {args.config: sha256_file(args.config)})
     body = report.to_json()
@@ -491,24 +368,20 @@ def cmd_mc(args):
 # validate
 # ---------------------------------------------------------------------------
 
-_VALIDATE_SCHEMA = {"model": "opaque", "censorModel": "opaque",
-                    "grid": {"size": None, "tau": None}, "epsilon": None}
+_VALIDATE = Schema({"censorModel": CENSORING_MODEL, "model": (MODEL, OPTIONAL),
+                    "grid": ({"size": (INT, 32), "tau": (PAIR, [1.0, 1.0])}, {}),
+                    "epsilon": (NUM, 0.05)})
 
 
 def cmd_validate(args):
     cfg = _apply_overrides(_load_config(args.config), args.set)
-    _check_keys(cfg, _VALIDATE_SCHEMA)
-    censor = cen.censoring_model_from_json(_require(cfg, "censorModel"))
-    gcfg = cfg.get("grid", {})
-    grid = Grid(gcfg.get("size", 32), _pair_of_floats(gcfg.get("tau", [1.0, 1.0]),
-                                                      "grid.tau"))
-    _check_numbers(cfg, "epsilon")
-    eps = float(cfg.get("epsilon", 0.05))
-    diag = cen.validate_censoring(censor, grid, epsilon=eps)
+    c = _VALIDATE.decode(cfg)
+    grid = Grid(c["grid"]["size"], c["grid"]["tau"])
+    diag = cen.validate_censoring(c["censorModel"], grid, epsilon=float(c["epsilon"]))
     result = {"censoring": diag.to_json(), "model": None}
     passed = diag.passed
-    if "model" in cfg:
-        model = model_from_json(cfg["model"])
+    if "model" in c:
+        model = c["model"]
         corner = grid.tau
         sval = float(model.survival(np.array(corner)))
         model_info = {"windowCorner": list(corner), "survivalAtCorner": sval}

@@ -65,7 +65,8 @@ class SubjectRecord:
         for name in _FIELDS:
             v = getattr(self, name)
             if v is not None:
-                t = tuple(float(x) for x in np.asarray(v, dtype=float).reshape(2))
+                t = (v if type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is float
+                     else tuple(float(x) for x in np.asarray(v, dtype=float).reshape(2)))
                 if not (0.0 <= t[0] <= 1.0 and 0.0 <= t[1] <= 1.0):
                     raise DataError(f"{name} {t} outside the unit square")
                 object.__setattr__(self, name, t)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decode import INT, Schema
 from .errors import ConfigError
-from .util import check_types
 
 
 def as_points(pts):
@@ -107,7 +107,7 @@ class Grid:
     tau: tuple = (1.0, 1.0)
 
     def __post_init__(self):
-        check_types({"grid size": self.m}, ("grid size",))
+        Schema(INT).decode(self.m, "grid size")
         if self.m < 2:
             raise ConfigError("grid needs at least 2 nodes per axis")
         object.__setattr__(self, "m", int(self.m))

@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .decode import INT, NUM, Schema
 from .errors import ConfigError, DataError, QuantileRangeError
 from .estimators import (at_risk, jump_masses, kaplan_meier,
                          marginal_nelson_aalen, nelson_aalen, nelson_aalen_surface,
                          surface_values)
 from .geometry import Grid, PredicateRegion
 from .models import fgm_order_region
-from .util import BOOTSTRAP, check_types, substream
+from .util import BOOTSTRAP, substream
 
 __all__ = [
     "BootstrapSpec", "TestReport", "bootstrap_resample",
@@ -55,7 +56,8 @@ class BootstrapSpec:
     workers: int = 1
 
     def __post_init__(self):
-        check_types(self, ("replicates", "alpha", "seed", "grid_size", "workers"), reals=("alpha",))
+        for name in ("replicates", "alpha", "seed", "grid_size", "workers"):
+            Schema(NUM if name == "alpha" else INT).decode(getattr(self, name), name)
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if not (0.0 < self.alpha <= 1.0):

@@ -8,8 +8,8 @@ JSON-lines is the lossless format.  Each line is one record:
                                                       "delta":  [0|1, 0|1]}
 
 The first line may instead be {"header": {...}} carrying run metadata;
-readers return it separately.  Unknown keys are hard errors with the line
-number named.
+readers return it separately.  Unknown keys and values of the wrong JSON
+kind are errors naming the line and key path (see bihazard.decode).
 
 The CSV shortcut covers rectangle censoring only, one subject per row with
 columns y1min,y2min,delta1,delta2,tau1,tau2.  Rows with both deltas 1 read
@@ -25,6 +25,7 @@ import json
 import numpy as np
 
 from . import censoring as cen
+from .decode import PAIR, Built, Schema, Tagged
 from .errors import DataError
 from .estimators import CensoredSample, SubjectRecord
 from .util import fmt_float
@@ -50,46 +51,20 @@ def record_to_json(rec):
     return out
 
 
-def _pair(obj, what, where):
-    try:
-        a, b = obj
-        return (float(a), float(b))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: {what} must be a pair of numbers") from exc
+def _record(d):
+    return SubjectRecord(censor=d["censor"], status=d["status"], point=d.get("point"),
+                         latent=d.get("latent"), minima=d.get("min"), events=d.get("delta"))
+
+
+RECORD = Schema(Tagged("status", {
+    "observed": Built({"censor": cen.REGION, "point": PAIR}, _record),
+    "censored_latent": Built({"censor": cen.REGION, "latent": PAIR}, _record),
+    "censored_opaque": Built({"censor": cen.REGION, "min": PAIR, "delta": [{0, 1}]}, _record),
+}), DataError)
 
 
 def record_from_json(d, where="record"):
-    if not isinstance(d, dict):
-        raise DataError(f"{where}: record must be a JSON object")
-    status = d.get("status")
-    if status == "observed":
-        allowed = {"censor", "status", "point"}
-    elif status == "censored_latent":
-        allowed = {"censor", "status", "latent"}
-    elif status == "censored_opaque":
-        allowed = {"censor", "status", "min", "delta"}
-    else:
-        raise DataError(f"{where}: unknown status {status!r}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise DataError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = allowed - set(d)
-    if missing:
-        raise DataError(f"{where}: missing keys {sorted(missing)}")
-    censor = cen.region_from_json(d["censor"])
-    if status == "observed":
-        return SubjectRecord(censor=censor, status=status,
-                             point=_pair(d["point"], "point", where))
-    if status == "censored_latent":
-        return SubjectRecord(censor=censor, status=status,
-                             latent=_pair(d["latent"], "latent", where))
-    delta = d["delta"]
-    if (not isinstance(delta, (list, tuple)) or len(delta) != 2
-            or any(x not in (0, 1) for x in delta)):
-        raise DataError(f"{where}: delta must be a pair of 0/1 flags")
-    return SubjectRecord(censor=censor, status=status,
-                         minima=_pair(d["min"], "min", where),
-                         events=(int(delta[0]), int(delta[1])))
+    return RECORD.decode(d, where)
 
 
 def write_dataset(path, records, header=None):
@@ -118,7 +93,7 @@ def read_dataset(path):
                     raise DataError(f"line {lineno}: header allowed only as the first line")
                 header = d["header"]
                 continue
-            records.append(record_from_json(d, where=f"line {lineno}"))
+            records.append(RECORD.decode(d, f"line {lineno}"))
     return records, header
 
 

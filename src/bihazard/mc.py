@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import censoring as cen
+from .decode import INT, Schema
 from .errors import ConfigError, DomainError
 from .estimators import (asymptotic_cov, at_risk, compensator_residual, nelson_aalen,
                          simulate_sample)
@@ -35,7 +36,7 @@ from .inference import (BootstrapSpec, _independence_diff, fgm_order_test,
                         hazard_order_test, independence_test)
 from .models import integrated_hazard
 from .quadrature import QuadratureSpec, midpoints
-from .util import DATA, PROBE, check_types, run_indexed, substream
+from .util import DATA, PROBE, run_indexed, substream
 
 __all__ = ["MCConfig", "MCReport", "MIN_REPLICATES_FOR_THRESHOLDS",
            "verify_clt", "verify_glivenko", "verify_iid_representation",
@@ -55,7 +56,8 @@ class MCConfig:
     quadrature: QuadratureSpec = QuadratureSpec()
 
     def __post_init__(self):
-        check_types(self, ("n", "replicates", "grid_size", "seed"))
+        for name in ("n", "replicates", "grid_size", "seed"):
+            Schema(INT).decode(getattr(self, name), name)
         if self.replicates < 2:
             raise ConfigError("replicates must be at least 2")
         if self.n < 1:
@@ -334,6 +336,12 @@ def size_power_study(cfg, scenarios):
     A scenario may carry 'band': (lo, hi) for an absolute rate check, or
     'exceeds': (other scenario name, margin) for a power-vs-size check.
     """
+    for s_idx, scen in enumerate(scenarios):
+        for key in ("n", "m"):
+            if scen.get(key, 1) < 1:
+                raise ConfigError(f"scenarios[{s_idx}].{key} must be at least 1, got {scen[key]!r}")
+        if "exceeds" in scen and scen["exceeds"][0] not in [s["name"] for s in scenarios]:
+            raise ConfigError(f"scenarios[{s_idx}].exceeds names no scenario: {scen['exceeds'][0]!r}")
     start = time.perf_counter()
     rates = {}
     rows = []

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decode import NUM, PAIR, Built, Schema, Tagged
 from .errors import ConfigError, DomainError
 from .geometry import LowerRect, as_points
 from .quadrature import QuadratureSpec, integrate_region
@@ -237,26 +238,16 @@ def _marginal_to_json(m):
     raise ConfigError(f"unknown marginal type {type(m).__name__}")
 
 
-def _marginal_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("marginal JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "uniform":
-        _expect(obj, {"kind"})
-        return UniformMarginal()
-    if kind == "truncexp":
-        _expect(obj, {"kind", "rate"})
-        return TruncatedExponential(obj["rate"])
-    if kind == "table":
-        _expect(obj, {"kind", "points"})
-        return TableMarginal(obj["points"])
-    raise ConfigError(f"unknown marginal kind {kind!r}")
+_MARGINAL = Tagged("kind", {
+    "uniform": Built({}, lambda d: UniformMarginal()),
+    "truncexp": Built({"rate": NUM}, lambda d: TruncatedExponential(d["rate"])),
+    "table": Built({"points": [PAIR]}, lambda d: TableMarginal(d["points"])),
+})
 
-
-def _expect(obj, allowed):
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"unknown keys in marginal JSON: {sorted(extra)}")
+MODEL = Schema(Built({"theta": (NUM, 0.0),
+                      "marginalF": (_MARGINAL, {"kind": "uniform"}),
+                      "marginalG": (_MARGINAL, {"kind": "uniform"})},
+                     lambda d: FgmModel(d["theta"], d["marginalF"], d["marginalG"])))
 
 
 def model_to_json(model):
@@ -266,11 +257,4 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ConfigError("model JSON must be an object")
-    extra = set(obj) - {"theta", "marginalF", "marginalG"}
-    if extra:
-        raise ConfigError(f"unknown keys in model JSON: {sorted(extra)}")
-    return FgmModel(theta=float(obj.get("theta", 0.0)),
-                    marginal_x=_marginal_from_json(obj.get("marginalF", {"kind": "uniform"})),
-                    marginal_y=_marginal_from_json(obj.get("marginalG", {"kind": "uniform"})))
+    return MODEL.decode(obj, "model")

@@ -1,9 +1,8 @@
-"""Deterministic RNG streams, the replicate loop, and small config and I/O helpers."""
+"""Deterministic RNG streams, the replicate loop, and small I/O helpers."""
 
 from __future__ import annotations
 
 import hashlib
-import numbers
 
 import numpy as np
 
@@ -24,6 +23,8 @@ def substream(master_seed, *path):
     depend on creation order, so replicate r draws the same bits however
     many replicates are run, and in whatever order.
     """
+    if master_seed < 0:
+        raise ConfigError(f"masterSeed must be a nonnegative integer, got {master_seed}")
     key = tuple(int(p) for p in path)
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
     return np.random.default_rng(ss)
@@ -32,17 +33,6 @@ def substream(master_seed, *path):
 def run_indexed(fn, count):
     """[fn(0), ..., fn(count - 1)], evaluated in index order."""
     return [fn(i) for i in range(int(count))]
-
-
-def check_types(obj, names, reals=()):
-    """ConfigError naming the first field of obj (an object, or a dict by key), in
-    names order, that is not an integer (any real number for those in reals);
-    booleans pass as neither."""
-    for name in names:
-        value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
-        real = name in reals
-        if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
-            raise ConfigError(f"{name} must be {'a number' if real else 'an integer'}, got {value!r}")
 
 
 def sha256_file(path):

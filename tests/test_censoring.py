@@ -396,7 +396,7 @@ def test_region_json_errors():
         region_from_json({"kind": "rectangle", "tau": [1.5, 0.5]})
     with pytest.raises(DataError):
         region_from_json([1, 2])
-    with pytest.raises(DataError, match="needs keys"):
+    with pytest.raises(DataError, match="region: y is required"):
         region_from_json({"kind": "grid_product", "x": [[0.0, 1.0]]})
 
 
@@ -425,8 +425,9 @@ def test_censoring_model_json_errors():
     with pytest.raises(ConfigError):
         censoring_model_from_json({"no_family": True})
     fixed = {"kind": "fixed", "value": 0.5}
-    for missing in ({"family": "band_complement", "k1": fixed, "k2": fixed},
+    for bad in ({"family": "band_complement", "k1": fixed, "k2": fixed},
                     {"family": "rectangle", "tau1": {"kind": "fixed"}, "tau2": fixed},
-                    {"family": "rectangle", "tau1": fixed, "tau2": "uniform"}):
+                    {"family": "rectangle", "tau1": fixed, "tau2": "uniform"},
+                    {"family": "full", "mc_prob_samples": 2.7}):
         with pytest.raises(ConfigError):
-            censoring_model_from_json(missing)
+            censoring_model_from_json(bad)

@@ -64,7 +64,7 @@ def weighted_sets(draw):
     return pts, qs, draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(0, 4)))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(weighted_sets())
 def test_weighted_count_matches_weighted_broadcast(case):
     pts, qs, w = case

@@ -440,7 +440,7 @@ def _lattice_sample(family, n, rng):
     return recs
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(family=st.sampled_from(["box", "grid", "band"]), n=st.integers(1, 150),
        seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3))
 def test_weighted_risk_counts_match_per_record_counts(family, n, seed, rows):

@@ -67,6 +67,8 @@ def test_record_from_json_errors():
     opaque = record_to_json(censored_records()[2])
     with pytest.raises(DataError):
         record_from_json({**opaque, "delta": [0, 2]})
+    with pytest.raises(DataError, match="delta"):
+        record_from_json({**opaque, "delta": [True, False]})   # booleans are not flags
     with pytest.raises(DataError):
         record_from_json("not a dict")
 
@@ -91,6 +93,11 @@ def test_dataset_line_errors(tmp_path):
         read_dataset(path)
     path.write_text(json.dumps(record_to_json(obs((0.2, 0.3)))) + "\n\n{oops\n")
     with pytest.raises(DataError, match="line 3"):
+        read_dataset(path)
+    # a bad censor region names its line and key path
+    bad_region = {**record_to_json(obs((0.2, 0.3))), "censor": {"kind": ["a"]}}
+    path.write_text("\n".join([lines[0], lines[0], json.dumps(bad_region)]) + "\n")
+    with pytest.raises(DataError, match=r"line 3: censor\.kind must be one of"):
         read_dataset(path)
 
 
@@ -195,7 +202,7 @@ def test_cli_simulate_then_estimate(tmp_path):
     assert (eout / "marginal2.csv").exists()
 
 
-def test_cli_simulate_latent_and_empty(tmp_path):
+def test_cli_simulate_latent_and_empty(tmp_path, capsys):
     cfgp = wjson(tmp_path / "sim.json", {"masterSeed": 9, "n": 12,
                                          "model": {"theta": 0.0},
                                          "censorModel": RECT_CM})
@@ -209,6 +216,12 @@ def test_cli_simulate_latent_and_empty(tmp_path):
                  "--set", "n=0"]) == 0
     records, header = read_dataset(out0 / "dataset.jsonl")
     assert records == [] and header["n"] == 0
+    capsys.readouterr()
+    outneg = tmp_path / "negative"
+    assert main(["simulate", "--config", cfgp, "--out", str(outneg), "--set", "n=-1"]) == 2
+    err = capsys.readouterr().err
+    assert "n must be at least 0" in err and "Traceback" not in err
+    assert not outneg.exists()
 
 
 def test_cli_estimate_worked_sample(tmp_path):
@@ -318,21 +331,28 @@ def test_cli_test_config_errors(tmp_path, capsys):
     # malformed values and missing keys name the key instead of a traceback
     for b in ("x", True, 9.5):
         assert run({"masterSeed": 1, "test": "independence", "bootstrap": {"B": b}}) == 2
-        assert "replicates must be an integer" in capsys.readouterr().err
+        assert "bootstrap.B must be an integer" in capsys.readouterr().err
     assert run({"masterSeed": 1, "test": "independence",
                 "bootstrap": {"alpha": "0.05"}}) == 2
     assert "alpha must be a number" in capsys.readouterr().err
     assert run({"masterSeed": 1, "test": "hazard-order", "region": {"kind": "rectangle"}},
                data2=d2) == 3
-    assert "needs keys ['tau']" in capsys.readouterr().err
+    assert "region.tau is required" in capsys.readouterr().err
     for cm, key in (({"family": "rectangle", "tau2": RECT_CM["tau2"]}, "tau1"),
                     ({"family": "rectangle", "tau1": {"kind": "uniform", "low": 0.5},
-                      "tau2": RECT_CM["tau2"]}, "high"),
+                      "tau2": RECT_CM["tau2"]}, "tau1.high"),
                     ({"family": "grid_product"}, "region")):
         cfgp = wjson(tmp_path / "sim.json", {"masterSeed": 1, "n": 5, "model": {"theta": 0.0},
                                              "censorModel": cm})
         assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "sim")]) == 2
-        assert f"needs key {key!r}" in capsys.readouterr().err
+        assert f"censorModel.{key} is required" in capsys.readouterr().err
+
+    # booleans are decoded as JSON booleans, not by truthiness
+    fgm_cfg = str(Path(__file__).resolve().parents[1] / "configs" / "test_fgm_order.json")
+    assert main(["test", "--config", fgm_cfg, "--out", out, "--data", d1, "--data2", d2,
+                 "--set", 'marginalsEqual="false"']) == 2
+    err = capsys.readouterr().err
+    assert "marginalsEqual must be a boolean" in err and "Traceback" not in err
 
 
 def test_cli_fgm_unattainable_is_numeric_error(tmp_path):
@@ -397,18 +417,27 @@ def test_cli_mc_scenario_errors(tmp_path, capsys):
     clt = wjson(tmp_path / "clt.json", dict(base, experiment="clt", checkpoints=[[0.5, 0.5]]))
     capsys.readouterr()
     for assignment, field in (('replicates="x"', "replicates"), ("n=null", "n"),
-                              ("gridSize=2.5", "grid_size")):
+                              ("gridSize=2.5", "gridSize")):
         assert main(["mc", "--config", clt, "--out", str(tmp_path / "o4"),
                      "--set", assignment]) == 2
         err = capsys.readouterr().err
         assert f"{field} must be an integer" in err and "Traceback" not in err
-    for key, value in (("n", None), ("m", 0), ("n", 2.5), ("n", True)):
+    # types are decoded, and every scenario's sample sizes are checked before any runs
+    for key, value, message in (("n", None, "scenarios[1].n must be an integer"),
+                                ("m", 0, "scenarios[1].m must be at least 1"),
+                                ("n", 2.5, "scenarios[1].n must be an integer"),
+                                ("n", True, "scenarios[1].n must be an integer")):
         scen = {"name": "s", "test": "hazard-order", "B": 9, key: value}
         bad = dict(base, scenarios=[{"name": "ok", "test": "independence"}, scen])
         assert main(["mc", "--config", wjson(tmp_path / "5.json", bad),
                      "--out", str(tmp_path / "o5")]) == 2
         err = capsys.readouterr().err
-        assert f"scenario 1 {key} must be a positive integer" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
+    bad = dict(base, scenarios=[{"name": "s", "test": "independence", "exceeds": ["t", 0.1]}])
+    assert main(["mc", "--config", wjson(tmp_path / "6.json", bad),
+                 "--out", str(tmp_path / "o6")]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[0].exceeds names no scenario: 't'" in err and "Traceback" not in err
 
     # float fields are checked as numbers, and unknown checks are refused
     glivenko = wjson(tmp_path / "gl.json", dict(base, experiment="glivenko", ladder=[20, 40]))
@@ -453,7 +482,7 @@ def test_cli_validate_and_estimate_type_errors(tmp_path, capsys):
     cases = [(["validate", "--config", cfgp], 'epsilon="x"', "epsilon must be a number")]
     for size in ("2.5", '"8"', "true"):
         for cmd in (["validate", "--config", cfgp], ["estimate", "--config", ecfg, "--data", str(data)]):
-            cases.append((cmd, f"grid.size={size}", "grid size must be an integer"))
+            cases.append((cmd, f"grid.size={size}", "grid.size must be an integer"))
     for k, (cmd, assignment, message) in enumerate(cases):
         assert main(cmd + ["--out", str(tmp_path / f"o{k}"), "--set", assignment]) == 2
         err = capsys.readouterr().err

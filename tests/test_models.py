@@ -196,3 +196,5 @@ def test_model_json_errors():
         model_from_json({"marginalF": {"kind": "cauchy"}})
     with pytest.raises(ConfigError):
         model_from_json({"marginalF": {"kind": "uniform", "extra": 2}})
+    with pytest.raises(ConfigError, match="theta must be a number"):
+        model_from_json({"theta": "0.5"})
