@@ -319,6 +319,8 @@ class CensoringModel:
     def __post_init__(self):
         fam = self.family
         p = self.params
+        if self.mc_prob_samples < 1:
+            raise ConfigError(f"mc_prob_samples must be at least 1, got {self.mc_prob_samples!r}")
         if fam == "rectangle":
             if not isinstance(p.get("tau1"), QuantileTable) or not isinstance(p.get("tau2"), QuantileTable):
                 raise ConfigError("rectangle model needs QuantileTable params tau1, tau2")

@@ -26,13 +26,12 @@ from . import censoring as cen
 from .censoring import CENSORING_MODEL
 from .decode import BOOL, INT, NUM, OPTIONAL, PAIR, STR, Built, Schema, Tagged
 from .errors import BihazardError, ConfigError, DataError, NumericError
-from .estimators import (CensoredSample, jump_masses, kaplan_meier,
-                         marginal_nelson_aalen, nelson_aalen_surface,
-                         simulate_sample)
+from .estimators import (jump_masses, kaplan_meier, marginal_nelson_aalen,
+                         nelson_aalen_surface, simulate_sample)
 from .geometry import Grid, LowerRect, PredicateRegion
 from .inference import (BootstrapSpec, fgm_order_test, hazard_order_test,
                         independence_test)
-from .io import read_dataset, read_dataset_csv, write_dataset
+from .io import read_sample, write_dataset
 from .mc import (MCConfig, coverage_study, size_power_study, verify_clt,
                  verify_glivenko, verify_iid_representation)
 from .models import MODEL, integrated_hazard
@@ -147,13 +146,6 @@ class OutputDir:
             fh.write("\n")
 
 
-def _load_sample(path):
-    try:
-        return CensoredSample(read_dataset_csv(path) if path.endswith(".csv") else read_dataset(path)[0])
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-
-
 def _hash_input(path):
     try:
         return sha256_file(path)
@@ -202,7 +194,7 @@ def cmd_estimate(args):
     c = _ESTIMATE.decode(cfg)
     size, tau = c["grid"]["size"], c["grid"]["tau"]
     method, marginals = c["method"], c["marginals"]
-    sample = _load_sample(args.data)
+    sample = read_sample(args.data)
     grid = Grid(size, tau)
     surf = nelson_aalen_surface(sample, grid, method=method)
 
@@ -277,12 +269,12 @@ def cmd_test(args):
         raise ConfigError("independence takes --data only; the two-sample tests need --data2")
 
     inputs = {args.config: sha256_file(args.config), args.data: _hash_input(args.data)}
-    sample = _load_sample(args.data)
+    sample = read_sample(args.data)
     if which == "independence":
         report = independence_test(sample, spec, tau=tau)
     else:
         inputs[args.data2] = _hash_input(args.data2)
-        sample2 = _load_sample(args.data2)
+        sample2 = read_sample(args.data2)
         if which == "hazard-order":
             report = hazard_order_test(sample, sample2, spec, region=c.get("region"), tau=tau)
         else:

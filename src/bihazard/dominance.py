@@ -85,11 +85,12 @@ def dominating_count(points, queries, weights=None):
     return out[0] if weights is None else out.reshape(lead + out.shape[-1:])
 
 
-def dominating_count_naive(points, queries):
-    """Reference quadratic scan; exact integer counts, used as the slow path."""
+def dominating_count_naive(points, queries, weights=None):
+    """Reference quadratic scan, weighted as dominating_count; exact integer counts."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     qs = np.asarray(queries, dtype=float).reshape(-1, 2)
-    out = np.zeros(len(qs), dtype=np.int64)
+    w = np.ones(len(pts), dtype=np.int64) if weights is None else np.asarray(weights)
+    out = np.zeros(w.shape[:-1] + (len(qs),), dtype=w.dtype)
     for i, (qx, qy) in enumerate(qs):
-        out[i] = int(np.count_nonzero((pts[:, 0] >= qx) & (pts[:, 1] >= qy)))
+        out[..., i] = w[..., (pts[:, 0] >= qx) & (pts[:, 1] >= qy)].sum(axis=-1)
     return out

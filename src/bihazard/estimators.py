@@ -20,20 +20,24 @@ and the Nelson-Aalen estimator is
 
 For rectangle (and trivially full-space) censoring, 1{Y_i >= t, t in xi_i}
 equals 1{Y_i ^ tau_i >= t}, so at-risk counts reduce to planar dominance
-counting on the minima; that is the fast path.  Other families test
-membership once per distinct region and count that region's records together.
+counting on the minima; that is the fast path.  Every other family writes
+the indicator as a short signed sum of such terms, each under a mask that
+depends on t alone (a band's strip, a fixed region's membership), so any
+count is one weighted dominance count per mask.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import censoring as cen
 from .dominance import dominance_counter, dominating_count, dominating_count_naive
 from .errors import ConfigError, DataError, DomainError, ObservabilityError, QuantileRangeError, ReductionError
-from .geometry import Grid, LowerRect, Region, as_points
+from .geometry import Grid, LowerRect, as_points
 from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, midpoints
 
 __all__ = [
@@ -84,26 +88,63 @@ def _region_table(censors):
     return list(table), index
 
 
-def _region_runs(region_index, rows):
-    """rows ordered by region, and where each region's run of rows starts."""
-    rows = rows[np.argsort(region_index[rows], kind="stable")]
-    return rows, np.flatnonzero(np.diff(region_index[rows], prepend=-1))
+_TermTable = namedtuple("_TermTable", "start cap sign group masks")
 
 
-def _boxes(regions):
-    """Per region: whether it is a box (the full square or a rectangle), and its corner."""
-    boxed = np.array([isinstance(r, (cen.FullSpace, cen.Rectangle)) for r in regions])
-    tau = np.array([r.tau if isinstance(r, cen.Rectangle) else (1.0, 1.0) for r in regions])
-    return boxed, tau
+def _term_table(regions):
+    """Signed terms of every region's at-risk indicator.
+
+    Region r holds rows start[r]:start[r + 1] of cap, sign and group, and
+
+        1{Y >= t, t in region r} = sum over them of sign * 1{min(Y, cap) >= t} * mask(t),
+
+    where masks[group] is None (every t), a band width c (the strip
+    t1 < t2 < t1 + c) or a fixed region (membership of t).  A box is its
+    corner, and any other region is the unit corner under its own mask.  A
+    band complement with k1 < k2 adds two terms on its strip: it removes
+    1{Y >= t, k1 < t1 < k2}, the points capped below k2 less those capped at k1.
+    """
+    masks = {None: 0}
+    boxes = (cen.Rectangle, cen.FullSpace, cen.BandComplement)
+    head_group = [masks.setdefault(None if isinstance(r, boxes) else r, len(masks)) for r in regions]
+    head_cap = [r.tau if isinstance(r, cen.Rectangle) else (1.0, 1.0) for r in regions]
+    band = [isinstance(r, cen.BandComplement) and r.k1 < r.k2 for r in regions]
+    k1, k2, c = np.array([(r.k1, r.k2, r.c) for r, b in zip(regions, band) if b]).reshape(-1, 3).T
+    start = np.concatenate([[0], np.cumsum(1 + 2 * np.array(band, dtype=bool))])
+    head = start[:-1]
+    below, at = head[band] + 1, head[band] + 2
+    cap, sign, group = np.ones((start[-1], 2)), np.ones(start[-1], np.int8), np.empty(start[-1], np.int32)
+    cap[head], group[head] = head_cap, head_group
+    cap[below, 0], sign[below], cap[at, 0] = np.nextafter(k2, -np.inf), -1, k1
+    group[below] = group[at] = [masks.setdefault(float(w), len(masks)) for w in c]
+    return _TermTable(start, cap, sign, group, list(masks))
 
 
-def _inside(points, regions, region_index, boxed, tau):
-    """1{point_i in region i}: a tau comparison for boxes, one contains call per other region."""
-    inside = (points <= tau[region_index]).all(axis=1)
-    rows, starts = _region_runs(region_index, np.flatnonzero(~boxed[region_index]))
-    for group, region in zip(np.split(rows, starts[1:]), region_index[rows[starts]]):
-        inside[group] = cen.contains(regions[region], points[group])
-    return inside
+def _term_groups(carrier, region_index, table):
+    """Per mask group: (mask, record, min(carrier[record], cap), sign) of every term of the records."""
+    k = table.start[region_index + 1] - table.start[region_index]
+    rec = np.repeat(np.arange(len(region_index)), k)
+    term = np.repeat(table.start[region_index] - np.cumsum(k) + k, k) + np.arange(len(rec))
+    group = table.group[term]
+    for g, mask in enumerate(table.masks):
+        part = np.flatnonzero(group == g)
+        if len(part):
+            r, t = rec[part], term[part]
+            yield mask, r, np.minimum(carrier[r], table.cap[t]), table.sign[t]
+
+
+def _mask(mask, t):
+    """A term group's mask at the points t (..., 2); None holds everywhere."""
+    if isinstance(mask, float):
+        return (t[..., 0] < t[..., 1]) & (t[..., 1] < t[..., 0] + mask)
+    return True if mask is None else cen.contains(mask, t)
+
+
+def _inside(points, region_index, table):
+    """1{point_i in region i}: record i's terms summed at its own point."""
+    groups = _term_groups(points, region_index, table)
+    return sum(np.bincount(rec, sign * ((pts == points[rec]).all(axis=1) & _mask(mask, points[rec])),
+                           len(points)) for mask, rec, pts, sign in groups) > 0
 
 
 class CensoredSample:
@@ -127,8 +168,9 @@ class CensoredSample:
         self._init(np.array(carrier, dtype=float), np.array(status, dtype=np.int8),
                    np.array(events, dtype=bool), *_region_table(rec.censor for rec in records))
 
-    def _init(self, carrier, status, events, regions, region_index):
-        """The one construction path: columns plus region table, checked together."""
+    def _init(self, carrier, status, events, regions, region_index, terms=None):
+        """The one construction path: columns plus region table, checked together; `terms` is
+        the region table's `_term_table`, when the caller has already built it."""
         self.n = len(status)
         self.carrier = carrier
         self.status = status
@@ -136,15 +178,14 @@ class CensoredSample:
         self.event_mask = (status == 0) | ((status == 2) & events.all(axis=1))
         self.regions = regions
         self.region_index = region_index
-        self.boxed, tau = _boxes(regions)
-        self.fast = bool(self.boxed.all())
-        self.risk_min = np.minimum(carrier, tau[region_index])
+        self.terms = _term_table(regions) if terms is None else terms
+        self.fast = all(isinstance(r, (cen.Rectangle, cen.FullSpace)) for r in regions)
         self._mass_cache = {}
         self._layouts = {}
         # every record check at once; the first offending record is named
-        inside = _inside(carrier, regions, region_index, self.boxed, tau)
+        inside = _inside(carrier, region_index, self.terms)
         rect = np.array([isinstance(r, cen.Rectangle) for r in regions])[region_index]
-        t = tau[region_index]
+        t = self.terms.cap[self.terms.start[region_index]]
         wrong = ((status == 2) & rect)[:, None] & np.where(events, carrier > t, carrier != t)
         failed = np.array([~((0.0 <= carrier) & (carrier <= 1.0)).all(axis=1), (status == 0) & ~inside,
                            (status == 1) & inside, (status == 2) & ~rect, wrong.any(axis=1)])
@@ -176,16 +217,16 @@ class CensoredSample:
                                       self.carrier.tolist(), self.events.tolist())]
 
     def take(self, idx):
-        """Sub- or resample by index; the region table is shared, not copied."""
+        """Sub- or resample by index; the region and term tables are shared, not copied."""
         idx = np.asarray(idx, dtype=np.int64)
         if len(idx) == 0:
             raise DataError("empty dataset")
         out = object.__new__(CensoredSample)
         out.n = len(idx)
-        for name in ("carrier", "status", "events", "event_mask", "region_index", "risk_min"):
+        for name in ("carrier", "status", "events", "event_mask", "region_index"):
             setattr(out, name, getattr(self, name)[idx])
         out.regions = self.regions
-        out.boxed = self.boxed
+        out.terms = self.terms
         out.fast = self.fast
         out._mass_cache = {}
         out._layouts = {}
@@ -203,52 +244,37 @@ class CensoredSample:
 # at-risk, counting, Nelson-Aalen
 # ---------------------------------------------------------------------------
 
-def _region_counts(sample, q, w):
-    """What the records under non-box regions add to Z at the queries q, one row per row of w.
+def _risk_counts(sample, queries, w, keep=None, naive=False):
+    """Z_n at each query, one row per row of the count matrix w (rows x n).
 
-    Row r counts record i w[r, i] times, exactly for integer weights.  Each
-    distinct region adds, at the queries it contains, the dominance count of
-    its own points.  With queries sorted by x, those the points can dominate
-    are a prefix, cut by their largest y; a region held by one record (band
-    complements are drawn per subject) needs no count then.
-    """
-    extra = np.zeros((len(w), len(q)), dtype=w.dtype)
-    rows = np.flatnonzero(~sample.boxed[sample.region_index])
-    if len(rows) == 0:
-        return extra
-    rows, starts = _region_runs(sample.region_index, rows)
-    tops = np.maximum.reduceat(sample.carrier[rows], starts)
-    order = np.argsort(q[:, 0], kind="stable")
-    qs = q[order]
-    ends = np.searchsorted(qs[:, 0], tops[:, 0], side="right")
-    for group, region, top, end in zip(np.split(rows, starts[1:]), sample.region_index[rows[starts]],
-                                       tops, ends):
-        head = qs[:end]
-        hit = (head[:, 1] <= top[1]) & cen.contains(sample.regions[region], head)
-        if len(group) == 1:
-            extra[:, :end] += w[:, group] * hit
-        else:
-            sel = np.flatnonzero(hit)
-            extra[:, sel] += dominating_count(sample.carrier[group], head[sel], w[:, group])
-    return extra[:, np.argsort(order)]
-
-
-def _risk_counts(sample, queries):
-    """Z_n at each query (exact integers), counted once per distinct region.
-
-    Records under box regions share one dominance count on their minima;
-    the others add their `_region_counts`.
+    Row r counts record i w[r, i] times, exactly for integer weights.
+    Each term group makes one weighted dominance count (the quadratic
+    reference scan if naive) of its records' capped points at the queries
+    inside its mask, with the terms' signs folded into the weights.
+    Weighted counts under a `keep` key keep each group's dominance layout in
+    sample._layouts, so that the chunks of one bootstrap share it.
     """
     q = np.asarray(queries, dtype=float).reshape(-1, 2)
-    boxed = sample.boxed[sample.region_index]
-    ones = np.ones((1, sample.n), dtype=np.int64)
-    return dominating_count(sample.risk_min[boxed], q) + _region_counts(sample, q, ones)[0]
+    count = dominating_count_naive if naive else dominating_count
+    plan = sample._layouts.get(keep)
+    if plan is None:
+        plan = []
+        for mask, rec, pts, sign in _term_groups(sample.carrier, sample.region_index, sample.terms):
+            hit = slice(None) if mask is None else np.flatnonzero(_mask(mask, q))
+            fn = dominance_counter(pts, q[hit]) if keep is not None else partial(count, pts, q[hit])
+            plan.append((hit, rec, sign, fn))
+        if keep is not None:
+            sample._layouts[keep] = plan
+    out = np.zeros((len(w), len(q)), dtype=w.dtype)
+    for hit, rec, sign, fn in plan:
+        out[:, hit] += fn(w[:, rec] * sign)
+    return out
 
 
 def at_risk(sample, t):
     """Z_n(t): subjects whose point dominates t and whose region contains t."""
     pts = as_points(t)
-    out = _risk_counts(sample, pts).reshape(pts.shape[:-1])
+    out = _risk_counts(sample, pts, np.ones((1, sample.n), dtype=np.int64))[0].reshape(pts.shape[:-1])
     return int(out) if out.ndim == 0 else out
 
 
@@ -263,34 +289,23 @@ def counting(sample, region):
 def jump_masses(sample, method="auto", weights=None):
     """1 / Z_n(Y_i) for each observed point, in record order.
 
-    method 'fast' uses the Fenwick dominance counter (rectangle/full
-    censoring only), 'naive' the quadratic reference scan; counts are
-    exact integers either way, so both give identical masses.  With a
-    (rows x n) count matrix `weights` (a bootstrap resample per row), row r
-    holds w_i / Z_w(Y_i): the total mass of record i's w_i copies.
+    method 'fast' insists on rectangle/full censoring, 'naive' counts with
+    the quadratic reference scan; counts are exact integers either way, so
+    every method gives identical masses.  With a (rows x n) count matrix
+    `weights` (a bootstrap resample per row), row r holds w_i / Z_w(Y_i):
+    the total mass of record i's w_i copies.
     """
     if weights is None and method in sample._mass_cache:
         return sample._mass_cache[method]
-    ev = sample.event_points
     if method == "fast" and not sample.fast:
         raise ConfigError("fast path needs rectangle or full-space censoring throughout")
     if method not in ("auto", "fast", "naive"):
         raise ConfigError(f"unknown method {method!r}")
     w = np.ones((1, sample.n), dtype=np.int64) if weights is None else np.asarray(weights)
     w_ev = w[:, sample.event_mask]
-    if len(ev) == 0:
-        z = w_ev
-    elif weights is not None:
-        # the box records' dominance layout at the events serves every chunk of a bootstrap
-        boxed = sample.boxed[sample.region_index]
-        if "events" not in sample._layouts:
-            sample._layouts["events"] = dominance_counter(sample.risk_min[boxed], ev)
-        z = sample._layouts["events"](w[:, boxed]) + _region_counts(sample, ev, w)
-    elif method == "naive" and sample.fast:
-        z = dominating_count_naive(sample.risk_min, ev)
-    else:
-        z = _risk_counts(sample, ev)
-    z = z.reshape(w_ev.shape)
+    naive = method == "naive"
+    keep = None if naive or weights is None else "events"
+    z = _risk_counts(sample, sample.event_points, w, keep, naive)
     if np.any(z < w_ev):
         raise DataError("internal inconsistency: an observed point is not at risk at itself")
     masses = np.divide(w_ev, z, out=np.zeros(z.shape), where=w_ev > 0)
@@ -362,21 +377,23 @@ def nelson_aalen_surface(sample, grid, method="auto", weights=None):
 # compensator residual
 # ---------------------------------------------------------------------------
 
-def _risk_counts_on_mesh(sample, mx, my):
-    """Z_n at every midpoint pair (exact integers).
+def _risk_counts_on_mesh(sample, mesh):
+    """Z_n at every node of a midpoint mesh (exact integers); mesh[i, j] = (mx[i], my[j]).
 
-    Fast path: bin the minima so that count[c] = #{p : p >= mid_c} falls out
-    of a two-axis suffix sum."""
-    if sample.fast:
-        bx = np.searchsorted(mx, sample.risk_min[:, 0], side="right")
-        by = np.searchsorted(my, sample.risk_min[:, 1], side="right")
+    Per term group, the capped points are binned so that
+    count[c] = sum of signs over {p : p >= mid_c} falls out of a two-axis
+    suffix sum, which the group's mask then cuts to the midpoints inside it.
+    """
+    mx, my = mesh[:, 0, 0], mesh[0, :, 1]
+    z = np.zeros((len(mx), len(my)), dtype=np.int64)
+    for mask, rec, pts, sign in _term_groups(sample.carrier, sample.region_index, sample.terms):
+        bx = np.searchsorted(mx, pts[:, 0], side="right")
+        by = np.searchsorted(my, pts[:, 1], side="right")
         cell = np.zeros((len(mx) + 1, len(my) + 1), dtype=np.int64)
-        np.add.at(cell, (bx, by), 1)
+        np.add.at(cell, (bx, by), sign.astype(np.int64))          # int8 values take a slow path
         suff = cell[1:, 1:][::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-        return suff
-    gx, gy = np.meshgrid(mx, my, indexing="ij")
-    pts = np.stack([gx, gy], axis=-1).reshape(-1, 2)
-    return _risk_counts(sample, pts).reshape(len(mx), len(my))
+        z += suff * _mask(mask, mesh)
+    return z
 
 
 @dataclass
@@ -408,10 +425,9 @@ def compensator_residual(sample, model, region, spec=QuadratureSpec(), weight=No
         cnt = counting(sample, region)
         return CompensatorResidual(float(cnt), cnt, 0.0, k)
     mx, my = midpoints(box[0], k), midpoints(box[1], k)
-    z = _risk_counts_on_mesh(sample, mx, my)
     gx, gy = np.meshgrid(mx, my, indexing="ij")
     pts = np.stack([gx, gy], axis=-1)
-    integrand = z * np.asarray(model.hazard(pts), dtype=float)
+    integrand = _risk_counts_on_mesh(sample, pts) * np.asarray(model.hazard(pts), dtype=float)
     if weight is not None:
         integrand = integrand * np.asarray(weight(pts), dtype=float)
     if mask is not None:
@@ -750,14 +766,15 @@ def simulate_sample(model, censor_model, n, rng, form="latent"):
         raise ConfigError("n must be at least 1")
     carrier = np.array(model.sample(n, rng), dtype=float)
     regions, region_index = _region_table(censor_model.sample_regions(n, rng))
+    terms = _term_table(regions)
     status = np.zeros(n, dtype=np.int8)
     events = np.zeros((n, 2), dtype=bool)
     if form == "latent":
-        status[~_inside(carrier, regions, region_index, *_boxes(regions))] = 1
+        status[~_inside(carrier, region_index, terms)] = 1
     elif form == "observable":
         fam = censor_model.family
         if fam == "rectangle":
-            tau = _boxes(regions)[1][region_index]
+            tau = terms.cap[terms.start[region_index]]
             events = carrier <= tau
             carrier = np.minimum(carrier, tau)
             status[:] = 2
@@ -766,4 +783,4 @@ def simulate_sample(model, censor_model, n, rng, form="latent"):
                 f"censoring family {fam!r} has no observable record form; simulate with form='latent'")
     else:
         raise ConfigError(f"unknown form {form!r}")
-    return object.__new__(CensoredSample)._init(carrier, status, events, regions, region_index)
+    return object.__new__(CensoredSample)._init(carrier, status, events, regions, region_index, terms)

@@ -98,8 +98,12 @@ def read_dataset(path):
 
 
 def read_sample(path):
-    """Dataset file to CensoredSample; empty datasets are a data error."""
-    records, _ = read_dataset(path)
+    """A .csv (the CSV shortcut) or JSON-lines dataset file as a CensoredSample; data errors if
+    unreadable or empty."""
+    try:
+        records = read_dataset_csv(path) if str(path).endswith(".csv") else read_dataset(path)[0]
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
     return CensoredSample(records)
 
 

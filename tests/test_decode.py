@@ -124,6 +124,8 @@ PROBES = ([("simulate", "simulate.json", argv, None, code, msg)
           + [("test", "test_hazard_order.json",
               _set("region", {"kind": "band_complement", "k1": "x", "k2": 0.5, "c": 0.1}),
               None, 3, "region.k1 must be a number")]
+          + [("validate", "validate.json", _set("censorModel.mc_prob_samples", 0), None, 2,
+              "censorModel: mc_prob_samples must be at least 1, got 0")]
           + [("estimate", "estimate.json", [], censor, 3, f"line 2: {msg}")
              for censor, msg in DATA_PROBES])
 
@@ -162,6 +164,7 @@ def test_malformed_inputs_exit_2_or_3_naming_the_key(datasets, tmp_path, capsys,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out" / "validation.json").exists()
 
 
 # ---------------------------------------------------------------------------

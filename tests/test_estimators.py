@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bihazard import estimators as est
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, Rectangle, contains)
-from bihazard.dominance import dominating_count
 from bihazard.errors import (ConfigError, DataError, DomainError, ObservabilityError,
                              QuantileRangeError, ReductionError)
 from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, at_risk,
@@ -19,7 +18,7 @@ from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, 
 from bihazard.geometry import Grid, LowerRect, PredicateRegion
 from bihazard.io import read_dataset, write_dataset
 from bihazard.models import FgmModel
-from bihazard.quadrature import QuadratureSpec
+from bihazard.quadrature import QuadratureSpec, midpoints
 
 FULL = FullSpace()
 
@@ -213,6 +212,13 @@ def test_fast_flag_and_method_errors():
     assert not mixed.fast
     with pytest.raises(ConfigError):
         jump_masses(mixed, method="fast")
+    # an empty band (k1 = k2) watches the whole square, but only boxes take the fast path
+    empty_band = CensoredSample([obs(p, BandComplement(0.3, 0.3, 0.2)) for p in ((0.2, 0.3), (0.5, 0.6))])
+    assert not empty_band.fast
+    with pytest.raises(ConfigError):
+        jump_masses(empty_band, method="fast")
+    full = CensoredSample([obs((0.2, 0.3)), obs((0.5, 0.6))])
+    assert np.array_equal(jump_masses(empty_band), jump_masses(full))
     with pytest.raises(ConfigError):
         jump_masses(worked_uncensored(), method="bogus")
     # the method is checked before the data: a sample without events is no exception
@@ -417,14 +423,16 @@ def _lattice_sample(family, n, rng):
     def lattice(lo, hi, size=None):
         return rng.integers(lo, hi + 1, size=size) / 8.0
 
-    shared = GridProduct(((0.0, 0.375), (0.625, 1.0)), ((0.0, 0.5), (0.75, 1.0)))
+    shared = {"grid": GridProduct(((0.0, 0.375), (0.625, 1.0)), ((0.0, 0.5), (0.75, 1.0))),
+              "layer": LowerLayer(((0.375, 1.0), (0.75, 0.625), (1.0, 0.25))),
+              "raster": Raster(4, np.arange(16).reshape(4, 4) % 3 != 1)}
     recs = []
     for i in range(n):
         y = tuple(lattice(0, 8, 2))
         if family == "box":
             censor = Rectangle(tuple(lattice(3, 8, 2))) if i % 3 else FULL
-        elif family == "grid":
-            censor = shared
+        elif family in shared:
+            censor = shared[family]
         else:
             k1 = lattice(1, 4)
             censor = BandComplement(k1, k1 + lattice(0, 3), lattice(1, 2))
@@ -441,7 +449,7 @@ def _lattice_sample(family, n, rng):
 
 
 @settings(max_examples=60)
-@given(family=st.sampled_from(["box", "grid", "band"]), n=st.integers(1, 150),
+@given(family=st.sampled_from(["box", "grid", "layer", "raster", "band"]), n=st.integers(1, 150),
        seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3))
 def test_weighted_risk_counts_match_per_record_counts(family, n, seed, rows):
     # weight rows with zeros and repeats stand for resamples; sizes cross the 64 switch
@@ -452,16 +460,17 @@ def test_weighted_risk_counts_match_per_record_counts(family, n, seed, rows):
     lattice = np.stack(np.meshgrid(np.arange(9) / 8.0, np.arange(9) / 8.0), axis=-1).reshape(-1, 2)
     q = np.vstack([lattice, s.event_points])
     per_record = np.array([_brute_at_risk_2d([rec], q) for rec in recs]).reshape(n, len(q))
-    boxed = s.boxed[s.region_index]
-    got = dominating_count(s.risk_min[boxed], q, w[:, boxed]) + est._region_counts(s, q, w)
+    got = est._risk_counts(s, q, w)
     assert got.dtype == np.int64 and np.array_equal(got, w @ per_record)
     masses = jump_masses(s, weights=w)
     z = (w @ per_record)[:, len(lattice):]
     w_ev = w[:, s.event_mask]
     assert np.array_equal(masses, np.where(w_ev > 0, w_ev / np.maximum(z, 1), 0.0))
-    # each row's marginals equal those of the resample it stands for, bit for bit
+    # the layouts kept at the events count any later weight rows, as a bootstrap's chunks do
+    assert np.array_equal(jump_masses(s, weights=w[::-1]), masses[::-1])
+    # each row's marginals equal those of the resample it stands for, bit for bit (rasters have none)
     xs = np.arange(17) / 16.0
-    for axis in (0, 1):
+    for axis in () if family == "raster" else (0, 1):
         est_w = marginal_nelson_aalen(s, axis, weights=w)
         for r in range(rows):
             if w[r].sum() == 0:
@@ -472,6 +481,53 @@ def test_weighted_risk_counts_match_per_record_counts(family, n, seed, rows):
             assert np.array_equal(est_w.values[held], one.values)
             assert np.array_equal(kaplan_meier(est_w).values[r][held], kaplan_meier(one).values)
             assert np.array_equal(kaplan_meier(est_w).eval(xs)[r], kaplan_meier(one).eval(xs))
+
+
+@pytest.mark.parametrize("family", ["band", "grid", "raster"])
+def test_mesh_risk_counts_match_per_record_counts(family):
+    # on the unit square, every third of the 12 midpoints per axis falls on the 1/8 lattice of the points
+    recs = _lattice_sample(family, 120, np.random.default_rng(97))
+    s = CensoredSample(recs)
+    model, k = FgmModel(0.5), 12
+    for corner in ((1.0, 1.0), (0.75, 0.5)):
+        mx, my = midpoints(corner[0], k), midpoints(corner[1], k)
+        mesh = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1)
+        want = _brute_at_risk_2d(recs, mesh).reshape(k, k)
+        assert np.array_equal(est._risk_counts_on_mesh(s, mesh), want)
+        res = compensator_residual(s, model, LowerRect(corner), QuadratureSpec(initial=k))
+        assert res.integral == float((want * model.hazard(mesh)).sum() * (corner[0] / k) * (corner[1] / k))
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1))
+def test_general_path_equals_fast_path_on_recast_rectangles(n, seed):
+    # rectangles recast as one-interval grid products and one-corner lower layers
+    # go through masked term groups; every count is exact, so all outputs agree bit for bit
+    rng = np.random.default_rng(seed)
+    recs = [SubjectRecord(censor=Rectangle(tuple(rng.integers(2, 9, size=2) / 8.0)),
+                          status="censored_latent", latent=tuple(rng.integers(0, 9, size=2) / 8.0))
+            for _ in range(n)]
+    recs = [obs(r.latent, r.censor) if contains(r.censor, r.latent) else r for r in recs]
+
+    def recast(make):
+        return CensoredSample([SubjectRecord(censor=make(r.censor.tau), status=r.status,
+                                             point=r.point, latent=r.latent) for r in recs])
+
+    fast = CensoredSample(recs)
+    lattice = np.stack(np.meshgrid(np.arange(9) / 8.0, np.arange(9) / 8.0), axis=-1).reshape(-1, 2)
+    q = np.vstack([lattice, fast.event_points])
+    grid = Grid(9, (1.0, 1.0))
+    for general in (recast(lambda t: GridProduct(((0.0, t[0]),), ((0.0, t[1]),))),
+                    recast(lambda t: LowerLayer((t,)))):
+        assert fast.fast and not general.fast
+        assert np.array_equal(at_risk(general, q), at_risk(fast, q))
+        assert np.array_equal(jump_masses(general), jump_masses(fast))
+        assert np.array_equal(nelson_aalen_surface(general, grid).values,
+                              nelson_aalen_surface(fast, grid).values)
+        for axis in (0, 1):
+            a, b = marginal_nelson_aalen(general, axis), marginal_nelson_aalen(fast, axis)
+            for key in ("values", "counts", "at_risk", "jumps", "cum"):
+                assert np.array_equal(getattr(a, key), getattr(b, key)), key
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +909,7 @@ def test_columns_round_trip_through_records_and_files(family, tmp_path):
     for form in ("latent", "observable") if family in ("full", "rectangle") else ("latent",):
         s = simulate_sample(FgmModel(0.5), cm, 150, np.random.default_rng(31), form=form)
         rebuilt = CensoredSample(s.records)
-        for name in ("carrier", "status", "events", "region_index", "event_mask", "risk_min"):
+        for name in ("carrier", "status", "events", "region_index", "event_mask"):
             a, b = getattr(rebuilt, name), getattr(s, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert rebuilt.regions == s.regions

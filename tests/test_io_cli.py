@@ -82,6 +82,8 @@ def test_dataset_round_trip_with_header(tmp_path):
                                            "censored_opaque"]
     sample = read_sample(path)
     assert sample.n == 3
+    with pytest.raises(DataError, match="cannot read dataset"):
+        read_sample(tmp_path / "missing.jsonl")
 
 
 def test_dataset_line_errors(tmp_path):
@@ -120,6 +122,8 @@ def test_csv_round_trip(tmp_path):
     a = jump_masses(CensoredSample(censored_records()))
     b = jump_masses(CensoredSample(back))
     assert np.array_equal(a, b)
+    # read_sample picks the CSV shortcut by the file's suffix
+    assert np.array_equal(jump_masses(read_sample(path)), a)
 
 
 def test_csv_exact_floats(tmp_path):
