@@ -298,6 +298,7 @@ class QuantileTable:
 # ---------------------------------------------------------------------------
 
 _FIXED_FAMILIES = ("full", "grid_product", "lower_layer", "raster")
+_DRAWN = {"rectangle": ("tau1", "tau2"), "band_complement": ("k1", "k2")}   # per-axis quantile tables
 
 
 @dataclass(frozen=True)
@@ -321,13 +322,10 @@ class CensoringModel:
         p = self.params
         if self.mc_prob_samples < 1:
             raise ConfigError(f"mc_prob_samples must be at least 1, got {self.mc_prob_samples!r}")
-        if fam == "rectangle":
-            if not isinstance(p.get("tau1"), QuantileTable) or not isinstance(p.get("tau2"), QuantileTable):
-                raise ConfigError("rectangle model needs QuantileTable params tau1, tau2")
-        elif fam == "band_complement":
-            if not isinstance(p.get("k1"), QuantileTable) or not isinstance(p.get("k2"), QuantileTable):
-                raise ConfigError("band_complement model needs QuantileTable params k1, k2")
-            if not (float(p.get("c", 0.0)) > 0.0):
+        if fam in _DRAWN:
+            if not all(isinstance(p.get(k), QuantileTable) for k in _DRAWN[fam]):
+                raise ConfigError(f"{fam} model needs QuantileTable params {', '.join(_DRAWN[fam])}")
+            if fam == "band_complement" and not (float(p.get("c", 0.0)) > 0.0):
                 raise ConfigError("band_complement model needs width c > 0")
         elif fam in _FIXED_FAMILIES:
             if fam == "full":
@@ -342,20 +340,16 @@ class CensoringModel:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_region(self, rng):
-        if self.family == "rectangle":
-            u = rng.random(2)
-            return Rectangle((self.params["tau1"].sample(u[0]), self.params["tau2"].sample(u[1])))
-        if self.family == "band_complement":
-            u = rng.random(2)
-            a = float(self.params["k1"].sample(u[0]))
-            b = float(self.params["k2"].sample(u[1]))
-            k1, k2 = (a, b) if a <= b else (b, a)
-            return BandComplement(k1, k2, self.params["c"])
-        return self.params["region"]
-
     def sample_regions(self, n, rng):
-        return [self.sample_region(rng) for _ in range(int(n))]
+        """n regions; a drawn family takes one rng.random((n, 2)), the draws of n random(2) calls."""
+        if self.family in _FIXED_FAMILIES:
+            return [self.params["region"]] * int(n)
+        u = rng.random((int(n), 2))
+        a, b = (self.params[k].sample(u[:, i]) for i, k in enumerate(_DRAWN[self.family]))
+        if self.family == "rectangle":
+            return [Rectangle(tau) for tau in zip(a.tolist(), b.tolist())]
+        return [BandComplement(k1, k2, self.params["c"])
+                for k1, k2 in zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())]
 
     @property
     def deterministic(self):
@@ -424,8 +418,7 @@ def _mc_inclusion(model, key, *point_sets):
     sets = np.broadcast_arrays(*point_sets)
     hits = np.zeros(sets[0].shape[:-1])
     n = model.mc_prob_samples
-    for _ in range(n):
-        xi = model.sample_region(rng)
+    for xi in model.sample_regions(n, rng):
         hits += np.logical_and.reduce([contains(xi, p) for p in sets])
     prob = hits / n
     return prob, np.sqrt(prob * (1.0 - prob) / n)
@@ -473,19 +466,14 @@ def validate_censoring(model, grid, epsilon=0.05):
     arg = (float(nodes[k, 0]), float(nodes[k, 1]))
     min_p = float(probs[k])
 
-    # adjacent pairs along each axis, both orientations
-    xs, ys = grid.xs, grid.ys
+    # adjacent pairs along each axis, both orientations: lattice[i, j] = (xs[i], ys[j])
+    lattice = np.stack(np.meshgrid(grid.xs, grid.ys, indexing="ij"), axis=-1)
     ratios = []
     max_se = float(np.max(np.asarray(ses)))
     for axis in (0, 1):
-        if axis == 0:
-            s = np.column_stack([np.repeat(xs[:-1], grid.m), np.tile(ys, grid.m - 1)])
-            t = np.column_stack([np.repeat(xs[1:], grid.m), np.tile(ys, grid.m - 1)])
-            h = np.repeat(np.diff(xs), grid.m)
-        else:
-            s = np.column_stack([np.tile(xs, grid.m - 1), np.repeat(ys[:-1], grid.m)])
-            t = np.column_stack([np.tile(xs, grid.m - 1), np.repeat(ys[1:], grid.m)])
-            h = np.repeat(np.diff(ys), grid.m)
+        rows = np.moveaxis(lattice, axis, 0)
+        s, t = rows[:-1].reshape(-1, 2), rows[1:].reshape(-1, 2)
+        h = t[:, axis] - s[:, axis]
         pj = np.asarray(joint_inclusion_prob(model, s, t))
         ps = np.asarray(inclusion_prob(model, s))
         pt = np.asarray(inclusion_prob(model, t))
@@ -551,13 +539,10 @@ def region_from_json(obj):
 def censoring_model_to_json(model):
     out = {"family": model.family, "mc_prob_samples": model.mc_prob_samples,
            "mc_seed": model.mc_seed}
-    if model.family == "rectangle":
-        out["tau1"] = model.params["tau1"].to_json()
-        out["tau2"] = model.params["tau2"].to_json()
-    elif model.family == "band_complement":
-        out["k1"] = model.params["k1"].to_json()
-        out["k2"] = model.params["k2"].to_json()
-        out["c"] = model.params["c"]
+    if model.family in _DRAWN:
+        out.update((k, model.params[k].to_json()) for k in _DRAWN[model.family])
+        if model.family == "band_complement":
+            out["c"] = model.params["c"]
     elif model.family != "full":
         out["region"] = region_to_json(model.params["region"])
     return out

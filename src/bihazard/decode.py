@@ -2,6 +2,7 @@
 
 Schema(spec, error) compiles a spec once.  Specs:
   INT, NUM, BOOL, STR     JSON integer, number, boolean, string; a boolean is never a number
+  ANY                     any value, as is
   PAIR                    two numbers, decoded to a tuple of floats
   {value, ...}            one of these values, types included (True is not 1)
   [spec], [spec, ...]     a list; with two or more specs, a list of that length, as a tuple
@@ -21,9 +22,9 @@ from collections import namedtuple
 
 from .errors import ConfigError, DataError
 
-__all__ = ["INT", "NUM", "BOOL", "STR", "PAIR", "OPTIONAL", "Tagged", "Built", "Schema"]
+__all__ = ["INT", "NUM", "BOOL", "STR", "ANY", "PAIR", "OPTIONAL", "Tagged", "Built", "Schema"]
 
-INT, NUM, BOOL, STR, PAIR = "integer", "number", "boolean", "string", "pair"
+INT, NUM, BOOL, STR, ANY, PAIR = "integer", "number", "boolean", "string", "any", "pair"
 OPTIONAL, _REQUIRED = object(), object()
 Tagged = namedtuple("Tagged", "tag variants")
 Built = namedtuple("Built", "spec build")
@@ -39,7 +40,7 @@ def is_number(v):
 
 _SCALARS = {INT: (is_integer, "an integer"), NUM: (is_number, "a number"),
             BOOL: (lambda v: isinstance(v, bool), "a boolean"),
-            STR: (lambda v: isinstance(v, str), "a string")}
+            STR: (lambda v: isinstance(v, str), "a string"), ANY: (lambda v: True, "anything")}
 
 
 class Schema:

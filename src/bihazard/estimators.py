@@ -64,21 +64,36 @@ class SubjectRecord:
     events: tuple = None
 
     def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise DataError(f"unknown record status {self.status!r}")
-        for name in _FIELDS:
-            v = getattr(self, name)
-            if v is not None:
-                t = (v if type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is float
-                     else tuple(float(x) for x in np.asarray(v, dtype=float).reshape(2)))
-                if not (0.0 <= t[0] <= 1.0 and 0.0 <= t[1] <= 1.0):
-                    raise DataError(f"{name} {t} outside the unit square")
-                object.__setattr__(self, name, t)
-        if self.events is not None:
-            ev = tuple(int(x) for x in self.events)
-            if len(ev) != 2 or set(ev) - {0, 1}:
-                raise DataError(f"event flags must be a pair of 0/1, got {self.events!r}")
-            object.__setattr__(self, "events", ev)
+        _check_fields(vars(self))
+
+
+def _check_fields(f):
+    """A SubjectRecord's field dict, checked in place: float pairs in the unit square, 0/1 flags."""
+    if f["status"] not in _STATUSES:
+        raise DataError(f"unknown record status {f['status']!r}")
+    for name in _FIELDS:
+        v = f[name]
+        if v is not None:
+            t = (v if type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is float
+                 else tuple(float(x) for x in np.asarray(v, dtype=float).reshape(2)))
+            if not (0.0 <= t[0] <= 1.0 and 0.0 <= t[1] <= 1.0):
+                raise DataError(f"{name} {t} outside the unit square")
+            f[name] = t
+    if f["events"] is not None:
+        ev = tuple(int(x) for x in f["events"])
+        if len(ev) != 2 or set(ev) - {0, 1}:
+            raise DataError(f"event flags must be a pair of 0/1, got {f['events']!r}")
+        f["events"] = ev
+    return f
+
+
+def record_from_fields(censor, status, value, events=None):
+    """SubjectRecord(censor, status, <status's field>=value, events=events), in one check."""
+    rec = object.__new__(SubjectRecord)
+    object.__setattr__(rec, "__dict__", _check_fields({
+        "censor": censor, "status": status, "point": None, "latent": None, "minima": None,
+        "events": events, _FIELDS[_STATUSES.index(status)]: value}))
+    return rec
 
 
 def _region_table(censors):
@@ -210,9 +225,8 @@ class CensoredSample:
 
     @property
     def records(self):
-        """The sample as SubjectRecords, built on demand (for writing datasets)."""
-        return [SubjectRecord(censor=self.regions[r], status=_STATUSES[k], **{_FIELDS[k]: tuple(c)},
-                              events=tuple(e) if k == 2 else None)
+        """The sample as SubjectRecords, built on demand."""
+        return [record_from_fields(self.regions[r], _STATUSES[k], tuple(c), e if k == 2 else None)
                 for r, k, c, e in zip(self.region_index.tolist(), self.status.tolist(),
                                       self.carrier.tolist(), self.events.tolist())]
 
@@ -689,11 +703,20 @@ def asymptotic_cov(model, censor_model, region_c, region_d,
         return np.asarray(model.survival(pts), dtype=float) * np.asarray(pfun(pts), dtype=float)
 
     k = int(pair_resolution)
-    for corner in ((c1, c2), (d1, d2)):
-        mx, my = midpoints(corner[0], k), midpoints(corner[1], k)
-        gx, gy = np.meshgrid(mx, my, indexing="ij")
-        if np.min(sp(np.stack([gx, gy], axis=-1))) <= 1e-12:
+
+    def cells(corner):
+        """Per axis the cell edges and midpoints of the rectangle, and its cell weights."""
+        edges = [np.linspace(0.0, v, k + 1) for v in corner]
+        mids = [midpoints(v, k) for v in corner]
+        gx, gy = np.meshgrid(*mids, indexing="ij")
+        pts = np.stack([gx, gy], axis=-1)
+        s = sp(pts)
+        if np.min(s) <= 1e-12:
             raise DomainError("S * P(t in xi) is not bounded below on the requested rectangles")
+        area = (corner[0] / k) * (corner[1] / k)
+        return edges, mids, np.asarray(model.hazard(pts), dtype=float) / s * area
+
+    c_cells, d_cells = cells((c1, c2)), cells((d1, d2))
 
     # diagonal piece over C n D
     inter = LowerRect((min(c1, d1), min(c2, d2)))
@@ -702,22 +725,6 @@ def asymptotic_cov(model, censor_model, region_c, region_d,
         return np.asarray(model.hazard(pts), dtype=float) / sp(pts)
 
     t1 = integrate_region(diag_integrand, inter, spec)
-
-    # wedge piece
-    cxe, cye = np.linspace(0.0, c1, k + 1), np.linspace(0.0, c2, k + 1)
-    dxe, dye = np.linspace(0.0, d1, k + 1), np.linspace(0.0, d2, k + 1)
-    cxm, cym = midpoints(c1, k), midpoints(c2, k)
-    dxm, dym = midpoints(d1, k), midpoints(d2, k)
-
-    def weight_mat(xm, ym, corner):
-        gx, gy = np.meshgrid(xm, ym, indexing="ij")
-        pts = np.stack([gx, gy], axis=-1)
-        h = np.asarray(model.hazard(pts), dtype=float)
-        area = (corner[0] / k) * (corner[1] / k)
-        return h / sp(pts) * area
-
-    a_mat = weight_mat(cxm, cym, (c1, c2))
-    b_mat = weight_mat(dxm, dym, (d1, d2))
 
     if censor_model is not None and censor_model.family == "rectangle":
         def joint_at(pts):
@@ -731,21 +738,16 @@ def asymptotic_cov(model, censor_model, region_c, region_d,
         pts = np.stack([gx, gy], axis=-1)
         return np.asarray(model.survival(pts), dtype=float) * joint_at(pts)
 
-    # wedge {s1 < t1, s2 > t2}: join = (t1, s2)
-    flx = _frac_less_matrix(cxe, dxe)            # [s1, t1]
-    fly = _frac_less_matrix(dye, cye)            # [t2, s2]
-    m1 = flx.T @ a_mat                           # [t1, s2]
-    m2 = b_mat @ fly                             # [t1, s2]
-    wedge1 = float(np.sum(m1 * m2 * join_kernel(dxm, cym)))
+    def wedge(a, b):
+        """Pairs s in rectangle a, t in b with s1 < t1, s2 > t2: join = (t1, s2)."""
+        (axe, aye), (axm, aym), a_mat = a
+        (bxe, bye), (bxm, bym), b_mat = b
+        m1 = _frac_less_matrix(axe, bxe).T @ a_mat   # [t1, s2]
+        m2 = b_mat @ _frac_less_matrix(bye, aye)     # [t1, s2]
+        return float(np.sum(m1 * m2 * join_kernel(bxm, aym)))
 
-    # wedge {t1 < s1, s2 < t2}: join = (s1, t2)
-    flx2 = _frac_less_matrix(dxe, cxe)           # [t1, s1]
-    fly2 = _frac_less_matrix(cye, dye)           # [s2, t2]
-    m1b = a_mat @ fly2                           # [s1, t2]
-    m2b = flx2.T @ b_mat                         # [s1, t2]
-    wedge2 = float(np.sum(m1b * m2b * join_kernel(cxm, dym)))
-
-    cross = wedge1 + wedge2
+    # wedge piece; the wedge {t1 < s1, s2 < t2} is the first wedge with C and D swapped
+    cross = wedge(c_cells, d_cells) + wedge(d_cells, c_cells)
     return AsymptoticCov(t1.value + cross, t1.value, cross, t1)
 
 

@@ -416,7 +416,7 @@ def test_censoring_model_json_round_trip():
         assert back.mc_prob_samples == m.mc_prob_samples
         assert back.mc_seed == m.mc_seed
         rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-        assert m.sample_region(rng_a) == back.sample_region(rng_b)
+        assert m.sample_regions(1, rng_a) == back.sample_regions(1, rng_b)
 
 
 def test_censoring_model_json_errors():

@@ -6,16 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bihazard
-from bihazard.censoring import (CensoringModel, FullSpace, LowerLayer, QuantileTable,
-                                Rectangle)
+from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
+                                LowerLayer, QuantileTable, Raster, Rectangle, region_to_json)
 from bihazard.cli import main
 from bihazard.errors import DataError
 from bihazard.estimators import CensoredSample, SubjectRecord, jump_masses, simulate_sample
-from bihazard.io import (CSV_COLUMNS, read_dataset, read_dataset_csv, read_sample,
-                         record_from_json, record_to_json, write_dataset,
-                         write_dataset_csv)
+from bihazard.io import (CSV_COLUMNS, RECORD, read_dataset, read_dataset_csv, read_sample,
+                         record_to_json, write_dataset, write_dataset_csv)
 from bihazard.models import FgmModel
 
 FULL = FullSpace()
@@ -45,7 +46,7 @@ def censored_records():
 
 def test_record_json_round_trip():
     for rec in censored_records():
-        back = record_from_json(record_to_json(rec))
+        back = RECORD.decode(record_to_json(rec), "record")
         assert back.status == rec.status
         assert back.point == rec.point
         assert back.latent == rec.latent
@@ -57,20 +58,20 @@ def test_record_json_round_trip():
 def test_record_from_json_errors():
     good = record_to_json(obs((0.2, 0.3)))
     with pytest.raises(DataError):
-        record_from_json({**good, "status": "gone"})
+        RECORD.decode({**good, "status": "gone"}, "record")
     with pytest.raises(DataError):
-        record_from_json({**good, "extra": 1})
+        RECORD.decode({**good, "extra": 1}, "record")
     with pytest.raises(DataError):
-        record_from_json({"status": "observed", "point": [0.1, 0.2]})  # no censor
+        RECORD.decode({"status": "observed", "point": [0.1, 0.2]}, "record")  # no censor
     with pytest.raises(DataError):
-        record_from_json({**good, "point": [0.1]})
+        RECORD.decode({**good, "point": [0.1]}, "record")
     opaque = record_to_json(censored_records()[2])
     with pytest.raises(DataError):
-        record_from_json({**opaque, "delta": [0, 2]})
+        RECORD.decode({**opaque, "delta": [0, 2]}, "record")
     with pytest.raises(DataError, match="delta"):
-        record_from_json({**opaque, "delta": [True, False]})   # booleans are not flags
+        RECORD.decode({**opaque, "delta": [True, False]}, "record")   # booleans are not flags
     with pytest.raises(DataError):
-        record_from_json("not a dict")
+        RECORD.decode("not a dict", "record")
 
 
 def test_dataset_round_trip_with_header(tmp_path):
@@ -101,6 +102,187 @@ def test_dataset_line_errors(tmp_path):
     path.write_text("\n".join([lines[0], lines[0], json.dumps(bad_region)]) + "\n")
     with pytest.raises(DataError, match=r"line 3: censor\.kind must be one of"):
         read_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# JSON-lines codec: region memos and round-trip properties
+# ---------------------------------------------------------------------------
+
+def oracle_json(rec):
+    """A record's JSON value, built field by field (the layout the line formatter must match)."""
+    out = {"censor": region_to_json(rec.censor), "status": rec.status}
+    if rec.status == "observed":
+        out["point"] = list(rec.point)
+    elif rec.status == "censored_latent":
+        out["latent"] = list(rec.latent)
+    else:
+        out["min"], out["delta"] = list(rec.minima), list(rec.events)
+    return out
+
+
+def test_regions_freed_by_a_generator_keep_their_own_text(tmp_path):
+    # each region is dropped once its record is written, so its id may be handed to the next one
+    def records():
+        for i in range(200):
+            yield obs((0.0, 0.0), Rectangle((i / 200, 1.0 - i / 400)))
+    path = tmp_path / "d.jsonl"
+    write_dataset(path, records())
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(oracle_json(r), sort_keys=True) for r in records()]
+
+
+def test_equal_regions_written_differently_keep_their_own_text(tmp_path):
+    neg, pos = Rectangle((-0.0, 1.0)), Rectangle((0.0, 1.0))
+    assert neg == pos
+    path = tmp_path / "d.jsonl"
+    write_dataset(path, [obs((0.0, 0.5), neg), obs((0.0, 0.5), pos), obs((0.0, 0.6), neg)])
+    first = path.read_text()
+    assert [json.loads(line)["censor"]["tau"][0] for line in first.splitlines()] == [-0.0, 0.0, -0.0]
+    assert '"tau": [-0.0, 1.0]' in first and '"tau": [0.0, 1.0]' in first
+    # read back and written again, each line keeps its own sign of zero
+    again = tmp_path / "again.jsonl"
+    write_dataset(again, read_dataset(path)[0])
+    assert again.read_text() == first
+
+
+def _censor_lines(path, censors):
+    point = {"status": "observed", "point": [0.1, 0.1]}
+    path.write_text("".join(json.dumps({"censor": c, **point}) + "\n" for c in censors))
+
+
+def test_a_censor_equal_only_as_a_python_value_is_decoded_again(tmp_path):
+    path = tmp_path / "d.jsonl"
+    raster = {"kind": "raster", "m": 1, "mask": "1"}
+    _censor_lines(path, [raster, raster, {**raster, "m": True}])
+    with pytest.raises(DataError, match=r"^line 3: censor\.m must be an integer, got True$"):
+        read_dataset(path)
+    band = {"kind": "band_complement", "k1": 0.2, "k2": 0.5, "c": 1}
+    _censor_lines(path, [band, {**band, "c": True}])
+    with pytest.raises(DataError, match=r"^line 2: censor\.c must be a number, got True$"):
+        read_dataset(path)
+    _censor_lines(path, [raster, {**raster, "m": 1.0}])
+    with pytest.raises(DataError, match=r"^line 2: censor\.m must be an integer, got 1\.0$"):
+        read_dataset(path)
+    # 1 and 1.0 are the same number where a number is asked for, so both lines decode
+    _censor_lines(path, [band, {**band, "c": 1.0}])
+    back, _ = read_dataset(path)
+    assert back[0].censor == back[1].censor == BandComplement(0.2, 0.5, 1.0)
+
+
+def test_a_bad_censor_is_named_at_its_first_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    good, bad = {"kind": "rectangle", "tau": [0.5, 0.5]}, {"kind": "rectangle", "tau": [0.5, 2.0]}
+    _censor_lines(path, [good, bad, good, good, bad])
+    with pytest.raises(DataError, match=r"^line 2: censor: rectangle corner must lie in"):
+        read_dataset(path)
+
+
+def test_decoded_regions_are_shared_within_a_read_and_not_across_reads(tmp_path):
+    path = tmp_path / "d.jsonl"
+    layer = LowerLayer(((0.3, 0.9), (0.8, 0.4)))
+    write_dataset(path, [obs((0.1, 0.1), layer), obs((0.2, 0.2), layer), obs((0.3, 0.3))])
+    first, _ = read_dataset(path)
+    again, _ = read_dataset(path)
+    assert first == again
+    assert first[0].censor is first[1].censor and first[0].censor == layer
+    assert first[0].censor is not again[0].censor
+
+
+def test_sample_records_round_trip_through_a_file(tmp_path):
+    cm = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.5, 1.0),
+                                      "tau2": QuantileTable.fixed(0.8)})
+    for form in ("latent", "observable"):
+        sample = simulate_sample(FgmModel(0.3), cm, 40, np.random.default_rng(2), form=form)
+        path = tmp_path / f"{form}.jsonl"
+        write_dataset(path, sample.records)
+        assert path.read_text().splitlines() == [json.dumps(oracle_json(r), sort_keys=True)
+                                                 for r in sample.records]
+        assert read_dataset(path)[0] == sample.records
+
+
+UNIT = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(0.0, 1.0))
+PAIRS = st.tuples(UNIT, UNIT)
+
+
+@st.composite
+def regions(draw):
+    kind = draw(st.sampled_from(["full", "rectangle", "grid_product", "band_complement",
+                                 "lower_layer", "raster"]))
+    if kind == "full":
+        return FullSpace()
+    if kind == "rectangle":
+        return Rectangle(draw(PAIRS))
+    if kind == "band_complement":
+        k1, k2 = sorted(draw(PAIRS))
+        return BandComplement(k1, k2, draw(st.one_of(st.just(1.0), st.floats(1e-3, 2.0))))
+    if kind == "raster":
+        m = draw(st.integers(1, 3))
+        return Raster(m, np.array(draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m)))
+                      .reshape(m, m))
+    ends = sorted(draw(st.sets(st.floats(0.0, 1.0).filter(bool), min_size=1, max_size=5)))
+    if kind == "lower_layer":
+        return LowerLayer(tuple(zip(ends, sorted(draw(
+            st.sets(UNIT, min_size=len(ends), max_size=len(ends))), reverse=True))))
+    start = draw(st.sampled_from([0.0, -0.0]))      # a first interval starts at 0 or -0
+    axis = ((start, ends[0]),) + tuple(zip(ends[1::2], ends[2::2]))
+    return GridProduct(axis, axis[:1])
+
+
+@st.composite
+def record_lists(draw, regions=regions()):
+    table = draw(st.lists(regions, min_size=1, max_size=4))
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        censor = draw(st.sampled_from(table))     # regions shared by several records
+        status = draw(st.sampled_from(["observed", "censored_latent", "censored_opaque"]))
+        if status == "censored_opaque":
+            out.append(SubjectRecord(censor=censor, status=status, minima=draw(PAIRS),
+                                     events=draw(st.tuples(st.sampled_from([0, 1]),
+                                                           st.sampled_from([0, 1])))))
+        else:
+            out.append(SubjectRecord(censor=censor, status=status,
+                                     **{"point" if status == "observed" else "latent": draw(PAIRS)}))
+    return out
+
+
+@settings(max_examples=150)
+@given(record_lists(), st.booleans())
+def test_jsonl_lines_match_the_oracle_and_read_back_equal(tmp_path_factory, records, header):
+    path = tmp_path_factory.getbasetemp() / "property.jsonl"
+    write_dataset(path, records, header={"n": len(records)} if header else None)
+    lines = path.read_text().splitlines()
+    expected = [json.dumps(oracle_json(r), sort_keys=True) for r in records]
+    assert lines == ([json.dumps({"header": {"n": len(records)}})] if header else []) + expected
+    assert [record_to_json(r) for r in records] == [oracle_json(r) for r in records]
+    back, head = read_dataset(path)
+    assert back == records and head == ({"n": len(records)} if header else None)
+    # what was read writes the same bytes: no sign of zero or float digit is lost
+    again = tmp_path_factory.getbasetemp() / "property-again.jsonl"
+    write_dataset(again, back)
+    assert again.read_text().splitlines() == expected
+
+
+@settings(max_examples=100)
+@given(record_lists(st.builds(Rectangle, PAIRS)))
+def test_csv_round_trips_rectangle_records(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    write_dataset_csv(path, records)
+    expected = []
+    for r in records:
+        tau = r.censor.tau
+        if r.status == "observed":
+            m, d = r.point, (1, 1)
+        elif r.status == "censored_opaque":
+            m, d = r.minima, r.events
+        else:
+            m = tuple(min(y, t) for y, t in zip(r.latent, tau))
+            d = tuple(int(y <= t) for y, t in zip(r.latent, tau))
+        expected.append(SubjectRecord(censor=r.censor, status="observed", point=m) if d == (1, 1)
+                        else SubjectRecord(censor=r.censor, status="censored_opaque", minima=m,
+                                           events=d))
+    back = read_dataset_csv(path)
+    assert back == expected
+    assert [repr(r.censor) for r in back] == [repr(r.censor) for r in records]
 
 
 # ---------------------------------------------------------------------------
