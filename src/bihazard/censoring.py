@@ -21,7 +21,7 @@ import numpy as np
 
 from .decode import INT, NUM, PAIR, STR, Built, Schema, Tagged
 from .errors import ConfigError, DataError
-from .geometry import as_points
+from .geometry import as_points, lattice
 from .util import substream
 
 __all__ = [
@@ -204,9 +204,7 @@ def rasterize(region, m):
             raise ConfigError(f"cannot re-rasterize a raster from m={region.m} to m={m}")
         return region
     c = (np.arange(m) + 0.5) / m
-    cx, cy = np.meshgrid(c, c, indexing="ij")
-    centers = np.stack([cx, cy], axis=-1)
-    return Raster(m, contains(region, centers))
+    return Raster(m, contains(region, lattice(c, c)))
 
 
 def observable_core(raster):
@@ -466,12 +464,12 @@ def validate_censoring(model, grid, epsilon=0.05):
     arg = (float(nodes[k, 0]), float(nodes[k, 1]))
     min_p = float(probs[k])
 
-    # adjacent pairs along each axis, both orientations: lattice[i, j] = (xs[i], ys[j])
-    lattice = np.stack(np.meshgrid(grid.xs, grid.ys, indexing="ij"), axis=-1)
+    # adjacent pairs along each axis, both orientations: mesh[i, j] = (xs[i], ys[j])
+    mesh = lattice(grid.xs, grid.ys)
     ratios = []
     max_se = float(np.max(np.asarray(ses)))
     for axis in (0, 1):
-        rows = np.moveaxis(lattice, axis, 0)
+        rows = np.moveaxis(mesh, axis, 0)
         s, t = rows[:-1].reshape(-1, 2), rows[1:].reshape(-1, 2)
         h = t[:, axis] - s[:, axis]
         pj = np.asarray(joint_inclusion_prob(model, s, t))

@@ -37,8 +37,8 @@ import numpy as np
 from . import censoring as cen
 from .dominance import dominance_counter, dominating_count, dominating_count_naive
 from .errors import ConfigError, DataError, DomainError, ObservabilityError, QuantileRangeError, ReductionError
-from .geometry import Grid, LowerRect, as_points
-from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, midpoints
+from .geometry import Grid, LowerRect, as_points, lattice
+from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, mesh_sum, midpoints
 
 __all__ = [
     "SubjectRecord", "CensoredSample", "HazardSurface", "MarginalEstimate", "StepCdf",
@@ -428,25 +428,17 @@ def compensator_residual(sample, model, region, spec=QuadratureSpec(), weight=No
     fixed midpoint mesh (spec.initial per axis) rather than refinement; the
     resolution is recorded in the result.
     """
-    if isinstance(region, LowerRect):
-        box = region.corner
-        mask = None
-    else:
-        box = (1.0, 1.0)
-        mask = region
+    box, mask = (region.corner, None) if isinstance(region, LowerRect) else ((1.0, 1.0), region)
     k = spec.initial
     if box[0] == 0.0 or box[1] == 0.0:
         cnt = counting(sample, region)
         return CompensatorResidual(float(cnt), cnt, 0.0, k)
-    mx, my = midpoints(box[0], k), midpoints(box[1], k)
-    gx, gy = np.meshgrid(mx, my, indexing="ij")
-    pts = np.stack([gx, gy], axis=-1)
-    integrand = _risk_counts_on_mesh(sample, pts) * np.asarray(model.hazard(pts), dtype=float)
-    if weight is not None:
-        integrand = integrand * np.asarray(weight(pts), dtype=float)
-    if mask is not None:
-        integrand = np.where(mask.contains(pts), integrand, 0.0)
-    integral = float(integrand.sum() * (box[0] / k) * (box[1] / k))
+
+    def integrand(pts):
+        out = _risk_counts_on_mesh(sample, pts) * np.asarray(model.hazard(pts), dtype=float)
+        return out if weight is None else out * np.asarray(weight(pts), dtype=float)
+
+    integral = float(mesh_sum(integrand, box, k, mask) * (box[0] / k) * (box[1] / k))
     if weight is None:
         cnt = counting(sample, region)
     else:
@@ -708,8 +700,7 @@ def asymptotic_cov(model, censor_model, region_c, region_d,
         """Per axis the cell edges and midpoints of the rectangle, and its cell weights."""
         edges = [np.linspace(0.0, v, k + 1) for v in corner]
         mids = [midpoints(v, k) for v in corner]
-        gx, gy = np.meshgrid(*mids, indexing="ij")
-        pts = np.stack([gx, gy], axis=-1)
+        pts = lattice(*mids)
         s = sp(pts)
         if np.min(s) <= 1e-12:
             raise DomainError("S * P(t in xi) is not bounded below on the requested rectangles")
@@ -726,17 +717,11 @@ def asymptotic_cov(model, censor_model, region_c, region_d,
 
     t1 = integrate_region(diag_integrand, inter, spec)
 
-    if censor_model is not None and censor_model.family == "rectangle":
-        def joint_at(pts):
-            return np.asarray(cen.inclusion_prob(censor_model, pts), dtype=float)
-    else:
-        def joint_at(pts):
-            return 1.0
+    rect = censor_model is not None and censor_model.family == "rectangle"
 
     def join_kernel(xv, yv):
-        gx, gy = np.meshgrid(xv, yv, indexing="ij")
-        pts = np.stack([gx, gy], axis=-1)
-        return np.asarray(model.survival(pts), dtype=float) * joint_at(pts)
+        pts = lattice(xv, yv)
+        return np.asarray(model.survival(pts), dtype=float) * (pfun(pts) if rect else 1.0)
 
     def wedge(a, b):
         """Pairs s in rectangle a, t in b with s1 < t1, s2 > t2: join = (t1, s2)."""

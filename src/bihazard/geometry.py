@@ -23,6 +23,11 @@ def as_points(pts):
     return a
 
 
+def lattice(xs, ys):
+    """The (len(xs), len(ys), 2) point array with [i, j] = (xs[i], ys[j])."""
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+
+
 def leq(s, t):
     """Componentwise s <= t.  Broadcasts; returns bool (scalar or array)."""
     s = as_points(s)
@@ -126,9 +131,7 @@ class Grid:
 
     def nodes(self):
         """All m^2 nodes, row-major with the first coordinate varying fastest."""
-        xs, ys = self.xs, self.ys
-        gx, gy = np.meshgrid(xs, ys, indexing="xy")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return lattice(self.xs, self.ys).swapaxes(0, 1).reshape(-1, 2)
 
     def refine(self):
         """Next finer grid whose node set contains this one (2m-1 nodes)."""

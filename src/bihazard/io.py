@@ -28,7 +28,7 @@ import numpy as np
 
 from . import censoring as cen
 from .decode import ANY, PAIR, Built, Schema, Tagged
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .estimators import CensoredSample, record_from_fields
 from .util import fmt_float
 
@@ -184,6 +184,6 @@ def read_dataset_csv(path):
             status, flags = ("observed", None) if (d1, d2) == (1, 1) else ("censored_opaque", (d1, d2))
             try:
                 records.append(record_from_fields(cen.Rectangle((t1, t2)), status, (y1, y2), flags))
-            except DataError as exc:
+            except (ConfigError, DataError) as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
     return records

@@ -31,7 +31,7 @@ from .decode import INT, Schema
 from .errors import ConfigError, DomainError
 from .estimators import (asymptotic_cov, at_risk, compensator_residual, nelson_aalen,
                          simulate_sample)
-from .geometry import Grid, LowerRect
+from .geometry import Grid, LowerRect, lattice
 from .inference import (BootstrapSpec, _independence_diff, fgm_order_test,
                         hazard_order_test, independence_test)
 from .models import integrated_hazard
@@ -261,10 +261,7 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
         return 1.0 / sp
 
     # surface the domain problem before burning replicates
-    k0 = 64
-    mx, my = midpoints(region.corner[0], k0), midpoints(region.corner[1], k0)
-    gx, gy = np.meshgrid(mx, my, indexing="ij")
-    weight(np.stack([gx, gy], axis=-1))
+    weight(lattice(midpoints(region.corner[0], 64), midpoints(region.corner[1], 64)))
 
     def one(r):
         s = simulate_sample(cfg.model, cfg.censor_model, ladder[-1],
@@ -378,22 +375,22 @@ def size_power_study(cfg, scenarios):
 # confidence-band coverage
 # ---------------------------------------------------------------------------
 
-def _truth_difference(model, grid, mesh=1024):
-    """True H - H1*H2 on the grid nodes (exact zero when theta is 0)."""
-    lam1 = -np.log1p(-np.asarray(model.marginal_x.cdf(grid.xs), dtype=float))
-    lam2 = -np.log1p(-np.asarray(model.marginal_y.cdf(grid.ys), dtype=float))
-    if model.theta == 0.0:
-        return np.zeros((len(grid.xs), len(grid.ys)))
-    mx, my = midpoints(1.0, mesh), midpoints(1.0, mesh)
-    gx, gy = np.meshgrid(mx, my, indexing="ij")
-    h = np.asarray(model.hazard(np.stack([gx, gy], axis=-1)), dtype=float)
-    cum = (h / (mesh * mesh)).cumsum(axis=0).cumsum(axis=1)
-    padded = np.zeros((mesh + 1, mesh + 1))
-    padded[1:, 1:] = cum
-    ix = np.searchsorted(mx, grid.xs, side="right")
-    iy = np.searchsorted(my, grid.ys, side="right")
-    surface = padded[np.ix_(ix, iy)]
-    return surface - np.outer(lam1, lam2)
+def _truth_difference(model, mesh=1024):
+    """True H - H1*H2 at a grid's nodes, as a function of the grid (exact zero when theta is 0)."""
+    mids = midpoints(1.0, mesh)
+    if model.theta != 0.0:                      # the hazard mesh's cumulative sums, built once
+        h = np.asarray(model.hazard(lattice(mids, mids)), dtype=float)
+        cum = np.pad((h / (mesh * mesh)).cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+
+    def at(grid):
+        lam1 = -np.log1p(-np.asarray(model.marginal_x.cdf(grid.xs), dtype=float))
+        lam2 = -np.log1p(-np.asarray(model.marginal_y.cdf(grid.ys), dtype=float))
+        if model.theta == 0.0:
+            return np.zeros((len(grid.xs), len(grid.ys)))
+        ix, iy = np.searchsorted(mids, grid.xs, side="right"), np.searchsorted(mids, grid.ys, side="right")
+        return cum[np.ix_(ix, iy)] - np.outer(lam1, lam2)
+
+    return at
 
 
 def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
@@ -406,6 +403,7 @@ def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
     sup sqrt(n)|Dhat - truth| <= c_alpha.
     """
     start = time.perf_counter()
+    truth = _truth_difference(cfg.model)
 
     def one(r):
         sample = simulate_sample(cfg.model, cfg.censor_model, cfg.n,
@@ -415,8 +413,7 @@ def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
                              grid_size=cfg.grid_size)
         report = independence_test(sample, spec)
         grid = Grid(cfg.grid_size, report.diagnostics["tau"])
-        sup = float(np.max(np.abs(_independence_diff(sample, grid)
-                                  - _truth_difference(cfg.model, grid))))
+        sup = float(np.max(np.abs(_independence_diff(sample, grid) - truth(grid))))
         return sup * math.sqrt(sample.n) <= report.critical_value
 
     flags = run_indexed(one, cfg.replicates)

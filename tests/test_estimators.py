@@ -530,6 +530,36 @@ def test_general_path_equals_fast_path_on_recast_rectangles(n, seed):
                 assert np.array_equal(getattr(a, key), getattr(b, key)), key
 
 
+@settings(max_examples=40)
+@given(n=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans())
+def test_opaque_rectangle_records_fit_as_latent_records(n, seed, ties):
+    # minima plus event flags are all a rectangle-censored fit reads, so it equals the latent fit bit for bit
+    rng = np.random.default_rng(seed)
+    if ties:
+        ys, taus = rng.integers(0, 9, size=(n, 2)) / 8.0, rng.integers(2, 9, size=(n, 2)) / 8.0
+    else:
+        ys, taus = rng.random((n, 2)), rng.uniform(0.2, 1.0, (n, 2))
+    latent, opaque = [], []
+    for y, tau in zip(ys, taus):
+        y, censor = tuple(y), Rectangle(tuple(tau))
+        latent.append(obs(y, censor) if contains(censor, y)
+                      else SubjectRecord(censor=censor, status="censored_latent", latent=y))
+        opaque.append(SubjectRecord(censor=censor, status="censored_opaque",
+                                    minima=tuple(np.minimum(y, tau)), events=tuple(int(v) for v in y <= tau)))
+    a, b = CensoredSample(latent), CensoredSample(opaque)
+    q = np.vstack([rng.random((16, 2)), a.event_points])
+    assert np.array_equal(a.event_points, b.event_points)
+    assert np.array_equal(at_risk(a, q), at_risk(b, q))
+    assert np.array_equal(jump_masses(a), jump_masses(b))
+    grid = Grid(9, (1.0, 1.0))
+    assert np.array_equal(nelson_aalen_surface(a, grid).values, nelson_aalen_surface(b, grid).values)
+    for axis in (0, 1):
+        ma, mb = marginal_nelson_aalen(a, axis), marginal_nelson_aalen(b, axis)
+        for key in ("values", "counts", "at_risk", "jumps", "cum"):
+            assert np.array_equal(getattr(ma, key), getattr(mb, key)), key
+        assert np.array_equal(kaplan_meier(ma).values, kaplan_meier(mb).values)
+
+
 # ---------------------------------------------------------------------------
 # surfaces
 # ---------------------------------------------------------------------------

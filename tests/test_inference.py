@@ -452,7 +452,7 @@ def test_coverage_flags_match_replicate_loop_oracle(monkeypatch):
             lambda rs: root_n * float(np.max(np.abs(_independence_diff(rs, grid) - base))),
             sample, boot_seed, b)
         crit = _finish("band", 0.0, reps, BootstrapSpec(replicates=b, alpha=alpha), {})
-        truth = _truth_difference(cfg.model, grid)
+        truth = _truth_difference(cfg.model)(grid)
         return float(np.max(np.abs(base - truth))) * root_n <= crit.critical_value
 
     seen = []

@@ -336,6 +336,9 @@ def test_csv_errors(tmp_path):
     path.write_text(head + "\n0.1,0.2,x,1,1.0,1.0\n")
     with pytest.raises(DataError, match="line 2"):
         read_dataset_csv(path)
+    path.write_text(head + "\n0.1,0.2,1,1,1.5,0.9\n")
+    with pytest.raises(DataError, match=r"line 2: rectangle corner must lie in \[0,1\]\^2"):
+        read_dataset_csv(path)
     path.write_text("")
     with pytest.raises(DataError, match="empty"):
         read_dataset_csv(path)

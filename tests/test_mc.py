@@ -95,7 +95,7 @@ def test_min_replicate_guard_constant():
 
 def test_truth_difference_independent_case_is_exactly_zero():
     grid = Grid(6, (0.9, 0.9))
-    diff = _truth_difference(FgmModel(0.0), grid)
+    diff = _truth_difference(FgmModel(0.0))(grid)
     assert diff.shape == (6, 6)
     assert np.all(diff == 0.0)
 
@@ -103,7 +103,7 @@ def test_truth_difference_independent_case_is_exactly_zero():
 def test_truth_difference_matches_quadrature():
     model = FgmModel(0.9)
     grid = Grid(4, (0.8, 0.8))
-    diff = _truth_difference(model, grid)
+    diff = _truth_difference(model)(grid)
     spec = QuadratureSpec(rtol=1e-7)
     for i, x in enumerate(grid.xs):
         for j, y in enumerate(grid.ys):

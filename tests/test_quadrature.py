@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bihazard.errors import ConfigError
-from bihazard.geometry import LowerRect, PredicateRegion
-from bihazard.quadrature import QuadratureSpec, integrate_region, midpoints
+from bihazard.geometry import LowerRect, PredicateRegion, lattice
+from bihazard.models import FgmModel, integrated_hazard
+from bihazard.quadrature import QuadratureSpec, integrate_region, mesh_sum, midpoints
 
 
 def test_spec_validation():
@@ -79,3 +81,26 @@ def test_requires_region():
 def test_result_is_floatable():
     res = integrate_region(lambda p: np.ones(p.shape[:-1]), LowerRect((0.2, 0.2)))
     assert float(res) == pytest.approx(0.04, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [100, 384, 512, 1024, 2048])
+def test_mesh_sum_equals_whole_mesh_sum(k):
+    # power-of-two k splits into row blocks whose sums combine pairwise as numpy's own sum does
+    hazard = FgmModel(0.7).hazard
+    disk = PredicateRegion(lambda p: (p[..., 0] - 0.4) ** 2 + (p[..., 1] - 0.5) ** 2 <= 0.2)
+    for box, mask in (((0.6, 0.8), None), ((1.0, 1.0), disk)):
+        mesh = lattice(midpoints(box[0], k), midpoints(box[1], k))
+        inside = True if mask is None else mask.contains(mesh)
+        want = np.where(inside, hazard(mesh), 0.0).sum()
+        assert mesh_sum(hazard, box, k, mask) == want
+
+
+def test_integrated_hazard_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        res = integrated_hazard(FgmModel(0.3), LowerRect((0.8, 0.8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.resolution == 2048
+    assert peak < 16 * 2 ** 20
