@@ -15,7 +15,8 @@ resample, say; all ones for a plain count).  dominance_counter lays the
 levels out once for a set of points and queries and returns the count
 as a function of the weights: each level adds the difference of two
 cumulative sums of the weights in key order, for all rows at once, and
-the broadcast branch is a weighted product.
+the broadcast branch is a weighted product.  The sums run points-major
+(points x rows), so a level gathers and sums whole rows of replicates.
 """
 
 from __future__ import annotations
@@ -48,28 +49,37 @@ def dominance_counter(points, queries):
     pos = np.arange(n)
     levels = []
     for level in range(n.bit_length()):
-        # a set bit adds the prefix block of 2**level points ending at (reach >> level) << level
+        # a set bit adds the prefix block of 2**level points ending at (reach >> level) << level;
+        # the other queries get the empty key range [0, 0), so every query reads every level
         use = np.flatnonzero((reach >> level) & 1)
         if len(use) == 0:
             continue
         keys = (pos >> level) * m + p_rank              # by block, then y rank
         perm = np.argsort(keys)                         # ties share a key: their order never matters
         block = (reach[use] >> level) - 1
-        lo = np.searchsorted(keys[perm], block * m + q_rank[use])
-        levels.append((use, order[perm], lo, (block + 1) << level))
+        lo, hi = np.zeros((2, k), dtype=np.intp)
+        lo[use] = np.searchsorted(keys[perm], block * m + q_rank[use])
+        hi[use] = (block + 1) << level
+        levels.append((order[perm], lo, hi))
 
     def count(w):
-        out = np.zeros((len(w), k), dtype=w.dtype)
-        cum = np.zeros((len(w), n + 1), dtype=w.dtype)
-        for use, cols, lo, hi in levels:
-            np.take(w, cols, axis=1, out=cum[:, 1:])
-            np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
-            hits = cum[:, hi]
-            hits -= cum[:, lo]
-            out[:, use] += hits
-        return out
+        wt = np.ascontiguousarray(w.T)
+        out = np.zeros((k, len(w)), dtype=w.dtype)
+        for cols, lo, hi in levels:
+            cum = running_sums(wt, cols)
+            out += np.take(cum, hi, axis=0) - np.take(cum, lo, axis=0)
+        return out.T
 
     return count
+
+
+def running_sums(wt, cols):
+    """Row j is wt[cols[0]] + ... + wt[cols[j - 1]] (row 0 is zeros), for points-major weights
+    wt (points x rows), in wt's dtype: exact for integer weights."""
+    out = np.zeros((len(cols) + 1,) + wt.shape[1:], dtype=wt.dtype)
+    np.take(wt, cols, axis=0, out=out[1:])
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    return out
 
 
 def dominating_count(points, queries, weights=None):

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import censoring as cen
-from .dominance import dominance_counter, dominating_count, dominating_count_naive
+from .dominance import dominance_counter, dominating_count, dominating_count_naive, running_sums
 from .errors import ConfigError, DataError, DomainError, ObservabilityError, QuantileRangeError, ReductionError
 from .geometry import Grid, LowerRect, as_points, lattice
 from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, mesh_sum, midpoints
@@ -191,6 +191,7 @@ class CensoredSample:
         self.status = status
         self.events = events
         self.event_mask = (status == 0) | ((status == 2) & events.all(axis=1))
+        self.event_points = carrier[self.event_mask]
         self.regions = regions
         self.region_index = region_index
         self.terms = _term_table(regions) if terms is None else terms
@@ -220,10 +221,6 @@ class CensoredSample:
         raise (ObservabilityError if k == 3 else DataError)(f"record {i}: {messages[k]}")
 
     @property
-    def event_points(self):
-        return self.carrier[self.event_mask]
-
-    @property
     def records(self):
         """The sample as SubjectRecords, built on demand."""
         return [record_from_fields(self.regions[r], _STATUSES[k], tuple(c), e if k == 2 else None)
@@ -239,6 +236,7 @@ class CensoredSample:
         out.n = len(idx)
         for name in ("carrier", "status", "events", "event_mask", "region_index"):
             setattr(out, name, getattr(self, name)[idx])
+        out.event_points = out.carrier[out.event_mask]
         out.regions = self.regions
         out.terms = self.terms
         out.fast = self.fast
@@ -322,7 +320,7 @@ def jump_masses(sample, method="auto", weights=None):
     z = _risk_counts(sample, sample.event_points, w, keep, naive)
     if np.any(z < w_ev):
         raise DataError("internal inconsistency: an observed point is not at risk at itself")
-    masses = np.divide(w_ev, z, out=np.zeros(z.shape), where=w_ev > 0)
+    masses = w_ev / np.maximum(z, 1)      # integer z >= w_ev >= 1 where drawn; else mass 0
     if weights is None:
         masses = sample._mass_cache[method] = masses[0]
     return masses
@@ -346,19 +344,24 @@ def surface_values(points, masses, xs, ys):
     is binned into its cell once, and every cell sums its masses in point
     order.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    ix = np.searchsorted(np.asarray(xs, dtype=float), pts[:, 0], side="left")
+    iy = np.searchsorted(np.asarray(ys, dtype=float), pts[:, 1], side="left")
+    return cell_surface(ix, iy, masses, len(xs), len(ys))
+
+
+def cell_surface(ix, iy, masses, nx, ny):
+    """surface_values from each point's cell (ix, iy) in an nx x ny lattice, shared by every
+    row of masses or given per row; one bincount over (row, cell) ids bins all rows."""
     masses = np.asarray(masses, dtype=float)
     lead = masses.shape[:-1]
-    sums = np.zeros((int(np.prod(lead)), len(xs) * len(ys)))
-    if len(points):
-        ix = np.searchsorted(xs, points[:, 0], side="left")
-        iy = np.searchsorted(ys, points[:, 1], side="left")
-        keep = (ix < len(xs)) & (iy < len(ys))
-        cell = ix[keep] * len(ys) + iy[keep]
-        for row, mass in zip(sums, masses.reshape(len(sums), -1)):
-            row[:] = np.bincount(cell, weights=mass[keep], minlength=len(row))
-    sums = sums.reshape(lead + (len(xs), len(ys)))
+    m = masses.reshape(int(np.prod(lead)), masses.shape[-1])
+    ix, iy = np.broadcast_to(ix, m.shape), np.broadcast_to(iy, m.shape)
+    keep = (ix < nx) & (iy < ny)
+    cell = (np.arange(len(m))[:, None] * nx + ix) * ny + iy
+    # an empty bincount is integer whatever its weights
+    sums = np.bincount(cell[keep], weights=m[keep], minlength=len(m) * nx * ny).astype(float, copy=False)
+    sums = sums.reshape(lead + (nx, ny))
     np.cumsum(sums, axis=-2, out=sums)
     return np.cumsum(sums, axis=-1, out=sums)
 
@@ -403,8 +406,8 @@ def _risk_counts_on_mesh(sample, mesh):
     for mask, rec, pts, sign in _term_groups(sample.carrier, sample.region_index, sample.terms):
         bx = np.searchsorted(mx, pts[:, 0], side="right")
         by = np.searchsorted(my, pts[:, 1], side="right")
-        cell = np.zeros((len(mx) + 1, len(my) + 1), dtype=np.int64)
-        np.add.at(cell, (bx, by), sign.astype(np.int64))          # int8 values take a slow path
+        cell = np.bincount(bx * (len(my) + 1) + by, weights=sign, minlength=(len(mx) + 1) * (len(my) + 1))
+        cell = cell.astype(np.int64).reshape(len(mx) + 1, len(my) + 1)
         suff = cell[1:, 1:][::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
         z += suff * _mask(mask, mesh)
     return z
@@ -503,14 +506,6 @@ def _step_eval(locations, levels, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _cumulative(w, cols):
-    """Running sums along each row of w[:, cols], with a leading 0 column."""
-    out = np.zeros((len(w), len(cols) + 1), dtype=w.dtype)
-    np.take(w, cols, axis=1, out=out[:, 1:])
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
-    return out
-
-
 def _marginal_layout(sample, axis):
     """The base sample's part of a marginal estimate on one axis.
 
@@ -571,13 +566,13 @@ def marginal_nelson_aalen(sample, axis, weights=None):
     if len(events) == 0:
         e = np.zeros(lead + (0,))
         return MarginalEstimate(axis, np.empty(0), e.astype(int), e.astype(int), e, e, sample.n)
-    cnt = np.add.reduceat(w[:, events], starts, axis=1)
-    # each pair counts its record's weight
-    z = _cumulative(w, a_recs)[:, a_cut]
-    z -= _cumulative(w, e_recs)[:, e_cut]
+    # points-major: each pair counts its record's weight, for every row at once
+    wt = np.ascontiguousarray(w.T)
+    cnt = np.add.reduceat(wt[events], starts, axis=0).T
+    z = (running_sums(wt, a_recs)[a_cut] - running_sums(wt, e_recs)[e_cut]).T
     if np.any(z < cnt):
         raise DataError("internal inconsistency: marginal event not at risk at itself")
-    jumps = np.divide(cnt, z, out=np.zeros(cnt.shape), where=cnt > 0)
+    jumps = cnt / np.maximum(z, 1)        # integer z >= cnt >= 1 where held; else jump 0
     cum = np.cumsum(jumps, axis=1)
     if weights is None:
         cnt, z, jumps, cum = cnt[0], z[0], jumps[0], cum[0]

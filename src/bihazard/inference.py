@@ -13,7 +13,8 @@ resamples subjects together with their censoring sets from the substream
 multiset.  A resample is a count vector over the base records (record i
 drawn w_i times: the exchangeable-weights bootstrap), so no resample is
 built: chunks of count rows, sized by a fixed byte budget, go through the
-weighted estimators on the base sample, one statistic per row.  What the
+weighted estimators on the base sample, one statistic per row, all rows
+at once (their running sums are points-major, records x rows).  What the
 estimators derive from the base sample alone (the Fenwick layout at its
 events, the marginals' pair table) is built once and shared by the chunks.
 """
@@ -27,9 +28,8 @@ import numpy as np
 
 from .decode import INT, NUM, Schema
 from .errors import ConfigError, DataError, QuantileRangeError
-from .estimators import (at_risk, jump_masses, kaplan_meier,
-                         marginal_nelson_aalen, nelson_aalen, nelson_aalen_surface,
-                         surface_values)
+from .estimators import (at_risk, cell_surface, jump_masses, kaplan_meier,
+                         marginal_nelson_aalen, nelson_aalen, nelson_aalen_surface)
 from .geometry import Grid, PredicateRegion
 from .models import fgm_order_region
 from .util import BOOTSTRAP, substream
@@ -119,9 +119,9 @@ def bootstrap_resample(sample, rng):
 
 
 # A chunk holds as many replicates as fit rows x (records + grid nodes) float64s in this
-# budget: large enough that each estimator call's fixed cost is shared by several rows,
-# small enough that its temporaries do not move the process's peak memory much.
-_CHUNK_BYTES = 1 << 17
+# budget.  A points-major row costs little, so the budget spreads each estimator call's
+# fixed cost over many rows; 512 KiB was no faster at n = 1000 and added peak memory.
+_CHUNK_BYTES = 1 << 18
 
 
 def _count_rows(draws, n):
@@ -292,35 +292,30 @@ def _order_window_region(tau):
     return PredicateRegion(pred)
 
 
-def _km_quantile_row(locs, vals, levels):
-    """Vectorized generalized inverse of the step CDF with values vals at locs;
-    undefined levels get a sentinel above 1."""
-    out = np.full(len(levels), 2.0)
-    ok = np.zeros(len(levels), dtype=bool)
-    if len(vals):
-        idx = np.searchsorted(vals, levels, side="left")
-        good = idx < len(vals)
-        out[good] = locs[idx[good]]
-        ok = good
-    return out, ok
+def _corner_cells(cdf, levels, coords):
+    """Per row of a step CDF, the cell of each coordinate among the row's KM-quantile corners
+    inf{s : F(s) >= p}, and which levels p are attained.  A corner lies below x exactly when
+    F reaches its level before x, so the cell counts the levels at most F at the last location
+    below x: one search of every CDF value among the sorted levels serves every row."""
+    vals = np.atleast_2d(cdf.values)
+    reached = np.zeros((len(vals), vals.shape[1] + 1), dtype=np.int64)
+    reached[:, 1:] = np.searchsorted(levels, vals, side="right")
+    cells = reached[:, np.searchsorted(cdf.locations, coords, side="left")]
+    return cells, np.arange(len(levels)) < reached[:, -1:]
 
 
 def _copula_corner_surface(sample, ps, qs, weights=None):
     """Hhat at the KM-quantile corner lattice; masks mark attainable levels.
 
     With a (rows x n) count matrix, each row gets its own lattice, so the
-    values and masks gain a leading rows axis.
+    values and masks gain a leading rows axis; all rows are binned together.
     """
     f = kaplan_meier(marginal_nelson_aalen(sample, 0, weights))
     g = kaplan_meier(marginal_nelson_aalen(sample, 1, weights))
     masses = np.atleast_2d(jump_masses(sample, weights=weights))
-    vals = np.empty((len(masses), len(ps), len(qs)))
-    x_ok = np.empty((len(masses), len(ps)), dtype=bool)
-    y_ok = np.empty((len(masses), len(qs)), dtype=bool)
-    for r, (fv, gv) in enumerate(zip(np.atleast_2d(f.values), np.atleast_2d(g.values))):
-        xs, x_ok[r] = _km_quantile_row(f.locations, fv, ps)
-        ys, y_ok[r] = _km_quantile_row(g.locations, gv, qs)
-        vals[r] = surface_values(sample.event_points, masses[r], xs, ys)
+    ix, x_ok = _corner_cells(f, ps, sample.event_points[:, 0])
+    iy, y_ok = _corner_cells(g, qs, sample.event_points[:, 1])
+    vals = cell_surface(ix, iy, masses, len(ps), len(qs))
     return (vals, x_ok, y_ok) if weights is not None else (vals[0], x_ok[0], y_ok[0])
 
 

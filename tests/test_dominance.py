@@ -53,10 +53,11 @@ def test_empty_inputs():
 @st.composite
 def weighted_sets(draw):
     """Points and queries on a lattice (ties in both axes), with integer weight rows
-    that include zeros; sizes fall on both sides of the 64 switch."""
+    that include zeros; sizes fall on both sides of the 64 switch, and the row counts
+    span the chunk sizes a bootstrap uses."""
     n = draw(st.integers(0, 140))
     k = draw(st.integers(0, 140))
-    rows = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 40))
     steps = draw(st.sampled_from([3, 8, 1000]))
     coords = st.integers(0, steps)
     pts = draw(hnp.arrays(np.int64, (n, 2), elements=coords)) / steps
@@ -81,3 +82,6 @@ def test_weighted_count_matches_weighted_broadcast(case):
     count = dominance_counter(pts, qs)
     assert np.array_equal(count(w[::-1]), want[::-1])
     assert np.array_equal(count(w.astype(np.int32)), want) and count(w.astype(np.int32)).dtype == np.int32
+    # weights that are views, not contiguous rows: reversed points and Fortran order
+    assert np.array_equal(dominating_count(pts[::-1], qs, w[:, ::-1]), want)
+    assert np.array_equal(count(np.asfortranarray(w)), want)

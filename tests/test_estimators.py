@@ -578,6 +578,8 @@ def test_surface_values_binning():
     assert np.array_equal(rows[0], vals) and np.array_equal(rows[1], 2 * vals)
     none = surface_values(pts, np.array([masses]), [0.1], [0.1])
     assert none.dtype == float and none.shape == (1, 1, 1) and none[0, 0, 0] == 0.0
+    empty = surface_values(np.empty((0, 2)), np.zeros((2, 0)), xs, xs)
+    assert empty.dtype == float and empty.shape == (2, 21, 21) and not empty.any()
 
 
 def test_surface_values_duplicate_nodes_and_dropped_points():

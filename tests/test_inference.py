@@ -6,8 +6,9 @@ import pytest
 from bihazard import inference, mc
 from bihazard.censoring import CensoringModel, FullSpace, GridProduct, QuantileTable, Rectangle
 from bihazard.errors import ConfigError, QuantileRangeError
-from bihazard.estimators import (CensoredSample, SubjectRecord, at_risk, nelson_aalen,
-                                 nelson_aalen_surface, simulate_sample)
+from bihazard.estimators import (CensoredSample, SubjectRecord, at_risk, kaplan_meier, km_quantile,
+                                 marginal_nelson_aalen, nelson_aalen, nelson_aalen_surface,
+                                 simulate_sample)
 from bihazard.geometry import Grid, LowerRect, PredicateRegion
 from bihazard.inference import (BootstrapSpec, _copula_corner_surface, _finish,
                                 _independence_diff, _order_window_region, _resolve_tau,
@@ -432,6 +433,47 @@ def test_bootstrap_engine_matches_replicate_loop_oracle(monkeypatch):
         one, many = run(spec), run(BootstrapSpec(replicates=b, seed=seed, grid_size=8, workers=4))
         assert np.array_equal(one.replicate_statistics, many.replicate_statistics)
         assert one.to_json() == many.to_json()
+
+
+def test_chunk_budget_changes_no_replicate_above_the_fenwick_switch(monkeypatch):
+    # each sample alone has more than 64 events, so every count runs the Fenwick levels
+    f = sim(0.4, 150, 71, rect_model())
+    g = simulate_sample(FgmModel(0.0), rect_model(), 140, np.random.default_rng(72), form="observable")
+    assert min(int(f.event_mask.sum()), int(g.event_mask.sum())) > 64
+    spec, tau = BootstrapSpec(replicates=45, seed=5, grid_size=32), (0.8, 0.8)
+    # at the default budget a pooled chunk holds several rows and the last chunk is partial
+    rows = inference._CHUNK_BYTES // (8 * (2 * (f.n + g.n) + spec.grid_size ** 2))
+    assert 1 < rows and spec.replicates % rows
+    tests = (lambda: independence_test(f, spec), lambda: hazard_order_test(f, g, spec),
+             lambda: fgm_order_test(f, g, tau, spec, True),
+             lambda: fgm_order_test(f, g, tau, spec, False))
+    default = [run() for run in tests]
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 1)
+    for run, want in zip(tests, default):
+        got = run()
+        assert np.array_equal(got.replicate_statistics, want.replicate_statistics)
+        assert got.to_json() == want.to_json()
+
+
+def test_copula_corner_surface_matches_per_node_quantiles():
+    s = sim(0.3, 60, 17, rect_model(0.5, 0.7))
+    f, g = (kaplan_meier(marginal_nelson_aalen(s, axis)) for axis in (0, 1))
+    # levels equal to attained CDF values, between them, and above the largest one
+    ps = np.unique(np.concatenate([f.values[::4], np.linspace(0.02, 0.98, 9)]))
+    qs = np.unique(np.concatenate([g.values[1::5], np.linspace(0.03, 0.99, 7)]))
+    vals, x_ok, y_ok = _copula_corner_surface(s, ps, qs)
+    assert x_ok.tolist() == (ps <= f.max_value).tolist() and not x_ok.all()
+    assert y_ok.tolist() == (qs <= g.max_value).tolist() and not y_ok.all()
+    for i, p in enumerate(ps[x_ok]):
+        for j, q in enumerate(qs[y_ok]):
+            want = nelson_aalen(s, LowerRect((km_quantile(f, p), km_quantile(g, q))))
+            assert vals[i, j] == pytest.approx(want, rel=1e-12, abs=0)
+    # weight rows are binned together, and each row is what it is alone
+    w = np.random.default_rng(18).integers(0, 3, (5, s.n))
+    rows = _copula_corner_surface(s, ps, qs, w)
+    for r in range(len(w)):
+        alone = _copula_corner_surface(s, ps, qs, w[r:r + 1])
+        assert all(np.array_equal(a[r], b[0]) for a, b in zip(rows, alone))
 
 
 def test_coverage_flags_match_replicate_loop_oracle(monkeypatch):
