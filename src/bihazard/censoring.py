@@ -15,6 +15,7 @@ otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .util import substream
 
 __all__ = [
     "FullSpace", "Rectangle", "GridProduct", "BandComplement", "LowerLayer",
-    "Raster", "contains", "rasterize", "observable_core",
+    "Raster", "RegionTable", "contains", "rasterize", "observable_core",
     "QuantileTable", "CensoringModel", "CensoringDiagnostics",
     "inclusion_prob", "joint_inclusion_prob", "validate_censoring",
     "region_to_json", "region_from_json",
@@ -158,6 +159,37 @@ class Raster:
 
     def __repr__(self):
         return f"Raster(m={self.m}, true={int(self.mask.sum())}/{self.m * self.m})"
+
+
+class RegionTable(Sequence):
+    """Regions as rows, read as a sequence of region objects: row r is Rectangle(param[r, :2])
+    where kind[r] is 1, BandComplement(*param[r]) where it is 2, and else objects[r].  The
+    objects of column rows are built when indexed, unless the table was made from them."""
+
+    def __init__(self, kind, param, objects):
+        self.kind, self.param, self.objects = kind, param, objects
+
+    @classmethod
+    def of(cls, rows):
+        """From region objects, and (kind, a, b, c) tuples of column rows."""
+        rows = list(rows)
+        cols = np.array([r if type(r) is tuple else (1, *r.tau, 0.0) if isinstance(r, Rectangle)
+                         else (2, r.k1, r.k2, r.c) if isinstance(r, BandComplement) else (0, 0.0, 0.0, 0.0)
+                         for r in rows], dtype=float).reshape(-1, 4)
+        return cls(cols[:, 0].astype(np.int8), cols[:, 1:], [None if type(r) is tuple else r for r in rows])
+
+    def __len__(self):
+        return len(self.kind)
+
+    def __getitem__(self, r):
+        if self.objects[r] is not None:
+            return self.objects[r]
+        a, b, c = self.param[r].tolist()
+        return Rectangle((a, b)) if self.kind[r] == 1 else BandComplement(a, b, c)
+
+    def __add__(self, other):
+        return RegionTable(np.concatenate([self.kind, other.kind]),
+                           np.concatenate([self.param, other.param]), self.objects + other.objects)
 
 
 def contains(region, pts):
@@ -339,15 +371,21 @@ class CensoringModel:
     # -- sampling -----------------------------------------------------------
 
     def sample_regions(self, n, rng):
-        """n regions; a drawn family takes one rng.random((n, 2)), the draws of n random(2) calls."""
+        """(RegionTable, index) of n drawn regions: a fixed family's one region and an all-zero
+        index, or a drawn family's n parameter rows from one rng.random((n, 2))."""
+        n = int(n)
         if self.family in _FIXED_FAMILIES:
-            return [self.params["region"]] * int(n)
-        u = rng.random((int(n), 2))
+            return RegionTable.of([self.params["region"]]), np.zeros(n, dtype=np.int64)
+        u = rng.random((n, 2))
         a, b = (self.params[k].sample(u[:, i]) for i, k in enumerate(_DRAWN[self.family]))
-        if self.family == "rectangle":
-            return [Rectangle(tau) for tau in zip(a.tolist(), b.tolist())]
-        return [BandComplement(k1, k2, self.params["c"])
-                for k1, k2 in zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        band = self.family == "band_complement"
+        regions = RegionTable(np.full(n, 1 + band, dtype=np.int8), np.column_stack(
+            [lo, hi, np.full(n, float(self.params["c"]))] if band else [a, b, np.zeros(n)]), [None] * n)
+        bad = ~((0.0 <= lo) & (hi <= 1.0))
+        if bad.any():
+            regions[int(np.argmax(bad))]      # the first region out of range raises its own error
+        return regions, np.arange(n)
 
     @property
     def deterministic(self):
@@ -416,7 +454,8 @@ def _mc_inclusion(model, key, *point_sets):
     sets = np.broadcast_arrays(*point_sets)
     hits = np.zeros(sets[0].shape[:-1])
     n = model.mc_prob_samples
-    for xi in model.sample_regions(n, rng):
+    regions, index = model.sample_regions(n, rng)
+    for xi in map(regions.__getitem__, index.tolist()):
         hits += np.logical_and.reduce([contains(xi, p) for p in sets])
     prob = hits / n
     return prob, np.sqrt(prob * (1.0 - prob) / n)

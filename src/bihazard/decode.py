@@ -2,7 +2,6 @@
 
 Schema(spec, error) compiles a spec once.  Specs:
   INT, NUM, BOOL, STR     JSON integer, number, boolean, string; a boolean is never a number
-  ANY                     any value, as is
   PAIR                    two numbers, decoded to a tuple of floats
   {value, ...}            one of these values, types included (True is not 1)
   [spec], [spec, ...]     a list; with two or more specs, a list of that length, as a tuple
@@ -22,9 +21,9 @@ from collections import namedtuple
 
 from .errors import ConfigError, DataError
 
-__all__ = ["INT", "NUM", "BOOL", "STR", "ANY", "PAIR", "OPTIONAL", "Tagged", "Built", "Schema"]
+__all__ = ["INT", "NUM", "BOOL", "STR", "PAIR", "OPTIONAL", "Tagged", "Built", "Schema"]
 
-INT, NUM, BOOL, STR, ANY, PAIR = "integer", "number", "boolean", "string", "any", "pair"
+INT, NUM, BOOL, STR, PAIR = "integer", "number", "boolean", "string", "pair"
 OPTIONAL, _REQUIRED = object(), object()
 Tagged = namedtuple("Tagged", "tag variants")
 Built = namedtuple("Built", "spec build")
@@ -40,7 +39,7 @@ def is_number(v):
 
 _SCALARS = {INT: (is_integer, "an integer"), NUM: (is_number, "a number"),
             BOOL: (lambda v: isinstance(v, bool), "a boolean"),
-            STR: (lambda v: isinstance(v, str), "a string"), ANY: (lambda v: True, "anything")}
+            STR: (lambda v: isinstance(v, str), "a string")}
 
 
 class Schema:

@@ -8,9 +8,10 @@ xi_i; the point is recorded only if Y_i in xi_i.  Three record forms exist:
   censored_opaque   componentwise minima Y ^ tau with per-coordinate event
                     flags, available only under rectangle censoring.
 
-A CensoredSample holds them as columns plus a table of distinct regions
-and checks them in one vectorized pass; SubjectRecord is the per-subject
-form that dataset I/O reads and writes.
+A CensoredSample holds them as columns plus a region table (rectangle
+and band parameters as columns, other regions as objects) and checks them
+in one vectorized pass.  SubjectRecord is the per-subject form; a sample's
+`records` is a column view that builds them only when indexed or iterated.
 
 The at-risk count at t is Z_n(t) = sum_i 1{Y_i >= t} 1{t in xi_i}; the
 counting measure of a region A is N_A = #{i : Y_i in A and observed};
@@ -29,8 +30,10 @@ count is one weighted dominance count per mask.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from operator import eq
 
 import numpy as np
 
@@ -87,20 +90,70 @@ def _check_fields(f):
     return f
 
 
-def record_from_fields(censor, status, value, events=None):
-    """SubjectRecord(censor, status, <status's field>=value, events=events), in one check."""
-    rec = object.__new__(SubjectRecord)
-    object.__setattr__(rec, "__dict__", _check_fields({
-        "censor": censor, "status": status, "point": None, "latent": None, "minima": None,
-        "events": events, _FIELDS[_STATUSES.index(status)]: value}))
-    return rec
+def _columns(records):
+    """(carrier, status, events, regions, region_index) of SubjectRecords, with one region row
+    per distinct region object in first-seen order (objects, not equal values: equal regions
+    may be written differently, as Rectangle((-0.0, 1.0)) and Rectangle((0.0, 1.0)) are).
+    A RecordView gives its own columns."""
+    if isinstance(records, RecordView):
+        return records.columns
+    rows, carrier, status, events, index = {}, [], [], [], []
+    for i, rec in enumerate(records):
+        k = _STATUSES.index(rec.status)
+        value = getattr(rec, _FIELDS[k])
+        if value is None or (k == 2 and rec.events is None):
+            needs = ("a point", "the latent point", "minima and event flags")[k]
+            raise DataError(f"record {i}: {rec.status} record needs {needs}")
+        carrier.append(value)
+        status.append(k)
+        events.append(rec.events if k == 2 else (0, 0))
+        index.append(rows.setdefault(id(rec.censor), (len(rows), rec.censor))[0])
+    return (np.array(carrier, dtype=float).reshape(-1, 2), np.array(status, dtype=np.int8),
+            np.array(events, dtype=bool).reshape(-1, 2),
+            cen.RegionTable.of(region for _, region in rows.values()), np.array(index, dtype=np.int64))
 
 
-def _region_table(censors):
-    """Distinct regions in first-seen order and each record's index into them."""
-    table = {}
-    index = np.fromiter((table.setdefault(c, len(table)) for c in censors), dtype=np.int64)
-    return list(table), index
+def _record(carrier, status, events, region):
+    k = int(status)
+    return SubjectRecord(region, _STATUSES[k], **{_FIELDS[k]: tuple(carrier)},
+                         events=events if k == 2 else None)
+
+
+class RecordView(Sequence):
+    """Read-only records over the columns (carrier, status, events, regions, region_index):
+    record i is status[i] with carrier[i], opaque flags events[i] and region
+    regions[region_index[i]].  SubjectRecords are built when indexed or iterated; slices are
+    lists.  == compares the columns of another view, and any other sequence record
+    by record."""
+
+    __hash__ = None
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[1])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        carrier, status, events, regions, index = self.columns
+        return _record(carrier[i].tolist(), status[i], events[i].tolist(), regions[index[i]])
+
+    def __iter__(self):
+        carrier, status, events, regions, index = self.columns
+        return map(_record, carrier.tolist(), status.tolist(), events.tolist(),
+                   map(regions.__getitem__, index.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, RecordView):
+            return NotImplemented if not isinstance(other, Sequence) else (
+                len(self) == len(other) and all(map(eq, self, other)))
+        (*mine, a, ra), (*theirs, b, rb) = self.columns, other.columns
+        held = set(zip(ra[a.kind[ra] == 0].tolist(), rb[b.kind[rb] == 0].tolist()))
+        return (len(ra) == len(rb) and all(map(np.array_equal, mine + [a.kind[ra], a.param[ra]],
+                                               theirs + [b.kind[rb], b.param[rb]]))
+                and all(a[r] == b[q] for r, q in held))
 
 
 _TermTable = namedtuple("_TermTable", "start cap sign group masks")
@@ -119,19 +172,21 @@ def _term_table(regions):
     band complement with k1 < k2 adds two terms on its strip: it removes
     1{Y >= t, k1 < t1 < k2}, the points capped below k2 less those capped at k1.
     """
+    kind, (k1, k2, c) = regions.kind, regions.param.T
     masks = {None: 0}
-    boxes = (cen.Rectangle, cen.FullSpace, cen.BandComplement)
-    head_group = [masks.setdefault(None if isinstance(r, boxes) else r, len(masks)) for r in regions]
-    head_cap = [r.tau if isinstance(r, cen.Rectangle) else (1.0, 1.0) for r in regions]
-    band = [isinstance(r, cen.BandComplement) and r.k1 < r.k2 for r in regions]
-    k1, k2, c = np.array([(r.k1, r.k2, r.c) for r, b in zip(regions, band) if b]).reshape(-1, 3).T
-    start = np.concatenate([[0], np.cumsum(1 + 2 * np.array(band, dtype=bool))])
+    held = np.flatnonzero(kind == 0).tolist()
+    head_group = np.zeros(len(kind), np.int32)
+    head_group[held] = [masks.setdefault(None if isinstance(r, cen.FullSpace) else r, len(masks))
+                        for r in map(regions.__getitem__, held)]
+    band = (kind == 2) & (k1 < k2)
+    start = np.concatenate([[0], np.cumsum(1 + 2 * band)])
     head = start[:-1]
     below, at = head[band] + 1, head[band] + 2
     cap, sign, group = np.ones((start[-1], 2)), np.ones(start[-1], np.int8), np.empty(start[-1], np.int32)
-    cap[head], group[head] = head_cap, head_group
-    cap[below, 0], sign[below], cap[at, 0] = np.nextafter(k2, -np.inf), -1, k1
-    group[below] = group[at] = [masks.setdefault(float(w), len(masks)) for w in c]
+    cap[head] = np.where((kind == 1)[:, None], regions.param[:, :2], 1.0)
+    group[head] = head_group
+    cap[below, 0], sign[below], cap[at, 0] = np.nextafter(k2[band], -np.inf), -1, k1[band]
+    group[below] = group[at] = [masks.setdefault(w, len(masks)) for w in c[band].tolist()]
     return _TermTable(start, cap, sign, group, list(masks))
 
 
@@ -167,25 +222,15 @@ class CensoredSample:
     an index into _STATUSES, carries), opaque flags `events[i]` and `regions[region_index[i]]`."""
 
     def __init__(self, records):
-        records = list(records)
-        if not records:
+        columns = _columns(records)
+        if len(columns[1]) == 0:
             raise DataError("empty dataset")
-        carrier, status, events = [], [], []
-        for i, rec in enumerate(records):
-            k = _STATUSES.index(rec.status)
-            value = getattr(rec, _FIELDS[k])
-            if value is None or (k == 2 and rec.events is None):
-                needs = ("a point", "the latent point", "minima and event flags")[k]
-                raise DataError(f"record {i}: {rec.status} record needs {needs}")
-            carrier.append(value)
-            status.append(k)
-            events.append(rec.events if k == 2 else (0, 0))
-        self._init(np.array(carrier, dtype=float), np.array(status, dtype=np.int8),
-                   np.array(events, dtype=bool), *_region_table(rec.censor for rec in records))
+        self._init(*columns)
 
-    def _init(self, carrier, status, events, regions, region_index, terms=None):
+    def _init(self, carrier, status, events, regions, region_index, terms=None, inside=None):
         """The one construction path: columns plus region table, checked together; `terms` is
-        the region table's `_term_table`, when the caller has already built it."""
+        the region table's `_term_table` and `inside` each record's membership in its region
+        (`_inside`), when the caller has already computed them."""
         self.n = len(status)
         self.carrier = carrier
         self.status = status
@@ -195,12 +240,13 @@ class CensoredSample:
         self.regions = regions
         self.region_index = region_index
         self.terms = _term_table(regions) if terms is None else terms
-        self.fast = all(isinstance(r, (cen.Rectangle, cen.FullSpace)) for r in regions)
+        self.fast = not (regions.kind == 2).any() and all(
+            isinstance(regions[r], cen.FullSpace) for r in np.flatnonzero(regions.kind == 0).tolist())
         self._mass_cache = {}
         self._layouts = {}
         # every record check at once; the first offending record is named
-        inside = _inside(carrier, region_index, self.terms)
-        rect = np.array([isinstance(r, cen.Rectangle) for r in regions])[region_index]
+        inside = _inside(carrier, region_index, self.terms) if inside is None else inside
+        rect = (regions.kind == 1)[region_index]
         t = self.terms.cap[self.terms.start[region_index]]
         wrong = ((status == 2) & rect)[:, None] & np.where(events, carrier > t, carrier != t)
         failed = np.array([~((0.0 <= carrier) & (carrier <= 1.0)).all(axis=1), (status == 0) & ~inside,
@@ -222,10 +268,8 @@ class CensoredSample:
 
     @property
     def records(self):
-        """The sample as SubjectRecords, built on demand."""
-        return [record_from_fields(self.regions[r], _STATUSES[k], tuple(c), e if k == 2 else None)
-                for r, k, c, e in zip(self.region_index.tolist(), self.status.tolist(),
-                                      self.carrier.tolist(), self.events.tolist())]
+        """The sample as a RecordView over its columns."""
+        return RecordView(self.carrier, self.status, self.events, self.regions, self.region_index)
 
     def take(self, idx):
         """Sub- or resample by index; the region and term tables are shared, not copied."""
@@ -274,12 +318,14 @@ def _risk_counts(sample, queries, w, keep=None, naive=False):
         for mask, rec, pts, sign in _term_groups(sample.carrier, sample.region_index, sample.terms):
             hit = slice(None) if mask is None else np.flatnonzero(_mask(mask, q))
             fn = dominance_counter(pts, q[hit]) if keep is not None else partial(count, pts, q[hit])
+            if np.array_equal(rec, np.arange(sample.n)) and (sign == 1).all():
+                rec = None                  # term i is record i with sign +1: the weights as they are
             plan.append((hit, rec, sign, fn))
         if keep is not None:
             sample._layouts[keep] = plan
     out = np.zeros((len(w), len(q)), dtype=w.dtype)
     for hit, rec, sign, fn in plan:
-        out[:, hit] += fn(w[:, rec] * sign)
+        out[:, hit] += fn(w if rec is None else w[:, rec] * sign)
     return out
 
 
@@ -455,29 +501,6 @@ def compensator_residual(sample, model, region, spec=QuadratureSpec(), weight=No
 # marginal estimation
 # ---------------------------------------------------------------------------
 
-def _marginal_intervals(region):
-    """Per-axis observable interval unions ([ (a,b), ... ] per axis).
-
-    Only families with a per-axis censoring structure reduce; rasters do not
-    and give None.
-    """
-    if isinstance(region, cen.FullSpace):
-        return [(0.0, 1.0)], [(0.0, 1.0)]
-    if isinstance(region, cen.Rectangle):
-        return [(0.0, region.tau[0])], [(0.0, region.tau[1])]
-    if isinstance(region, cen.GridProduct):
-        return list(region.x_intervals), list(region.y_intervals)
-    if isinstance(region, cen.BandComplement):
-        # second axis censored on the open interval (k1, k2+c)
-        hi = region.k2 + region.c
-        second = [(0.0, region.k1), (hi, 1.0)] if hi <= 1.0 else [(0.0, region.k1)]
-        return [(0.0, 1.0)], second
-    if isinstance(region, cen.LowerLayer):
-        cs = np.asarray(region.corners)
-        return [(0.0, float(cs[:, 0].max()))], [(0.0, float(cs[:, 1].max()))]
-    return None
-
-
 @dataclass
 class MarginalEstimate:
     """One-axis Nelson-Aalen estimate: jumps at observed coordinate values.
@@ -506,6 +529,33 @@ def _step_eval(locations, levels, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _axis_intervals(regions, axis):
+    """Every region row's observable intervals on one axis: per row their count (-1: no
+    reduction, which raises only where a record uses it), and all (a, b) stacked row by row.
+    A rectangle gives [0, tau]; a band complement [0, 1] on the first axis, and on the second,
+    censored on the open interval (k1, k2 + c), [0, k1] and [k2 + c, 1] if k2 + c <= 1; a grid
+    product its intervals; full space and a lower layer [0, the largest corner]; a raster none."""
+    kind, (k1, k2, c) = regions.kind, regions.param.T
+    band = (kind == 2) & (axis == 1)
+    held = {}
+    for r in np.flatnonzero(kind == 0).tolist():
+        region = regions[r]
+        if isinstance(region, cen.GridProduct):
+            held[r] = (region.x_intervals, region.y_intervals)[axis]
+        elif isinstance(region, cen.LowerLayer):
+            held[r] = [(0.0, max(corner[axis] for corner in region.corners))]
+        else:
+            held[r] = [(0.0, 1.0)] if isinstance(region, cen.FullSpace) else None
+    ends = np.zeros((len(kind), max([2] + [len(iv) for iv in held.values() if iv]), 2))
+    ends[:, 0, 1] = np.where(kind == 1, regions.param[:, axis], np.where(band, k1, 1.0))
+    ends[:, 1] = np.column_stack([k2 + c, np.ones(len(kind))])      # read where count is 2
+    count = np.where(band & (k2 + c <= 1.0), 2, 1)
+    for r, iv in held.items():
+        count[r] = len(iv) if iv else -1
+        ends[r, :len(iv or ())] = iv or np.empty((0, 2))
+    return count, ends[np.arange(ends.shape[1]) < count[:, None]]
+
+
 def _marginal_layout(sample, axis):
     """The base sample's part of a marginal estimate on one axis.
 
@@ -515,12 +565,8 @@ def _marginal_layout(sample, axis):
     for the at-risk counts the pair table's records in order of a and of e
     (below) with each distinct value's cut in either order.
     """
-    # every region's intervals stacked, with its first row and count (-1: no reduction,
-    # which raises only where a record uses it)
-    ivs = [iv[axis] if iv else None for iv in map(_marginal_intervals, sample.regions)]
-    count = np.array([len(iv) if iv is not None else -1 for iv in ivs])
+    count, intervals = _axis_intervals(sample.regions, axis)
     first = np.cumsum(np.maximum(count, 0)) - np.maximum(count, 0)
-    intervals = np.array([ab for iv in ivs if iv for ab in iv], dtype=float).reshape(-1, 2)
     k = count[sample.region_index]
     if np.any(k < 0):
         region = sample.regions[sample.region_index[np.argmax(k < 0)]]
@@ -747,12 +793,14 @@ def simulate_sample(model, censor_model, n, rng, form="latent"):
     if n < 1:
         raise ConfigError("n must be at least 1")
     carrier = np.array(model.sample(n, rng), dtype=float)
-    regions, region_index = _region_table(censor_model.sample_regions(n, rng))
+    regions, region_index = censor_model.sample_regions(n, rng)
     terms = _term_table(regions)
     status = np.zeros(n, dtype=np.int8)
     events = np.zeros((n, 2), dtype=bool)
+    inside = None
     if form == "latent":
-        status[~_inside(carrier, region_index, terms)] = 1
+        inside = _inside(carrier, region_index, terms)
+        status[~inside] = 1
     elif form == "observable":
         fam = censor_model.family
         if fam == "rectangle":
@@ -765,4 +813,4 @@ def simulate_sample(model, censor_model, n, rng, form="latent"):
                 f"censoring family {fam!r} has no observable record form; simulate with form='latent'")
     else:
         raise ConfigError(f"unknown form {form!r}")
-    return object.__new__(CensoredSample)._init(carrier, status, events, regions, region_index, terms)
+    return object.__new__(CensoredSample)._init(carrier, status, events, regions, region_index, terms, inside)

@@ -280,9 +280,8 @@ def test_deterministic_and_fixed_region():
 def test_sample_region_reproducible():
     model = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.2, 0.9),
                                          "tau2": QuantileTable.uniform(0.2, 0.9)})
-    a = model.sample_regions(5, np.random.default_rng(3))
-    b = model.sample_regions(5, np.random.default_rng(3))
-    assert a == b
+    (a, ia), (b, ib) = (model.sample_regions(5, np.random.default_rng(3)) for _ in range(2))
+    assert list(a) == list(b) and np.array_equal(ia, ib) and ia.tolist() == list(range(5))
     for r in a:
         assert 0.2 <= r.tau[0] <= 0.9 and 0.2 <= r.tau[1] <= 0.9
 
@@ -292,8 +291,47 @@ def test_band_model_orders_draws():
                                                "k2": QuantileTable.uniform(0.0, 1.0),
                                                "c": 0.1})
     rng = np.random.default_rng(5)
-    for r in model.sample_regions(40, rng):
+    regions, _ = model.sample_regions(40, rng)
+    for r in regions:
         assert r.k1 <= r.k2 and r.c == 0.1
+
+
+def test_drawn_regions_are_parameter_columns_from_one_draw():
+    # the parameters and the rng state afterwards are those of one region object per subject
+    rect = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.3, 0.9),
+                                        "tau2": QuantileTable([(0, 0.5), (0.5, 0.5), (1, 1.0)])})
+    band = CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.1, 0.5),
+                                              "k2": QuantileTable.uniform(0.4, 0.8), "c": 0.2})
+    frozen = {1: [("0x1.6937239ab0990p-1", "0x1.0000000000000p-1"),
+                  ("0x1.f153cbc0c329cp-2", "0x1.99539ec7d13e7p-1"),
+                  ("0x1.cb82a9e319314p-1", "0x1.0000000000000p-1"),
+                  ("0x1.6391a7e215418p-2", "0x1.0000000000000p-1")],
+              2: [("0x1.7b3873bd2fbaep-2", "0x1.f1630439bf6c8p-2", "0x1.999999999999ap-3"),
+                  ("0x1.ca4d9834376adp-3", "0x1.7087d91cba190p-1", "0x1.999999999999ap-3"),
+                  ("0x1.d3dbafd1b9c4bp-2", "0x1.fe47d1731085ep-2", "0x1.999999999999ap-3"),
+                  ("0x1.0d4abdb5fa354p-3", "0x1.e3aa59e377304p-2", "0x1.999999999999ap-3")]}
+    for kind, model in ((1, rect), (2, band)):
+        rng = np.random.default_rng(2024)
+        regions, index = model.sample_regions(4, rng)
+        assert index.tolist() == [0, 1, 2, 3] and regions.kind.tolist() == [kind] * 4
+        assert regions.objects == [None] * 4
+        assert [tuple(v.hex() for v in row[:len(frozen[kind][0])]) for row in regions.param.tolist()] \
+            == frozen[kind]
+        assert rng.random().hex() == "0x1.70474657a7bf8p-2"
+        assert list(regions) == ([Rectangle(r[:2]) for r in regions.param.tolist()] if kind == 1
+                                 else [BandComplement(*r) for r in regions.param.tolist()])
+    layer = LowerLayer(((0.5, 0.5),))
+    regions, index = CensoringModel("lower_layer", {"region": layer}).sample_regions(6, None)
+    assert len(regions) == 1 and regions[0] is layer and index.tolist() == [0] * 6
+    # a draw outside the unit square is refused by its region's own check
+    wide = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.5, 1.5),
+                                        "tau2": QuantileTable.fixed(0.5)})
+    with pytest.raises(ConfigError, match=r"rectangle corner must lie in \[0,1\]\^2, got \(1\.\d+, 0\.5\)"):
+        wide.sample_regions(50, np.random.default_rng(1))
+    wide = CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.5, 1.5),
+                                              "k2": QuantileTable.fixed(0.2), "c": 0.1})
+    with pytest.raises(ConfigError, match=r"band needs 0 <= k1 <= k2 <= 1, got \(0\.2, 1\.\d+\)"):
+        wide.sample_regions(50, np.random.default_rng(1))
 
 
 def test_inclusion_prob_rectangle_closed_form():
@@ -416,7 +454,8 @@ def test_censoring_model_json_round_trip():
         assert back.mc_prob_samples == m.mc_prob_samples
         assert back.mc_seed == m.mc_seed
         rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-        assert m.sample_regions(1, rng_a) == back.sample_regions(1, rng_b)
+        (a, ia), (b, ib) = m.sample_regions(1, rng_a), back.sample_regions(1, rng_b)
+        assert list(a) == list(b) and np.array_equal(ia, ib)
 
 
 def test_censoring_model_json_errors():

@@ -18,7 +18,7 @@ from bihazard.cli import main
 from bihazard.decode import BOOL, INT, NUM, OPTIONAL, PAIR, STR, Built, Schema, Tagged
 from bihazard.errors import ConfigError, DataError
 from bihazard.estimators import SubjectRecord, simulate_sample
-from bihazard.io import read_dataset, record_to_json, write_dataset
+from bihazard.io import RECORD, read_dataset, record_to_json, write_dataset
 from bihazard.models import FgmModel
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -279,3 +279,148 @@ def test_dataset_line_mutations_decode_or_raise_data_error(tmp_path_factory, lin
         assert str(exc).startswith(f"line {line + 1}")
     else:
         assert len(records) == len(RECORDS)
+
+
+# ---------------------------------------------------------------------------
+# the column reader against the per-line rules
+# ---------------------------------------------------------------------------
+
+def reference_read(path):
+    """(records, header) by the per-line rules: json.loads and RECORD.decode of each stripped line."""
+    records, header = [], None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if isinstance(d, dict) and len(d) == 1 and "header" in d:
+                if records or header is not None:
+                    raise DataError(f"line {lineno}: header allowed only as the first line")
+                header = d["header"]
+                continue
+            records.append(RECORD.decode(d, f"line {lineno}"))
+    return records, header
+
+
+def _outcome(read, path):
+    """A read's records (reprs tell -0.0 from 0.0) and header, or its refusal message."""
+    try:
+        records, header = read(path)
+    except DataError as exc:
+        return "refused", str(exc)
+    return [repr(r) for r in records], header
+
+
+BAND = {"c": 0.2, "k1": 0.1, "k2": 0.6, "kind": "band_complement"}
+GOOD_CENSORS = [{"kind": "full"}, {"kind": "rectangle", "tau": [0.5, 0.9]},
+                {"kind": "rectangle", "tau": [-0.0, 1.0]}, {"kind": "rectangle", "tau": [1, 0]},
+                BAND, {**BAND, "k1": 0.3, "k2": 0.3, "c": 1}, {**BAND, "k1": 0, "k2": 1},
+                {"kind": "grid_product", "x": [[0.0, 0.4]], "y": [[0.0, 1.0]]},
+                {"corners": [[0.3, 0.9], [0.8, 0.4]], "kind": "lower_layer"},
+                {"kind": "raster", "m": 2, "mask": "1110"}]
+BAD_CENSORS = [{"kind": "rectangle", "tau": [0.5, 1.5]}, {"kind": "rectangle", "tau": [True, 0.5]},
+               {"kind": "rectangle"}, {"kind": "rectangle", "tau": [0.5, 0.5], "x": 1},
+               {**BAND, "k1": 0.7}, {**BAND, "c": 0.0}, {**BAND, "c": -0.5}, {**BAND, "c": True},
+               {**BAND, "extra": 1}, {"kind": "a}b"}, 5, None]
+UNIT = [0.25, 0.5, -0.0, 0.0, 1.0, 0.7500000000000001]
+GOOD_COORDS = st.tuples(st.sampled_from(UNIT), st.sampled_from(UNIT)).map(list)
+BAD_COORDS = st.sampled_from([[True, 0.5], [0.5, 1.5], [-0.1, 0.2], [0.5], [0.1, 0.2, 0.3], "ab", None])
+GOOD_FLAGS = st.sampled_from([[0, 1], [1, 1], [0, 0], [1, 0]])
+BAD_FLAGS = st.sampled_from([[True, 0], [0, 2], [0], [1.0, 0], 7])
+KEYS = {"observed": "point", "censored_latent": "latent", "censored_opaque": "min"}
+EDITS = ["censor", "coordinates", "int coordinates", "flags", "status", "unknown key", "empty tail",
+         "censor only", "duplicate censor", "late duplicate", "compact", "truncated", "extra data",
+         "header", "array pieces"]
+
+
+def _edited(draw, d):
+    """One line's text after an edit that is valid or not."""
+    edit = draw(st.sampled_from(EDITS))
+    if edit in ("censor", "coordinates", "int coordinates", "flags", "status", "unknown key"):
+        key = KEYS.get(d["status"])
+        value = {"censor": st.sampled_from(BAD_CENSORS), "coordinates": BAD_COORDS, "flags": BAD_FLAGS,
+                 "int coordinates": st.sampled_from([[0, 1], [1, 0]]),
+                 "status": st.sampled_from(["gone", 5, "censored_opaque", "observed"]),
+                 "unknown key": st.just(1)}[edit]
+        if edit == "flags":            # on an opaque line
+            d = {"censor": d["censor"], "min": d[key], "status": "censored_opaque"}
+        name = {"censor": "censor", "flags": "delta", "status": "status",
+                "unknown key": "extra"}.get(edit, key)
+        return json.dumps({**d, name: draw(value)}, sort_keys=True)
+    text, censor = json.dumps(d, sort_keys=True), json.dumps(d["censor"], sort_keys=True)
+    other = json.dumps(draw(st.sampled_from(GOOD_CENSORS + BAD_CENSORS)), sort_keys=True)
+    return {"empty tail": '{"censor": ' + censor + ", }", "censor only": '{"censor": ' + censor + "}",
+            "duplicate censor": f'{{"censor": {censor}, "censor": {other}, {text[len(censor) + 13:]}',
+            "late duplicate": text[:-1] + ', "censor": ' + other + "}",
+            "compact": json.dumps(d, sort_keys=True, separators=(",", ":")),
+            "truncated": text[:draw(st.integers(1, len(text) - 1))], "extra data": text + " x",
+            "header": '{"header": {"n": 3}}', "array pieces": "[1\n2]\n3, 4"}[edit]
+
+
+@st.composite
+def dataset_lines(draw):
+    """Valid lines, repeated so that lines share censor texts, with at most one line edited
+    and with blank lines and CRLF ends anywhere."""
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        status = draw(st.sampled_from(list(KEYS)))
+        d = {"censor": draw(st.sampled_from(GOOD_CENSORS)), KEYS[status]: draw(GOOD_COORDS),
+             "status": status}
+        if status == "censored_opaque":
+            d["delta"] = draw(GOOD_FLAGS)
+        records += [d] * draw(st.integers(1, 3))
+    lines = [json.dumps(d, sort_keys=True) for d in records]
+    if draw(st.integers(0, 2)):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = _edited(draw, records[i])
+    return [line + draw(st.sampled_from(["", "", "", "\r", "\n", "\r\n  "])) for line in lines]
+
+
+@settings(max_examples=800)
+@given(dataset_lines(), st.booleans())
+def test_column_reader_matches_the_per_line_reference(tmp_path_factory, lines, header):
+    path = tmp_path_factory.getbasetemp() / "differential.jsonl"
+    head = [json.dumps({"header": {"n": 1}})] if header else []
+    path.write_text("".join(line + "\n" for line in head + lines))
+    assert _outcome(read_dataset, path) == _outcome(reference_read, path)
+
+
+GOOD_LINE = '{"censor": {"kind": "rectangle", "tau": [0.5, 0.9]}, "point": [0.25, 0.5], "status": "observed"}'
+PROBE_LINES = [
+    '{"censor": {"kind": "rectangle", "tau": [0.5, 0.9]}, }',
+    '{"censor": {"kind": "rectangle", "tau": [0.5, 0.9]}, "censor": {"kind": "full"}, '
+    '"point": [0.75, 0.5], "status": "observed"}',
+    '{"censor": {"kind": "rectangle", "tau": [0.5, 0.9], "x": 1}, "point": [0.25, 0.5], "status": "observed"}',
+    '{"censor": {"kind": "rectangle", "tau": [0.5, 1.5]}, "point": [0.25, 0.5], "status": "observed"}',
+    '{"censor": {"kind": "rectangle", "tau": [1, 0]}, "point": [0, 0], "status": "observed"}',
+    '{"censor": {"kind": "rectangle", "tau": [0.5, 0.9]}, "point": [true, 0.5], "status": "observed"}',
+    '{"censor": {"c": 0.2, "k1": 0.7, "k2": 0.6, "kind": "band_complement"}, "latent": [0.5, 0.5], '
+    '"status": "censored_latent"}',
+    '{"censor": {"c": 0.0, "k1": 0.1, "k2": 0.6, "kind": "band_complement"}, "latent": [0.5, 0.5], '
+    '"status": "censored_latent"}',
+    '{"censor": {"c": true, "k1": 0.1, "k2": 0.6, "kind": "band_complement"}, "latent": [0.5, 0.5], '
+    '"status": "censored_latent"}',
+    '{"censor": {"c": 1, "k1": 0, "k2": 1, "kind": "band_complement"}, "latent": [0.5, 0.5], '
+    '"status": "censored_latent"}',
+    '{"censor": {"kind": "rectangle", "tau": [0.5, 0.9]}, "delta": [true, 0], "min": [0.5, 0.5], '
+    '"status": "censored_opaque"}',
+    '{"censor": {"kind": "rectangle", "tau": [0.5, 0.9]}, "delta": [1.0, 0], "min": [0.5, 0.5], '
+    '"status": "censored_opaque"}',
+    '{"censor": {"kind": "rectangle", "tau": [0.5, 0.9]}, "delta": [0, 1, 1], "min": [0.5, 0.5], '
+    '"status": "censored_opaque"}',
+    '{"censor": {"kind": "a}b"}, "point": [0.25, 0.5], "status": "observed"}',
+    '{"header": {"n": 2}}', "", "[1", "2]", "3, 4",
+]
+
+
+@pytest.mark.parametrize("probe", PROBE_LINES)
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_column_reader_matches_the_per_line_reference_on_probes(tmp_path, probe, ending):
+    # each probe after a line with the same censor text, whose row the probe's text would reuse
+    path = tmp_path / "probe.jsonl"
+    path.write_text(GOOD_LINE + ending + probe + ending + GOOD_LINE + ending)
+    assert _outcome(read_dataset, path) == _outcome(reference_read, path)

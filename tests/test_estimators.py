@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -944,7 +945,7 @@ def test_columns_round_trip_through_records_and_files(family, tmp_path):
         for name in ("carrier", "status", "events", "region_index", "event_mask"):
             a, b = getattr(rebuilt, name), getattr(s, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert rebuilt.regions == s.regions
+        assert list(rebuilt.regions) == list(s.regions)
         assert np.array_equal(jump_masses(rebuilt), jump_masses(s))
         for axis in (0, 1):
             if family == "raster":
@@ -959,10 +960,60 @@ def test_columns_round_trip_through_records_and_files(family, tmp_path):
         assert read_dataset(path)[0] == s.records
         # pooled columns count like a sample built from the concatenated records
         t = simulate_sample(FgmModel(-0.3), cm, 90, np.random.default_rng(32), form=form)
-        pooled, joined = s.concat(t), CensoredSample(s.records + t.records)
+        pooled, joined = s.concat(t), CensoredSample([*s.records, *t.records])
         assert np.array_equal(pooled.event_points, joined.event_points)
         assert np.array_equal(at_risk(pooled, q), at_risk(joined, q))
         assert np.array_equal(jump_masses(pooled), jump_masses(joined))
+
+
+def test_sample_records_are_a_read_only_sequence_over_the_columns():
+    s = simulate_sample(FgmModel(0.3), FAMILIES["rectangle"], 30, np.random.default_rng(5),
+                        form="observable")
+    view, recs = s.records, list(s.records)
+    assert isinstance(view, Sequence) and len(view) == len(recs) == 30
+    assert view[0] == recs[0] and view[-1] == recs[29] and view[-30] == recs[0]
+    for bad in (30, -31):
+        with pytest.raises(IndexError):
+            view[bad]
+    with pytest.raises(TypeError):
+        view[0] = recs[1]
+    assert view[3:9] == recs[3:9] and type(view[3:9]) is list and view[::-7] == recs[::-7]
+    assert view[40:] == [] and list(reversed(view)) == recs[::-1] and view.index(recs[4]) == 4
+    # against a sequence record by record, against another view column by column
+    assert view == recs and recs == view and view == tuple(recs) and view == s.records
+    assert view != recs[:-1] and view != recs[::-1] and view != 5
+    other = simulate_sample(FgmModel(0.3), FAMILIES["rectangle"], 30, np.random.default_rng(6),
+                            form="observable")
+    assert view != other.records and (view == other.records) is False
+    assert s.take(np.arange(30)[::-1]).records == recs[::-1]
+    # a sample built from a view adopts its columns
+    adopted = CensoredSample(view)
+    assert adopted.carrier is s.carrier and adopted.regions is s.regions
+    with pytest.raises(DataError, match="empty dataset"):
+        CensoredSample(s.records[:0])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_sample_from_a_view_equals_one_from_its_records(family, tmp_path):
+    statuses = set()
+    for form in ("latent", "observable") if family in ("full", "rectangle") else ("latent",):
+        view = simulate_sample(FgmModel(0.5), FAMILIES[family], 120, np.random.default_rng(41),
+                               form=form).records
+        a, b = CensoredSample(view), CensoredSample(list(view))
+        for name in ("carrier", "status", "events", "region_index", "event_mask"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert list(a.regions) == list(b.regions)
+        assert np.array_equal(a.regions.kind, b.regions.kind)
+        assert np.array_equal(a.regions.param, b.regions.param)
+        for x, y in zip(a.terms, b.terms):
+            assert x == y if isinstance(x, list) else (x.dtype == y.dtype and np.array_equal(x, y))
+        statuses.update(a.status.tolist())
+        # one writer: a view and its records give the same bytes
+        write_dataset(tmp_path / "view.jsonl", view)
+        write_dataset(tmp_path / "list.jsonl", list(view))
+        assert (tmp_path / "view.jsonl").read_bytes() == (tmp_path / "list.jsonl").read_bytes()
+    assert statuses == ({0, 1, 2} if family == "rectangle" else {0} if family == "full" else {0, 1})
 
 
 def test_simulate_errors():

@@ -322,7 +322,7 @@ def _loop_one_sample(stat_fn, sample, seed, b):
 
 
 def _loop_pooled(stat_fn, f, g, seed, b):
-    pooled = CensoredSample(f.records + g.records)
+    pooled = CensoredSample([*f.records, *g.records])
     total = f.n + g.n
     out = []
     for r in range(b):
