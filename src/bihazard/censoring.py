@@ -203,8 +203,7 @@ def contains(region, pts):
     elif isinstance(region, GridProduct):
         out = _in_union(x, region.x_intervals) & _in_union(y, region.y_intervals)
     elif isinstance(region, BandComplement):
-        in_band = (region.k1 < x) & (x < region.k2) & (x < y) & (y < x + region.c)
-        out = ~in_band
+        out = ~_in_band(region.k1, region.k2, region.c, x, y)
     elif isinstance(region, LowerLayer):
         cs = np.asarray(region.corners)
         out = ((x[..., None] <= cs[:, 0]) & (y[..., None] <= cs[:, 1])).any(axis=-1)
@@ -217,6 +216,11 @@ def contains(region, pts):
     else:
         raise ConfigError(f"unknown region type {type(region).__name__}")
     return bool(out) if out.ndim == 0 else out
+
+
+def _in_band(k1, k2, c, x, y):
+    """Membership of (x, y) in the open band {k1 < x < k2, x < y < x + c}."""
+    return (k1 < x) & (x < k2) & (x < y) & (y < x + c)
 
 
 def _in_union(v, intervals):
@@ -448,15 +452,28 @@ def _returned(out, se, with_se):
     return (out, se) if with_se else out
 
 
+# draws x points in one membership block of _mc_inclusion, so its memory does not grow
+# with mc_prob_samples
+_MC_BLOCK = 1 << 18
+
+
 def _mc_inclusion(model, key, *point_sets):
-    """Share of drawn regions holding every point set, and its SE; draws from substream key."""
+    """Share of drawn regions holding every point set, and its SE; draws from substream key.
+
+    Only band complements are drawn without a closed form: membership is
+    read from the drawn (k1, k2, c) columns, a block of draws at a time.
+    """
     rng = substream(model.mc_seed, key)
     sets = np.broadcast_arrays(*point_sets)
     hits = np.zeros(sets[0].shape[:-1])
     n = model.mc_prob_samples
     regions, index = model.sample_regions(n, rng)
-    for xi in map(regions.__getitem__, index.tolist()):
-        hits += np.logical_and.reduce([contains(xi, p) for p in sets])
+    param = regions.param[index].reshape(n, 3, *[1] * hits.ndim)
+    step = max(1, _MC_BLOCK // max(1, hits.size))
+    for lo in range(0, n, step):
+        k1, k2, c = param[lo:lo + step].swapaxes(0, 1)
+        held = [~_in_band(k1, k2, c, p[..., 0], p[..., 1]) for p in sets]
+        hits += np.logical_and.reduce(held).sum(axis=0)
     prob = hits / n
     return prob, np.sqrt(prob * (1.0 - prob) / n)
 

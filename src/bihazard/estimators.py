@@ -272,21 +272,13 @@ class CensoredSample:
         return RecordView(self.carrier, self.status, self.events, self.regions, self.region_index)
 
     def take(self, idx):
-        """Sub- or resample by index; the region and term tables are shared, not copied."""
+        """Sub- or resample by index through `_init`; the region and term tables are shared,
+        not copied."""
         idx = np.asarray(idx, dtype=np.int64)
         if len(idx) == 0:
             raise DataError("empty dataset")
-        out = object.__new__(CensoredSample)
-        out.n = len(idx)
-        for name in ("carrier", "status", "events", "event_mask", "region_index"):
-            setattr(out, name, getattr(self, name)[idx])
-        out.event_points = out.carrier[out.event_mask]
-        out.regions = self.regions
-        out.terms = self.terms
-        out.fast = self.fast
-        out._mass_cache = {}
-        out._layouts = {}
-        return out
+        return object.__new__(CensoredSample)._init(self.carrier[idx], self.status[idx], self.events[idx],
+                                                    self.regions, self.region_index[idx], self.terms)
 
     def concat(self, other):
         """Pooled sample; a region both hold appears twice in its table, which changes no count."""

@@ -10,12 +10,16 @@ Five experiment kinds:
   size_power  rejection-rate tables for the bootstrap tests,
   coverage    uniform-band coverage of the independence difference surface.
 
-Ladders reuse one maximal sample per replicate and take prefixes, so the
-rungs are paired and convergence comparisons are low-noise.  Reference
-values come from quadrature (or closed forms), never from the estimators
-under test.  Thresholds are only asserted when the replicate count is at
-least MIN_REPLICATES_FOR_THRESHOLDS; smaller runs report numbers with an
-'insufficient replicates' note instead of a verdict.
+All five run on one replicate engine: `_draw` draws replicate r's samples
+in order from the substream (seed, DATA, [scenario,] r) and `_spec` seeds
+its bootstrap on (seed, PROBE, [scenario,] r); `_prefix_ladder` evaluates
+every rung of a ladder on prefixes of one max(ladder) sample, so the rungs
+are paired and convergence comparisons are low-noise; `_rate_row` gives a
+rate, its binomial SE and its check; `_SCENARIO_TESTS` maps each test to
+its sample models and call.  Reference values come from quadrature (or
+closed forms), never from the estimators under test.  Thresholds are only
+asserted when the replicate count is at least MIN_REPLICATES_FOR_THRESHOLDS;
+smaller runs report numbers with no verdict.
 """
 
 from __future__ import annotations
@@ -58,12 +62,9 @@ class MCConfig:
     def __post_init__(self):
         for name in ("n", "replicates", "grid_size", "seed"):
             Schema(INT).decode(getattr(self, name), name)
-        if self.replicates < 2:
-            raise ConfigError("replicates must be at least 2")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
-        if self.grid_size < 2:
-            raise ConfigError("grid_size must be at least 2")
+        for name, low in (("replicates", 2), ("n", 1), ("grid_size", 2)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}")
 
 
 @dataclass
@@ -88,7 +89,9 @@ class MCReport:
         return out
 
 
-def _row(name, value, se, reference, source, tolerance, passed):
+def _row(cfg, name, value, se, reference, source, tolerance="informational", ok=None):
+    """One check; it passes when ok holds, with no verdict below the replicate threshold."""
+    passed = None if ok is None or cfg.replicates < MIN_REPLICATES_FOR_THRESHOLDS else bool(ok)
     return {"name": name, "value": value, "se": se, "reference": reference,
             "referenceSource": source, "tolerance": tolerance, "passed": passed}
 
@@ -102,14 +105,65 @@ def _overall(rows):
     return True
 
 
-def _guarded(replicates, ok):
-    if replicates < MIN_REPLICATES_FOR_THRESHOLDS:
-        return None
-    return bool(ok)
+def _report(experiment, cfg, rows, start, **meta):
+    """The experiment's report; meta always carries the replicate count and seed."""
+    return MCReport(experiment, rows, _overall(rows), time.perf_counter() - start,
+                    {**meta, "replicates": cfg.replicates, "seed": cfg.seed})
 
 
-def _inclusion_reference(censor_model, pts):
-    return np.asarray(cen.inclusion_prob(censor_model, pts), dtype=float)
+def _at_risk_limit(cfg, pts):
+    """S(t) P(t in xi) at the points: the limit of Z_n(t)/n, from the model and the censoring."""
+    return (np.asarray(cfg.model.survival(pts), dtype=float)
+            * np.asarray(cen.inclusion_prob(cfg.censor_model, pts), dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# the replicate engine
+# ---------------------------------------------------------------------------
+
+def _draw(cfg, path, *draws):
+    """Latent samples drawn in order from the substream (seed, DATA, *path); a draw is
+    (model, censor model, n), and none means one sample of cfg's model and censoring at cfg.n."""
+    rng = substream(cfg.seed, DATA, *path)
+    return [simulate_sample(model, censor, n, rng, form="latent")
+            for model, censor, n in draws or [(cfg.model, cfg.censor_model, cfg.n)]]
+
+
+def _spec(cfg, path, **fields):
+    """The replicate's BootstrapSpec, seeded from the substream (seed, PROBE, *path)."""
+    return BootstrapSpec(seed=int(substream(cfg.seed, PROBE, *path).integers(2 ** 62)), **fields)
+
+
+def _prefix_ladder(cfg, ladder, rung, label, source):
+    """Medians over replicates of rung(prefix of n subjects, n) at each n of the sorted ladder,
+    with their informational rows and the ladder_monotone row."""
+    def one(r):
+        (s,) = _draw(cfg, (r,), (cfg.model, cfg.censor_model, ladder[-1]))
+        return np.array([rung(s.take(np.arange(n)), n) for n in ladder])
+
+    medians = np.median(np.array(run_indexed(one, cfg.replicates)), axis=0)
+    rows = [_row(cfg, f"{label}@n={n}", float(m), None, 0.0, source)
+            for n, m in zip(ladder, medians)]
+    rows.append(_row(cfg, "ladder_monotone", float(np.max(np.diff(medians))), None, 0.0,
+                     "paired prefix ladder", "medians nonincreasing",
+                     np.all(np.diff(medians) <= 1e-12)))
+    return medians, rows
+
+
+def _rate_row(cfg, name, flags, check, rates=None, source="pre-registered rejection band"):
+    """The share of flagged replicates with its binomial SE, checked against check's
+    'band': (lo, hi), named by source, or 'exceeds': (other, margin), a floor of
+    rates[other] + margin; informational without either."""
+    rate = float(np.mean(flags))
+    se = math.sqrt(max(rate * (1 - rate), 1e-12) / cfg.replicates)
+    if "band" in check:
+        lo, hi = check["band"]
+        return _row(cfg, name, rate, se, [lo, hi], source, f"in [{lo}, {hi}]", lo <= rate <= hi)
+    if "exceeds" in check:
+        other, margin = check["exceeds"]
+        return _row(cfg, name, rate, se, rates[other], f"rate of scenario {other!r}",
+                    f">= reference + {margin}", rate >= rates[other] + margin)
+    return _row(cfg, name, rate, se, None, "none")
 
 
 # ---------------------------------------------------------------------------
@@ -134,42 +188,36 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
     truth = np.array([float(integrated_hazard(cfg.model, LowerRect(t), cfg.quadrature))
                       for t in pts])
     root_n = math.sqrt(cfg.n)
+    # full-space censoring has the uncensored limit covariance
+    censor = None if cfg.censor_model.family == "full" else cfg.censor_model
 
     def one(r):
-        s = simulate_sample(cfg.model, cfg.censor_model, cfg.n,
-                            substream(cfg.seed, DATA, r), form="latent")
+        (s,) = _draw(cfg, (r,))
         return np.array([root_n * (nelson_aalen(s, LowerRect(t)) - truth[i])
                          for i, t in enumerate(pts)])
 
     vals = np.array(run_indexed(one, cfg.replicates))   # (R, K)
     rows = []
-    big_enough = cfg.replicates
     for i, t in enumerate(pts):
         x = vals[:, i]
         mean, sd = float(x.mean()), float(x.std(ddof=1))
         se = sd / math.sqrt(cfg.replicates)
         label = f"({t[0]:g},{t[1]:g})"
         if "mean" in checks:
-            rows.append(_row(f"mean@{label}", mean, se, 0.0,
-                             "limit theorem (mean zero)",
-                             "|mean| <= 3*SE", _guarded(big_enough, abs(mean) <= 3 * se)))
+            rows.append(_row(cfg, f"mean@{label}", mean, se, 0.0, "limit theorem (mean zero)",
+                             "|mean| <= 3*SE", abs(mean) <= 3 * se))
         if "variance" in checks:
-            ref = float(_limit_variance(cfg, t))
+            ref = float(asymptotic_cov(cfg.model, censor, LowerRect(t), LowerRect(t),
+                                       cfg.quadrature).value)
             var = float(x.var(ddof=1))
             vse = var * math.sqrt(2.0 / max(cfg.replicates - 1, 1))
-            ok = abs(var - ref) <= var_rtol * abs(ref)
-            rows.append(_row(f"variance@{label}", var, vse, ref,
-                             "limit covariance quadrature",
-                             f"relative error <= {var_rtol}", _guarded(big_enough, ok)))
+            rows.append(_row(cfg, f"variance@{label}", var, vse, ref, "limit covariance quadrature",
+                             f"relative error <= {var_rtol}", abs(var - ref) <= var_rtol * abs(ref)))
         if "normality" in checks:
             ks = _normal_distance((x - mean) / sd if sd > 0 else x * 0.0)
-            rows.append(_row(f"normality@{label}", ks, None, 0.0,
-                             "standard normal CDF",
-                             f"Kolmogorov distance <= {ks_bound}",
-                             _guarded(big_enough, ks <= ks_bound)))
-    meta = {"n": cfg.n, "replicates": cfg.replicates, "seed": cfg.seed,
-            "checkpoints": [list(t) for t in pts]}
-    return MCReport("clt", rows, _overall(rows), time.perf_counter() - start, meta)
+            rows.append(_row(cfg, f"normality@{label}", ks, None, 0.0, "standard normal CDF",
+                             f"Kolmogorov distance <= {ks_bound}", ks <= ks_bound))
+    return _report("clt", cfg, rows, start, n=cfg.n, checkpoints=[list(t) for t in pts])
 
 
 def _normal_distance(z):
@@ -178,13 +226,6 @@ def _normal_distance(z):
     phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
     i = np.arange(1, len(z) + 1)
     return float(max(np.max(i / len(z) - phi), np.max(phi - (i - 1) / len(z))))
-
-
-def _limit_variance(cfg, t):
-    cm = cfg.censor_model
-    if cm is not None and cm.family == "full":
-        cm = None
-    return asymptotic_cov(cfg.model, cm, LowerRect(t), LowerRect(t), cfg.quadrature).value
 
 
 # ---------------------------------------------------------------------------
@@ -200,38 +241,15 @@ def verify_glivenko(cfg, ladder=(250, 500, 1000, 2000), bound=0.05):
     """
     start = time.perf_counter()
     ladder = sorted(int(n) for n in ladder)
-    grid = Grid(cfg.grid_size, (1.0, 1.0))
-    nodes = grid.nodes()
-    ref = (np.asarray(cfg.model.survival(nodes), dtype=float)
-           * _inclusion_reference(cfg.censor_model, nodes))
-
-    def one(r):
-        s = simulate_sample(cfg.model, cfg.censor_model, ladder[-1],
-                            substream(cfg.seed, DATA, r), form="latent")
-        sups = []
-        for n in ladder:
-            pre = s.take(np.arange(n))
-            z = at_risk(pre, nodes)
-            sups.append(float(np.max(np.abs(z / n - ref))))
-        return np.array(sups)
-
-    vals = np.array(run_indexed(one, cfg.replicates))   # (R, L)
-    medians = np.median(vals, axis=0)
-    rows = []
-    for i, n in enumerate(ladder):
-        rows.append(_row(f"median_sup@n={n}", float(medians[i]), None,
-                         0.0, "survival times inclusion probability",
-                         "informational", None))
-    mono = bool(np.all(np.diff(medians) <= 1e-12))
-    rows.append(_row("ladder_monotone", float(np.max(np.diff(medians))), None, 0.0,
-                     "paired prefix ladder", "medians nonincreasing",
-                     _guarded(cfg.replicates, mono)))
-    rows.append(_row("final_median", float(medians[-1]), None, bound,
-                     "empirical-process rate at the largest n",
-                     f"<= {bound}", _guarded(cfg.replicates, medians[-1] <= bound)))
-    meta = {"ladder": ladder, "replicates": cfg.replicates, "seed": cfg.seed,
-            "gridSize": cfg.grid_size}
-    return MCReport("glivenko", rows, _overall(rows), time.perf_counter() - start, meta)
+    nodes = Grid(cfg.grid_size, (1.0, 1.0)).nodes()
+    ref = _at_risk_limit(cfg, nodes)
+    medians, rows = _prefix_ladder(
+        cfg, ladder, lambda pre, n: float(np.max(np.abs(at_risk(pre, nodes) / n - ref))),
+        "median_sup", "survival times inclusion probability")
+    rows.append(_row(cfg, "final_median", float(medians[-1]), None, bound,
+                     "empirical-process rate at the largest n", f"<= {bound}",
+                     medians[-1] <= bound))
+    return _report("glivenko", cfg, rows, start, ladder=ladder, gridSize=cfg.grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +271,7 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
     truth = float(integrated_hazard(cfg.model, region, cfg.quadrature))
 
     def weight(pts):
-        s = np.asarray(cfg.model.survival(pts), dtype=float)
-        p = _inclusion_reference(cfg.censor_model, pts)
-        sp = s * p
+        sp = _at_risk_limit(cfg, pts)
         if np.any(sp <= 1e-12):
             raise DomainError("S * P(t in xi) is not bounded below on the region")
         return 1.0 / sp
@@ -263,68 +279,41 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
     # surface the domain problem before burning replicates
     weight(lattice(midpoints(region.corner[0], 64), midpoints(region.corner[1], 64)))
 
-    def one(r):
-        s = simulate_sample(cfg.model, cfg.censor_model, ladder[-1],
-                            substream(cfg.seed, DATA, r), form="latent")
-        gaps = []
-        for n in ladder:
-            pre = s.take(np.arange(n))
-            lhs = math.sqrt(n) * (nelson_aalen(pre, region) - truth)
-            resid = compensator_residual(pre, cfg.model, region, cfg.quadrature,
-                                         weight=weight)
-            gaps.append(lhs - resid.value / math.sqrt(n))
-        return np.array(gaps)
+    def gap(pre, n):
+        lhs = math.sqrt(n) * (nelson_aalen(pre, region) - truth)
+        resid = compensator_residual(pre, cfg.model, region, cfg.quadrature, weight=weight)
+        return abs(lhs - resid.value / math.sqrt(n))
 
-    vals = np.abs(np.array(run_indexed(one, cfg.replicates)))
-    medians = np.median(vals, axis=0)
-    rows = []
-    for i, n in enumerate(ladder):
-        rows.append(_row(f"median_gap@n={n}", float(medians[i]), None, 0.0,
-                         "martingale jump-sum representation", "informational", None))
-    mono = bool(np.all(np.diff(medians) <= 1e-12))
-    rows.append(_row("ladder_monotone", float(np.max(np.diff(medians))), None, 0.0,
-                     "paired prefix ladder", "medians nonincreasing",
-                     _guarded(cfg.replicates, mono)))
-    meta = {"ladder": ladder, "replicates": cfg.replicates, "seed": cfg.seed,
-            "region": [list(map(float, region.corner))], "truth": truth}
-    return MCReport("iid_repr", rows, _overall(rows), time.perf_counter() - start, meta)
+    _, rows = _prefix_ladder(cfg, ladder, gap, "median_gap", "martingale jump-sum representation")
+    return _report("iid_repr", cfg, rows, start, ladder=ladder,
+                   region=[list(map(float, region.corner))], truth=truth)
 
 
 # ---------------------------------------------------------------------------
 # size / power tables
 # ---------------------------------------------------------------------------
 
+# test name -> (model keys of its one or two samples, call on (samples, spec, scenario))
+_SCENARIO_TESTS = {
+    "independence": (("model",), lambda s, spec, scen: independence_test(*s, spec)),
+    "hazard-order": (("model_f", "model_g"), lambda s, spec, scen: hazard_order_test(
+        *s, spec, region=scen.get("region"))),
+    "fgm-order": (("model_1", "model_2"), lambda s, spec, scen: fgm_order_test(
+        *s, scen.get("tau", (0.8, 0.8)), spec, scen.get("marginals_equal", True))),
+}
+
+
 def _scenario_reject(cfg, s_idx, scen, r):
     """One replicate of one scenario; returns the test's reject flag."""
-    rng = substream(cfg.seed, DATA, s_idx, r)
-    boot_seed = int(substream(cfg.seed, PROBE, s_idx, r).integers(2 ** 62))
-    test = scen["test"]
-    alpha = scen.get("alpha", 0.05)
-    b = scen.get("B", 200)
+    spec = _spec(cfg, (s_idx, r), replicates=scen.get("B", 200), alpha=scen.get("alpha", 0.05),
+                 grid_size=scen.get("grid_size", cfg.grid_size),
+                 sided=scen.get("sided", "one-sided"))
+    keys, call = _SCENARIO_TESTS[scen["test"]]
+    n = scen.get("n", cfg.n)
     censor = scen.get("censor_model", cfg.censor_model)
-    spec = BootstrapSpec(replicates=b, alpha=alpha, seed=boot_seed,
-                         grid_size=scen.get("grid_size", cfg.grid_size),
-                         sided=scen.get("sided", "one-sided"))
-    if test == "independence":
-        model = scen.get("model", cfg.model)
-        sample = simulate_sample(model, censor, scen.get("n", cfg.n), rng, form="latent")
-        return independence_test(sample, spec).reject
-    if test == "hazard-order":
-        mf = scen.get("model_f", cfg.model)
-        mg = scen.get("model_g", cfg.model)
-        sf = simulate_sample(mf, censor, scen.get("n", cfg.n), rng, form="latent")
-        sg = simulate_sample(mg, censor, scen.get("m", scen.get("n", cfg.n)), rng,
-                             form="latent")
-        return hazard_order_test(sf, sg, spec, region=scen.get("region")).reject
-    if test == "fgm-order":
-        m1 = scen.get("model_1", cfg.model)
-        m2 = scen.get("model_2", cfg.model)
-        s1 = simulate_sample(m1, censor, scen.get("n", cfg.n), rng, form="latent")
-        s2 = simulate_sample(m2, censor, scen.get("m", scen.get("n", cfg.n)), rng,
-                             form="latent")
-        return fgm_order_test(s1, s2, scen.get("tau", (0.8, 0.8)), spec,
-                              scen.get("marginals_equal", True)).reject
-    raise ConfigError(f"unknown test {test!r}")
+    samples = _draw(cfg, (s_idx, r), *[(scen.get(key, cfg.model), censor, size)
+                                       for key, size in zip(keys, (n, scen.get("m", n)))])
+    return call(samples, spec, scen).reject
 
 
 def size_power_study(cfg, scenarios):
@@ -334,41 +323,20 @@ def size_power_study(cfg, scenarios):
     'exceeds': (other scenario name, margin) for a power-vs-size check.
     """
     for s_idx, scen in enumerate(scenarios):
+        if scen["test"] not in _SCENARIO_TESTS:
+            raise ConfigError(f"unknown test {scen['test']!r}")
         for key in ("n", "m"):
             if scen.get(key, 1) < 1:
                 raise ConfigError(f"scenarios[{s_idx}].{key} must be at least 1, got {scen[key]!r}")
         if "exceeds" in scen and scen["exceeds"][0] not in [s["name"] for s in scenarios]:
             raise ConfigError(f"scenarios[{s_idx}].exceeds names no scenario: {scen['exceeds'][0]!r}")
     start = time.perf_counter()
-    rates = {}
-    rows = []
-    for s_idx, scen in enumerate(scenarios):
-        flags = run_indexed(lambda r: _scenario_reject(cfg, s_idx, scen, r), cfg.replicates)
-        rate = float(np.mean(flags))
-        rates[scen["name"]] = rate
-        se = math.sqrt(max(rate * (1 - rate), 1e-12) / cfg.replicates)
-        rows.append({"scenario": scen, "rate": rate, "se": se})
-    out = []
-    for entry in rows:
-        scen, rate, se = entry["scenario"], entry["rate"], entry["se"]
-        if "band" in scen:
-            lo, hi = scen["band"]
-            out.append(_row(f"rate:{scen['name']}", rate, se, [lo, hi],
-                            "pre-registered rejection band", f"in [{lo}, {hi}]",
-                            _guarded(cfg.replicates, lo <= rate <= hi)))
-        elif "exceeds" in scen:
-            other, margin = scen["exceeds"]
-            ref = rates[other]
-            out.append(_row(f"rate:{scen['name']}", rate, se, ref,
-                            f"rate of scenario {other!r}",
-                            f">= reference + {margin}",
-                            _guarded(cfg.replicates, rate >= ref + margin)))
-        else:
-            out.append(_row(f"rate:{scen['name']}", rate, se, None,
-                            "none", "informational", None))
-    meta = {"replicates": cfg.replicates, "seed": cfg.seed,
-            "scenarios": [s["name"] for s in scenarios]}
-    return MCReport("size_power", out, _overall(out), time.perf_counter() - start, meta)
+    flags = [run_indexed(lambda r: _scenario_reject(cfg, s_idx, scen, r), cfg.replicates)
+             for s_idx, scen in enumerate(scenarios)]
+    rates = {scen["name"]: float(np.mean(f)) for scen, f in zip(scenarios, flags)}
+    rows = [_rate_row(cfg, f"rate:{scen['name']}", f, scen, rates)
+            for scen, f in zip(scenarios, flags)]
+    return _report("size_power", cfg, rows, start, scenarios=[s["name"] for s in scenarios])
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +374,13 @@ def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
     truth = _truth_difference(cfg.model)
 
     def one(r):
-        sample = simulate_sample(cfg.model, cfg.censor_model, cfg.n,
-                                 substream(cfg.seed, DATA, r), form="latent")
-        boot_seed = int(substream(cfg.seed, PROBE, r).integers(2 ** 62))
-        spec = BootstrapSpec(replicates=b, alpha=alpha, seed=boot_seed,
-                             grid_size=cfg.grid_size)
-        report = independence_test(sample, spec)
+        (sample,) = _draw(cfg, (r,))
+        report = independence_test(sample, _spec(cfg, (r,), replicates=b, alpha=alpha,
+                                                 grid_size=cfg.grid_size))
         grid = Grid(cfg.grid_size, report.diagnostics["tau"])
         sup = float(np.max(np.abs(_independence_diff(sample, grid) - truth(grid))))
         return sup * math.sqrt(sample.n) <= report.critical_value
 
-    flags = run_indexed(one, cfg.replicates)
-    rate = float(np.mean(flags))
-    se = math.sqrt(max(rate * (1 - rate), 1e-12) / cfg.replicates)
-    lo, hi = band
-    rows = [_row("coverage", rate, se, [lo, hi],
-                 f"nominal level {1 - alpha}", f"in [{lo}, {hi}]",
-                 _guarded(cfg.replicates, lo <= rate <= hi))]
-    meta = {"n": cfg.n, "replicates": cfg.replicates, "B": b, "alpha": alpha,
-            "seed": cfg.seed}
-    return MCReport("coverage", rows, _overall(rows),
-                    time.perf_counter() - start, meta)
+    rows = [_rate_row(cfg, "coverage", run_indexed(one, cfg.replicates), {"band": band},
+                      source=f"nominal level {1 - alpha}")]
+    return _report("coverage", cfg, rows, start, n=cfg.n, B=b, alpha=alpha)

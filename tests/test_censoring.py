@@ -390,6 +390,38 @@ def test_inclusion_prob_monte_carlo_accuracy():
     assert p == pytest.approx(0.375, abs=4 * se + 1e-9)
 
 
+@pytest.mark.parametrize("block", [None, 7])
+def test_inclusion_prob_monte_carlo_matches_per_draw_loop(monkeypatch, block):
+    # the column membership counts exactly the draws a loop over region objects counts
+    import bihazard.censoring as cen
+    from bihazard.util import substream
+    if block is not None:
+        monkeypatch.setattr(cen, "_MC_BLOCK", block)
+    model = CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.1, 0.5),
+                                               "k2": QuantileTable.uniform(0.3, 0.9),
+                                               "c": 0.2}, mc_prob_samples=997, mc_seed=4)
+
+    def oracle(key, *point_sets):
+        regions, index = model.sample_regions(model.mc_prob_samples, substream(model.mc_seed, key))
+        sets = np.broadcast_arrays(*point_sets)
+        hits = np.zeros(sets[0].shape[:-1])
+        for i in index.tolist():
+            xi = BandComplement(*regions.param[i].tolist())
+            hits += np.logical_and.reduce([contains(xi, p) for p in sets])
+        prob = hits / model.mc_prob_samples
+        return prob, np.sqrt(prob * (1.0 - prob) / model.mc_prob_samples)
+
+    grid = Grid(6).nodes()
+    mesh = grid.reshape(6, 6, 2)
+    edge = np.array([[0.1, 0.3], [0.3, 0.5], [0.45, 0.45], [0.2, 0.4]])   # on band boundaries
+    for pts in (grid, mesh, edge, np.array([0.35, 0.45])):
+        for got, want in zip(inclusion_prob(model, pts, with_se=True), oracle(0, pts)):
+            assert np.array_equal(got, want)
+    for s, t in ((grid[:-1], grid[1:]), (mesh, mesh[::-1]), (edge, np.array([0.4, 0.5]))):
+        for got, want in zip(joint_inclusion_prob(model, s, t, with_se=True), oracle(1, s, t)):
+            assert np.array_equal(got, want)
+
+
 def test_validate_censoring():
     full = CensoringModel("full")
     diag = validate_censoring(full, Grid(5))

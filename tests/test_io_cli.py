@@ -589,6 +589,28 @@ def test_cli_mc_thread_invariance(tmp_path):
     assert (out1 / "mc_report.csv").exists()
 
 
+@pytest.mark.parametrize("experiment, extra, names", [
+    ("iid_repr", {"region": [0.6, 0.6], "ladder": [20, 40]},
+     ["median_gap@n=20", "median_gap@n=40", "ladder_monotone"]),
+    ("coverage", {"n": 30, "B": 19, "alpha": 0.1, "gridSize": 6}, ["coverage"]),
+])
+def test_cli_mc_iid_repr_and_coverage(tmp_path, experiment, extra, names):
+    cfg = {"masterSeed": 29, "experiment": experiment, "model": {"theta": 0.4},
+           "censorModel": {"family": "rectangle",
+                           "tau1": {"kind": "uniform", "low": 0.7, "high": 1.0},
+                           "tau2": {"kind": "uniform", "low": 0.7, "high": 1.0}},
+           "replicates": 4, **extra}
+    cfgp = wjson(tmp_path / "mc.json", cfg)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["mc", "--config", cfgp, "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["mc", "--config", cfgp, "--out", str(out2), "--threads", "2"]) == 0
+    body = json.loads((out1 / "mc_report.json").read_text())
+    assert body["experiment"] == experiment and body["passed"] is None
+    assert [row["name"] for row in body["rows"]] == names
+    for name in ("mc_report.json", "mc_report.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_cli_mc_scenario_errors(tmp_path, capsys):
     base = {"masterSeed": 1, "experiment": "size_power", "model": {"theta": 0.0},
             "censorModel": {"family": "full"}, "replicates": 2}
