@@ -8,9 +8,8 @@ of per-axis interval unions, complements of a diagonal band, lower layers
 over (..., 2) point arrays, with closed boundaries except where noted.
 
 A CensoringModel is a distribution over regions of one shape.  It can
-draw regions, and it reports inclusion probabilities P(t in xi) and
-P(s in xi, t in xi) in closed form where available and by Monte Carlo
-otherwise.
+draw regions, and it reports the inclusion probabilities P(t in xi) and
+P(s in xi, t in xi) of every family in closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 from .decode import INT, NUM, PAIR, STR, Built, Schema, Tagged
 from .errors import ConfigError, DataError
 from .geometry import as_points, lattice
-from .util import substream
 
 __all__ = [
     "FullSpace", "Rectangle", "GridProduct", "BandComplement", "LowerLayer",
@@ -203,7 +201,7 @@ def contains(region, pts):
     elif isinstance(region, GridProduct):
         out = _in_union(x, region.x_intervals) & _in_union(y, region.y_intervals)
     elif isinstance(region, BandComplement):
-        out = ~_in_band(region.k1, region.k2, region.c, x, y)
+        out = ~((region.k1 < x) & (x < region.k2) & (x < y) & (y < x + region.c))
     elif isinstance(region, LowerLayer):
         cs = np.asarray(region.corners)
         out = ((x[..., None] <= cs[:, 0]) & (y[..., None] <= cs[:, 1])).any(axis=-1)
@@ -216,11 +214,6 @@ def contains(region, pts):
     else:
         raise ConfigError(f"unknown region type {type(region).__name__}")
     return bool(out) if out.ndim == 0 else out
-
-
-def _in_band(k1, k2, c, x, y):
-    """Membership of (x, y) in the open band {k1 < x < k2, x < y < x + c}."""
-    return (k1 < x) & (x < k2) & (x < y) & (y < x + c)
 
 
 def _in_union(v, intervals):
@@ -304,23 +297,27 @@ class QuantileTable:
 
     def cdf_left(self, t):
         """P(X < t) = inf{p : Q(p) >= t}, exact for the piecewise-linear Q."""
+        return self._cdf(t, "left")
+
+    def cdf(self, t):
+        """P(X <= t) = sup{p : Q(p) <= t}, exact for the piecewise-linear Q."""
+        return self._cdf(t, "right")
+
+    def _cdf(self, t, side):
+        # xs[i-1] < t <= xs[i] on the left side and xs[i-1] <= t < xs[i] on the right, so an
+        # inner segment never has x1 == x0, and an atom counts at t only on the right side
         t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self.xs, t, side="left")  # first index with xs[i] >= t
-        out = np.empty(t.shape, dtype=float)
-        out[i >= len(self.xs)] = 1.0
+        i = np.asarray(np.searchsorted(self.xs, t, side=side))
+        out = np.array(i >= len(self.xs), dtype=float)
         inner = (i >= 1) & (i < len(self.xs))
-        if np.any(inner):
-            ii = i[inner]
-            x0, x1 = self.xs[ii - 1], self.xs[ii]
-            p0, p1 = self.ps[ii - 1], self.ps[ii]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                frac = np.where(x1 > x0, (t[inner] - x0) / np.where(x1 > x0, x1 - x0, 1.0), 1.0)
-            out[inner] = p0 + frac * (p1 - p0)
-        out[i == 0] = 0.0
+        ii = i[inner]
+        x0, x1 = self.xs[ii - 1], self.xs[ii]
+        p0, p1 = self.ps[ii - 1], self.ps[ii]
+        out[inner] = p0 + (t[inner] - x0) / (x1 - x0) * (p1 - p0)
         return out if out.ndim else float(out)
 
     def tail_prob(self, t):
-        """P(X >= t)."""
+        """P(X >= t); not P(X > t) where X has an atom at t."""
         return 1.0 - self.cdf_left(t)
 
     def to_json(self):
@@ -342,8 +339,9 @@ class CensoringModel:
     family 'rectangle' draws tau coordinates from two independent quantile
     tables; 'band_complement' draws (k1, k2) as the order statistics of two
     table draws with a fixed width c; the remaining families are fixed
-    regions.  mc_prob_samples and mc_seed control the Monte Carlo fallback
-    for inclusion probabilities.
+    regions.  Every table's values lie in [0, 1].  Inclusion probabilities
+    are closed form for every family, so mc_prob_samples and mc_seed have no
+    effect; they are still checked and kept for the config format.
     """
 
     family: str
@@ -359,6 +357,10 @@ class CensoringModel:
         if fam in _DRAWN:
             if not all(isinstance(p.get(k), QuantileTable) for k in _DRAWN[fam]):
                 raise ConfigError(f"{fam} model needs QuantileTable params {', '.join(_DRAWN[fam])}")
+            for k in _DRAWN[fam]:
+                lo, hi = p[k].xs[[0, -1]].tolist()
+                if not (0.0 <= lo and hi <= 1.0):
+                    raise ConfigError(f"{k} table values must lie in [0, 1], got {lo!r} to {hi!r}")
             if fam == "band_complement" and not (float(p.get("c", 0.0)) > 0.0):
                 raise ConfigError("band_complement model needs width c > 0")
         elif fam in _FIXED_FAMILIES:
@@ -376,7 +378,8 @@ class CensoringModel:
 
     def sample_regions(self, n, rng):
         """(RegionTable, index) of n drawn regions: a fixed family's one region and an all-zero
-        index, or a drawn family's n parameter rows from one rng.random((n, 2))."""
+        index, or a drawn family's n parameter rows from one rng.random((n, 2)), which lie in
+        [0, 1] as their tables do."""
         n = int(n)
         if self.family in _FIXED_FAMILIES:
             return RegionTable.of([self.params["region"]]), np.zeros(n, dtype=np.int64)
@@ -386,9 +389,6 @@ class CensoringModel:
         band = self.family == "band_complement"
         regions = RegionTable(np.full(n, 1 + band, dtype=np.int8), np.column_stack(
             [lo, hi, np.full(n, float(self.params["c"]))] if band else [a, b, np.zeros(n)]), [None] * n)
-        bad = ~((0.0 <= lo) & (hi <= 1.0))
-        if bad.any():
-            regions[int(np.argmax(bad))]      # the first region out of range raises its own error
         return regions, np.arange(n)
 
     @property
@@ -407,16 +407,9 @@ class CensoringModel:
             return Rectangle((self.params["tau1"].xs[0], self.params["tau2"].xs[0]))
         raise ConfigError("model is not a fixed region")
 
-    @property
-    def has_closed_form(self):
-        return self.family in ("rectangle",) + _FIXED_FAMILIES
 
-
-def inclusion_prob(model, pts, with_se=False):
-    """P(t in xi) for each point; closed form where available, else Monte Carlo.
-
-    With with_se=True returns (prob, se); the SE is 0 for closed forms.
-    """
+def inclusion_prob(model, pts):
+    """P(t in xi) for each point, in closed form."""
     p = as_points(pts)
     if model.family == "rectangle":
         out = (model.params["tau1"].tail_prob(p[..., 0])
@@ -424,12 +417,12 @@ def inclusion_prob(model, pts, with_se=False):
     elif model.family in _FIXED_FAMILIES:
         out = contains(model.params["region"], p)
     else:
-        return _returned(*_mc_inclusion(model, 0, p), with_se)
-    return _returned(out, 0.0, with_se)
+        out = 1.0 - _in_band_prob(model, p)
+    return _returned(out)
 
 
-def joint_inclusion_prob(model, s, t, with_se=False):
-    """P(s in xi and t in xi); closed form for rectangle/fixed families."""
+def joint_inclusion_prob(model, s, t):
+    """P(s in xi and t in xi), in closed form."""
     s = as_points(s)
     t = as_points(t)
     if model.family == "rectangle":
@@ -439,43 +432,29 @@ def joint_inclusion_prob(model, s, t, with_se=False):
         region = model.params["region"]
         out = np.logical_and(contains(region, s), contains(region, t))
     else:
-        return _returned(*_mc_inclusion(model, 1, s, t), with_se)
-    return _returned(out, 0.0, with_se)
+        out = 1.0 - _in_band_prob(model, s) - _in_band_prob(model, t) + _in_band_prob(model, s, t)
+    return _returned(out)
 
 
-def _returned(out, se, with_se):
-    """Float arrays, or floats for a single point; (prob, se) when the SE is asked for."""
+def _returned(out):
+    """Float arrays, or a float for a single point."""
     out = np.asarray(out, dtype=float)
-    se = np.zeros_like(out) + se
-    if out.ndim == 0:
-        out, se = float(out), float(se)
-    return (out, se) if with_se else out
+    return float(out) if out.ndim == 0 else out
 
 
-# draws x points in one membership block of _mc_inclusion, so its memory does not grow
-# with mc_prob_samples
-_MC_BLOCK = 1 << 18
+def _in_band_prob(model, *point_sets):
+    """P(every point set lies in the drawn band {k1 < x < k2, x < y < x + c}).
 
-
-def _mc_inclusion(model, key, *point_sets):
-    """Share of drawn regions holding every point set, and its SE; draws from substream key.
-
-    Only band complements are drawn without a closed form: membership is
-    read from the drawn (k1, k2, c) columns, a block of draws at a time.
+    With A and B the independent k1 and k2 table draws, k1 = min(A, B) and
+    k2 = max(A, B), so for u <= v, P(k1 < u, v < k2) = P(A < u) P(B > v) +
+    P(B < u) P(A > v): the two orders are disjoint events.
     """
-    rng = substream(model.mc_seed, key)
+    a, b, c = model.params["k1"], model.params["k2"], float(model.params["c"])
     sets = np.broadcast_arrays(*point_sets)
-    hits = np.zeros(sets[0].shape[:-1])
-    n = model.mc_prob_samples
-    regions, index = model.sample_regions(n, rng)
-    param = regions.param[index].reshape(n, 3, *[1] * hits.ndim)
-    step = max(1, _MC_BLOCK // max(1, hits.size))
-    for lo in range(0, n, step):
-        k1, k2, c = param[lo:lo + step].swapaxes(0, 1)
-        held = [~_in_band(k1, k2, c, p[..., 0], p[..., 1]) for p in sets]
-        hits += np.logical_and.reduce(held).sum(axis=0)
-    prob = hits / n
-    return prob, np.sqrt(prob * (1.0 - prob) / n)
+    x = [p[..., 0] for p in sets]
+    strip = np.logical_and.reduce([(p[..., 0] < p[..., 1]) & (p[..., 1] < p[..., 0] + c) for p in sets])
+    u, v = np.minimum.reduce(x), np.maximum.reduce(x)
+    return strip * (a.cdf_left(u) * (1.0 - b.cdf(v)) + b.cdf_left(u) * (1.0 - a.cdf(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +468,8 @@ class CensoringDiagnostics:
     lipschitz_ratio: float
     epsilon: float
     passed: bool
-    mc_se_max: float = 0.0
+    # every family's inclusion is closed form, so no Monte Carlo SE; validation.json keeps the key
+    mc_se_max = 0.0
 
     def to_json(self):
         return {
@@ -514,23 +494,22 @@ def validate_censoring(model, grid, epsilon=0.05):
     if not (0.0 < eps < 1.0):
         raise ConfigError("epsilon must lie in (0,1)")
     nodes = grid.nodes()
-    probs, ses = inclusion_prob(model, nodes, with_se=True)
-    probs = np.asarray(probs, dtype=float).ravel()
+    probs = inclusion_prob(model, nodes)
     k = int(np.argmin(probs))
     arg = (float(nodes[k, 0]), float(nodes[k, 1]))
     min_p = float(probs[k])
 
-    # adjacent pairs along each axis, both orientations: mesh[i, j] = (xs[i], ys[j])
+    # adjacent pairs along each axis, both orientations: mesh[i, j] = (xs[i], ys[j]), and the
+    # nodes run with the first coordinate fastest, so the node values are the mesh's transposed
     mesh = lattice(grid.xs, grid.ys)
+    at_mesh = probs.reshape(mesh.shape[1::-1]).T
     ratios = []
-    max_se = float(np.max(np.asarray(ses)))
     for axis in (0, 1):
-        rows = np.moveaxis(mesh, axis, 0)
+        rows, at_rows = np.moveaxis(mesh, axis, 0), np.moveaxis(at_mesh, axis, 0)
         s, t = rows[:-1].reshape(-1, 2), rows[1:].reshape(-1, 2)
         h = t[:, axis] - s[:, axis]
         pj = np.asarray(joint_inclusion_prob(model, s, t))
-        ps = np.asarray(inclusion_prob(model, s))
-        pt = np.asarray(inclusion_prob(model, t))
+        ps, pt = at_rows[:-1].reshape(-1), at_rows[1:].reshape(-1)
         ratios.append(np.max((ps - pj) / h))
         ratios.append(np.max((pt - pj) / h))
     lip = float(max(ratios))
@@ -540,7 +519,6 @@ def validate_censoring(model, grid, epsilon=0.05):
         lipschitz_ratio=lip,
         epsilon=eps,
         passed=bool(min_p > eps),
-        mc_se_max=max_se,
     )
 
 

@@ -463,6 +463,11 @@ def main(argv=None):
     except BihazardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        # a size in the config asked for more memory than the machine grants
+        print(f"config error: {args.command} ran out of memory; reduce the sizes in its config",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -683,10 +683,10 @@ def _frac_less_matrix(edges_a, edges_b):
 def _inclusion_fn(censor_model):
     if censor_model is None:
         return lambda pts: 1.0
-    if not censor_model.has_closed_form:
+    if censor_model.family == "band_complement":
         raise ConfigError(
-            "asymptotic covariance needs closed-form inclusion probabilities; "
-            "use a rectangle or fixed-region censoring model")
+            "asymptotic covariance needs P(s, t in xi) to be a function of s v t, which holds "
+            "for rectangle and fixed-region censoring models only, not band_complement")
     return lambda pts: np.asarray(cen.inclusion_prob(censor_model, pts), dtype=float)
 
 

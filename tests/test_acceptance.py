@@ -3,9 +3,10 @@
 Exact checks compare the estimators against independent transcriptions of
 their defining sums. Stochastic checks run at the pre-registered seeds in
 configs/acceptance.json whose 'registered' blocks record the original
-calibration outcomes; seeds were fixed before those runs and never
-rerolled. Each test prints one PASS/FAIL line (visible with -s, or in the
-captured output on failure).
+calibration outcomes, which the criteria assert at their recorded
+precision; seeds were fixed before those runs and never rerolled. Each
+test prints one PASS/FAIL line (visible with -s, or in the captured output
+on failure).
 """
 import json
 import math
@@ -34,6 +35,11 @@ def _report(num, name, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {num:02d} {name}: {tag}{suffix}", flush=True)
+
+
+def _assert_registered(got, registered, places):
+    """got equals the outcome registered in configs/acceptance.json, to the given decimal places."""
+    assert round(got, places) == round(registered, places), (got, registered)
 
 
 def _rect_cm():
@@ -277,6 +283,8 @@ def test_criterion_05_mean_zero_compensator():
     _report(5, "compensated residual is mean zero", ok,
             f"mean {mean:.5f}, se {se:.5f}")
     assert ok
+    _assert_registered(mean, p["registered"]["mean"], 5)
+    _assert_registered(se, p["registered"]["se"], 5)
 
 
 def test_criterion_06_clt_variance_and_normality():
@@ -289,6 +297,11 @@ def test_criterion_06_clt_variance_and_normality():
     ok = rep.passed is True
     _report(6, "normal limit with the quadrature variance", ok, detail)
     assert ok
+    variance, normality = rep.rows
+    _assert_registered(variance["value"], p["registered"]["variance"], 5)
+    _assert_registered(normality["value"], p["registered"]["ks"], 5)
+    # the quadrature reference is recorded in full; a float sum order may move its last digits
+    assert variance["reference"] == pytest.approx(p["registered"]["reference"], rel=1e-12, abs=0)
 
 
 def test_criterion_07_censored_clt_mean():
@@ -316,6 +329,9 @@ def test_criterion_08_glivenko_ladder():
     _report(8, "uniform at-risk convergence ladder", ok,
             "medians " + ", ".join(f"{v:.4f}" for v in meds))
     assert ok
+    assert len(meds) == len(p["registered"]["medians"])
+    for got, registered in zip(meds, p["registered"]["medians"]):
+        _assert_registered(got, registered, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +366,7 @@ def test_criterion_09_independence_size(independence_size_rate):
     _report(9, "independence test holds its level", ok,
             f"rate {independence_size_rate:.3f} in [{lo}, {hi}]")
     assert ok
+    _assert_registered(independence_size_rate, p["registered"]["rate"], 3)
 
 
 def test_criterion_10_independence_power(independence_size_rate):
@@ -361,6 +378,7 @@ def test_criterion_10_independence_power(independence_size_rate):
     _report(10, "independence test has power", ok,
             f"rate {rate:.3f} >= {floor_rate:.3f}")
     assert ok
+    _assert_registered(rate, p["registered"]["rate"], 3)
 
 
 def test_criterion_11_hazard_order_size():
@@ -382,6 +400,7 @@ def test_criterion_11_hazard_order_size():
     _report(11, "hazard-order test holds its level", ok,
             f"rate {rate:.3f} in [{lo}, {hi}]")
     assert ok
+    _assert_registered(rate, p["registered"]["rate"], 3)
 
 
 def _fgm_rate(seed, th1, th2, p):
@@ -429,6 +448,8 @@ def test_criterion_12_fgm_order(fgm_size_rate):
     _report(12, "copula-order region, level, and power", ok,
             f"signs {signs_ok}, size {fgm_size_rate:.3f}, power {power:.3f}")
     assert ok
+    _assert_registered(fgm_size_rate, p["registered"]["sizeRate"], 3)
+    _assert_registered(power, p["registered"]["powerRate"], 3)
 
 
 def test_criterion_13_single_subject_identity():

@@ -209,6 +209,8 @@ def test_quantile_table_fixed_and_uniform():
     assert f.cdf_left(0.3) == 0.0          # P(X < 0.3) = 0 for the point mass
     assert f.cdf_left(0.3000001) == 1.0
     assert f.tail_prob(0.3) == 1.0
+    assert f.cdf(0.3) == 1.0               # P(X <= 0.3) counts the point mass
+    assert f.cdf(0.2999999) == 0.0
     u = QuantileTable.uniform(0.2, 0.6)
     assert u.sample(0.5) == pytest.approx(0.4)
     assert u.cdf_left(0.4) == pytest.approx(0.5)
@@ -216,6 +218,8 @@ def test_quantile_table_fixed_and_uniform():
     assert u.tail_prob(0.6) == 0.0
     assert u.cdf_left(0.1) == 0.0
     assert u.cdf_left(0.9) == 1.0
+    assert u.cdf(0.4) == pytest.approx(0.5) and u.cdf(0.1) == 0.0 and u.cdf(0.6) == 1.0
+    assert u.cdf(np.array([0.1, 0.4, 0.9])).shape == (3,) and u.cdf(np.zeros(0)).shape == (0,)
 
 
 def test_quantile_table_atom_in_table():
@@ -224,6 +228,8 @@ def test_quantile_table_atom_in_table():
     assert t.cdf_left(0.5) == pytest.approx(0.4)
     assert t.tail_prob(0.5) == pytest.approx(0.6)
     assert t.cdf_left(0.51) == 1.0
+    assert t.cdf(0.5) == 1.0
+    assert t.cdf(0.25) == pytest.approx(t.cdf_left(0.25)) == pytest.approx(0.2)
 
 
 def test_quantile_table_validation():
@@ -244,6 +250,7 @@ def test_quantile_table_sample_matches_cdf():
     x = t.sample(u)
     for q in (0.15, 0.4, 0.6, 0.85):
         assert np.mean(x < q) == pytest.approx(t.cdf_left(q), abs=0.02)
+        assert np.mean(x <= q) == pytest.approx(t.cdf(q), abs=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +267,17 @@ def test_model_validation():
         CensoringModel("grid_product", {"region": FullSpace()})
     with pytest.raises(ConfigError):
         CensoringModel("nonsense")
+    # a table reaching outside [0, 1] is refused when the model is built, naming its key
+    with pytest.raises(ConfigError, match=r"^tau1 table values must lie in \[0, 1\], got 0\.5 to 1\.5$"):
+        CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.5, 1.5),
+                                     "tau2": QuantileTable.fixed(0.5)})
+    with pytest.raises(ConfigError, match=r"^k1 table values must lie in \[0, 1\], got -0\.1 to 0\.5$"):
+        CensoringModel("band_complement", {"k1": QuantileTable.uniform(-0.1, 0.5),
+                                           "k2": QuantileTable.fixed(0.2), "c": 0.1})
+    with pytest.raises(ConfigError, match=r"^k2 table values must lie in \[0, 1\]"):
+        CensoringModel("band_complement", {"k1": QuantileTable.fixed(0.2),
+                                           "k2": QuantileTable([(0, 0.5), (0.9, 1.0), (1, 1.2)]),
+                                           "c": 0.1})
 
 
 def test_deterministic_and_fixed_region():
@@ -323,15 +341,6 @@ def test_drawn_regions_are_parameter_columns_from_one_draw():
     layer = LowerLayer(((0.5, 0.5),))
     regions, index = CensoringModel("lower_layer", {"region": layer}).sample_regions(6, None)
     assert len(regions) == 1 and regions[0] is layer and index.tolist() == [0] * 6
-    # a draw outside the unit square is refused by its region's own check
-    wide = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.5, 1.5),
-                                        "tau2": QuantileTable.fixed(0.5)})
-    with pytest.raises(ConfigError, match=r"rectangle corner must lie in \[0,1\]\^2, got \(1\.\d+, 0\.5\)"):
-        wide.sample_regions(50, np.random.default_rng(1))
-    wide = CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.5, 1.5),
-                                              "k2": QuantileTable.fixed(0.2), "c": 0.1})
-    with pytest.raises(ConfigError, match=r"band needs 0 <= k1 <= k2 <= 1, got \(0\.2, 1\.\d+\)"):
-        wide.sample_regions(50, np.random.default_rng(1))
 
 
 def test_inclusion_prob_rectangle_closed_form():
@@ -339,8 +348,7 @@ def test_inclusion_prob_rectangle_closed_form():
                                          "tau2": QuantileTable.uniform(0.5, 1.0)})
     # P(tau1 >= 0.75) = 0.5 and P(tau2 >= 0.25) = 1
     assert inclusion_prob(model, (0.75, 0.25)) == pytest.approx(0.5)
-    p, se = inclusion_prob(model, (0.75, 0.75), with_se=True)
-    assert p == pytest.approx(0.25) and se == 0.0
+    assert inclusion_prob(model, (0.75, 0.75)) == pytest.approx(0.25)
     # joint inclusion is the tail at the componentwise join
     j = joint_inclusion_prob(model, (0.6, 0.1), (0.75, 0.2))
     assert j == pytest.approx(0.5)
@@ -354,72 +362,102 @@ def test_inclusion_prob_fixed_region_is_indicator():
     assert joint_inclusion_prob(model, (0.6, 0.3), (0.2, 0.7)) == 1.0
 
 
-def test_inclusion_prob_monte_carlo_fallback():
-    # a band model with point-mass parameters always draws the same region,
-    # so the Monte Carlo estimate must hit the indicator exactly
+def test_band_inclusion_is_the_indicator_for_a_fixed_band():
+    # point-mass parameters always draw the same region, so inclusion is its indicator
     model = CensoringModel("band_complement", {"k1": QuantileTable.fixed(0.3),
                                                "k2": QuantileTable.fixed(0.6),
-                                               "c": 0.2},
-                           mc_prob_samples=400)
+                                               "c": 0.2})
     region = BandComplement(0.3, 0.6, 0.2)
-    pts = np.array([[0.4, 0.45], [0.4, 0.9], [0.1, 0.15]])
-    got, se = inclusion_prob(model, pts, with_se=True)
+    # inside, above the strip, left of k1, and on each boundary of the open band
+    pts = np.array([[0.4, 0.45], [0.4, 0.9], [0.1, 0.15], [0.3, 0.35], [0.6, 0.65],
+                    [0.45, 0.45], [0.4, 0.4 + 0.2]])
     want = contains(region, pts).astype(float)
-    assert np.array_equal(got, want)
-    assert np.all(se == 0.0)
-    # same model, same seed: identical output
-    again = inclusion_prob(model, pts)
-    assert np.array_equal(got, again)
-    # the joint probability takes the same fallback: the indicator of both points inside
-    other = np.array([[0.1, 0.15], [0.7, 0.75], [0.5, 0.55]])
-    got, se = joint_inclusion_prob(model, pts, other, with_se=True)
+    assert want.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert np.array_equal(inclusion_prob(model, pts), want)
+    other = np.array([[0.1, 0.15], [0.7, 0.75], [0.5, 0.55], [0.6, 0.65], [0.35, 0.4], [0.2, 0.1],
+                      [0.5, 0.5]])
     want = (contains(region, pts) & contains(region, other)).astype(float)
-    assert np.array_equal(got, want) and want.tolist() == [0.0, 1.0, 0.0]
-    assert np.all(se == 0.0)
-    assert joint_inclusion_prob(model, (0.1, 0.15), (0.4, 0.9), with_se=True) == (1.0, 0.0)
+    assert want.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0]
+    assert np.array_equal(joint_inclusion_prob(model, pts, other), want)
+    assert joint_inclusion_prob(model, (0.1, 0.15), (0.4, 0.9)) == 1.0
+    # point sets broadcast against each other
+    assert np.array_equal(joint_inclusion_prob(model, pts, (0.6, 0.65)), inclusion_prob(model, pts))
+    assert joint_inclusion_prob(model, pts[:, None], other).shape == (7, 7)
+    assert inclusion_prob(model, (0.35, 0.4)) == 0.0
 
 
-def test_inclusion_prob_monte_carlo_accuracy():
+def test_band_inclusion_hand_computed_uniform_cases():
+    # k1 = 0.2 and k2 ~ U(0.2, 1): at (0.5, 0.55) the point is censored iff k2 > 0.5,
+    # so P = P(k2 <= 0.5) = 0.375
     model = CensoringModel("band_complement", {"k1": QuantileTable.fixed(0.2),
                                                "k2": QuantileTable.uniform(0.2, 1.0),
-                                               "c": 0.15},
-                           mc_prob_samples=4000)
-    # at (0.5, 0.55) the point is censored iff k2 > 0.5, so P = P(k2 <= 0.5) = 0.375
-    p, se = inclusion_prob(model, (0.5, 0.55), with_se=True)
-    assert se > 0.0
-    assert p == pytest.approx(0.375, abs=4 * se + 1e-9)
+                                               "c": 0.15})
+    assert inclusion_prob(model, (0.5, 0.55)) == 0.375
+    # both (0.5, 0.55) and (0.6, 0.7) are kept iff k2 <= 0.5
+    assert joint_inclusion_prob(model, (0.5, 0.55), (0.6, 0.7)) == 0.375
+    assert joint_inclusion_prob(model, (0.6, 0.7), (0.5, 0.55)) == 0.375
+    # below k1, or outside the strip, a point is always kept
+    assert inclusion_prob(model, np.array([[0.2, 0.25], [0.1, 0.15], [0.5, 0.7]])).tolist() == [1.0] * 3
+    # A, B ~ U(0, 1) independent: P(t1 in (min, max)) = 2 t1 (1 - t1); for pairs in the strip
+    # P(both in the band) = 2 u (1 - v) with u <= v their first coordinates
+    both = CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.0, 1.0),
+                                              "k2": QuantileTable.uniform(0.0, 1.0), "c": 0.5})
+    assert inclusion_prob(both, (0.25, 0.5)) == pytest.approx(1.0 - 2 * 0.25 * 0.75, abs=1e-15)
+    s, t = (0.25, 0.5), (0.5, 0.75)
+    want = 1.0 - 2 * 0.25 * 0.75 - 2 * 0.5 * 0.5 + 2 * 0.25 * 0.5
+    assert joint_inclusion_prob(both, s, t) == pytest.approx(want, abs=1e-15)
+    assert joint_inclusion_prob(both, t, s) == joint_inclusion_prob(both, s, t)
+    assert joint_inclusion_prob(both, s, s) == inclusion_prob(both, s)
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_inclusion_prob_monte_carlo_matches_per_draw_loop(monkeypatch, block):
-    # the column membership counts exactly the draws a loop over region objects counts
-    import bihazard.censoring as cen
-    from bihazard.util import substream
-    if block is not None:
-        monkeypatch.setattr(cen, "_MC_BLOCK", block)
-    model = CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.1, 0.5),
-                                               "k2": QuantileTable.uniform(0.3, 0.9),
-                                               "c": 0.2}, mc_prob_samples=997, mc_seed=4)
+# three table shapes: overlapping uniforms; atoms inside tables (mass 0.4 at 0.2 and 0.1 at
+# 0.7) with overlapping ranges; a point mass against a uniform whose range straddles it
+_ORACLE_MODELS = {
+    "uniform": CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.1, 0.5),
+                                                  "k2": QuantileTable.uniform(0.3, 0.9), "c": 0.2}),
+    "atoms": CensoringModel("band_complement", {
+        "k1": QuantileTable([(0.0, 0.2), (0.4, 0.2), (0.8, 0.5), (1.0, 0.7)]),
+        "k2": QuantileTable([(0.0, 0.4), (0.5, 0.7), (0.6, 0.7), (1.0, 0.9)]), "c": 0.25}),
+    "point_mass": CensoringModel("band_complement", {"k1": QuantileTable.fixed(0.3),
+                                                     "k2": QuantileTable.uniform(0.1, 0.8),
+                                                     "c": 0.3}),
+}
 
-    def oracle(key, *point_sets):
-        regions, index = model.sample_regions(model.mc_prob_samples, substream(model.mc_seed, key))
-        sets = np.broadcast_arrays(*point_sets)
-        hits = np.zeros(sets[0].shape[:-1])
-        for i in index.tolist():
-            xi = BandComplement(*regions.param[i].tolist())
-            hits += np.logical_and.reduce([contains(xi, p) for p in sets])
-        prob = hits / model.mc_prob_samples
-        return prob, np.sqrt(prob * (1.0 - prob) / model.mc_prob_samples)
 
-    grid = Grid(6).nodes()
-    mesh = grid.reshape(6, 6, 2)
-    edge = np.array([[0.1, 0.3], [0.3, 0.5], [0.45, 0.45], [0.2, 0.4]])   # on band boundaries
-    for pts in (grid, mesh, edge, np.array([0.35, 0.45])):
-        for got, want in zip(inclusion_prob(model, pts, with_se=True), oracle(0, pts)):
-            assert np.array_equal(got, want)
-    for s, t in ((grid[:-1], grid[1:]), (mesh, mesh[::-1]), (edge, np.array([0.4, 0.5]))):
-        for got, want in zip(joint_inclusion_prob(model, s, t, with_se=True), oracle(1, s, t)):
-            assert np.array_equal(got, want)
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+def test_band_inclusion_matches_monte_carlo_oracle(name):
+    # the share of 10^5 drawn regions that hold the points lies within 5 SE of the closed form
+    model = _ORACLE_MODELS[name]
+    draws = 100_000
+    regions, index = model.sample_regions(draws, np.random.default_rng(11))
+    k1, k2, c = (v[:, None] for v in regions.param[index].T)
+
+    def member(p):
+        x, y = p[:, 0], p[:, 1]
+        return ~((k1 < x) & (x < k2) & (x < y) & (y < x + c))
+
+    def close(closed, mc):
+        # within 5 SE of the closed form, so equal where it is 0 or 1
+        bound = 5.0 * np.sqrt(closed * (1.0 - closed) / draws) + 1e-12
+        assert np.all(np.abs(closed - mc) <= bound), np.max(np.abs(closed - mc) - bound)
+
+    # Grid(8) nodes, then every band edge: x on a table atom or range end, y on the diagonal,
+    # just above it, inside the strip or on the strip's top
+    atoms = np.array([0.2, 0.3, 0.4, 0.5, 0.7, 0.8, 0.9])
+    edges = np.array([(x, y) for x in atoms for y in (x, x + 1e-3, x + 0.1, x + model.params["c"])])
+    pts = np.concatenate([Grid(8).nodes(), edges])
+    held = np.ascontiguousarray(member(pts).T)          # held[k, r]: draw r holds point k
+    # the column membership is the region objects' own membership
+    for r in range(0, draws, draws // 50):
+        assert np.array_equal(held[:, r], contains(regions[r], pts))
+    close(inclusion_prob(model, pts), held.mean(axis=1))
+    # node k is (i, j) with k = 8 j + i; pairs of neighbours along x and along y, and pairs of
+    # edge points reversed, shifted and with themselves
+    k = np.arange(64).reshape(8, 8)
+    e = 64 + np.arange(len(edges))
+    for i, j in ((k[:, :-1], k[:, 1:]), (k[:-1], k[1:]), (e, e[::-1]), (e, np.roll(e, 4)), (e, e)):
+        i, j = i.ravel(), j.ravel()
+        close(joint_inclusion_prob(model, pts[i], pts[j]), (held[i] & held[j]).mean(axis=1))
 
 
 def test_validate_censoring():

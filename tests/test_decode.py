@@ -125,7 +125,9 @@ PROBES = ([("simulate", "simulate.json", argv, None, code, msg)
               _set("region", {"kind": "band_complement", "k1": "x", "k2": 0.5, "c": 0.1}),
               None, 3, "region.k1 must be a number")]
           + [("validate", "validate.json", _set("censorModel.mc_prob_samples", 0), None, 2,
-              "censorModel: mc_prob_samples must be at least 1, got 0")]
+              "censorModel: mc_prob_samples must be at least 1, got 0"),
+             ("validate", "validate.json", _set("censorModel.tau1.high", 1.5), None, 2,
+              "censorModel: tau1 table values must lie in [0, 1], got 0.5 to 1.5")]
           + [("estimate", "estimate.json", [], censor, 3, f"line 2: {msg}")
              for censor, msg in DATA_PROBES])
 

@@ -863,7 +863,8 @@ def test_asymptotic_cov_errors_and_edges():
     band = CensoringModel("band_complement", {"k1": QuantileTable.fixed(0.2),
                                               "k2": QuantileTable.fixed(0.6),
                                               "c": 0.1})
-    with pytest.raises(ConfigError):
+    # the wedge term reads P(s, t in xi) at s v t, which band inclusion is not a function of
+    with pytest.raises(ConfigError, match=r"needs P\(s, t in xi\) to be a function of s v t"):
         asymptotic_cov(m, band, LowerRect((0.5, 0.5)), LowerRect((0.5, 0.5)))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -728,3 +729,136 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: every CLI command on configs/, byte for byte
+# ---------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BAND_CM = {"family": "band_complement", "k1": {"kind": "uniform", "low": 0.1, "high": 0.5},
+           "k2": {"kind": "uniform", "low": 0.3, "high": 0.9}, "c": 0.2}
+DUMP = ["--set", "replicateDump=true"]
+
+
+def _golden_runs(tmp_path):
+    """(name, argv) of each command in order; a run may read an earlier run's dataset."""
+    band = {"masterSeed": 11, "n": 150, "model": {"theta": 0.4}, "censorModel": BAND_CM}
+    data, data2, band_data = (str(tmp_path / d / "dataset.jsonl") for d in ("sim", "sim2", "band_sim"))
+    return [
+        ("sim", ["simulate", "--config", CONFIGS / "simulate.json"]),
+        ("sim2", ["simulate", "--config", CONFIGS / "simulate.json", "--set", "masterSeed=20260107"]),
+        ("sim_latent", ["simulate", "--config", CONFIGS / "simulate.json", "--latent"]),
+        ("estimate", ["estimate", "--config", CONFIGS / "estimate.json", "--data", data]),
+        ("independence", ["test", "--config", CONFIGS / "test_independence.json", "--data", data]),
+        ("hazard_order", ["test", "--config", CONFIGS / "test_hazard_order.json", "--data", data,
+                          "--data2", data2, *DUMP]),
+        ("fgm_order", ["test", "--config", CONFIGS / "test_fgm_order.json", "--data", data,
+                       "--data2", data2, *DUMP]),
+        ("mc_clt", ["mc", "--config", CONFIGS / "mc_clt.json"]),
+        ("mc_size_power", ["mc", "--config", CONFIGS / "mc_size_power.json"]),
+        ("validate", ["validate", "--config", CONFIGS / "validate.json"]),
+        ("band_sim", ["simulate", "--config", wjson(tmp_path / "band.json", band), "--latent"]),
+        ("band_estimate", ["estimate", "--config", CONFIGS / "estimate.json", "--data", band_data]),
+        ("band_validate", ["validate", "--config", CONFIGS / "validate.json",
+                           "--set", f"censorModel={json.dumps(BAND_CM)}", "--set", "grid.size=16"]),
+    ]
+
+
+# sha256 of every output file but manifest.json, which holds absolute input paths.  Frozen
+# from the outputs before inclusion became closed form for band complements, except
+# band_validate, whose inclusion probabilities were Monte Carlo estimates then.  Floats
+# go through NumPy's and the BLAS's arithmetic, so another build may need them taken afresh.
+GOLDEN = {
+    "sim": {
+        "dataset.jsonl": "3e62809f305f9dc4a0513125c9718faee9751c9378979e9eca7d576d737f2345",
+        "resolved_config.json": "a5099cfc035a8743c049eb79c778e5c3d787fb3aa59e95436c6810806cc8d67b",
+    },
+    "sim2": {
+        "dataset.jsonl": "d26d5546ffe7ed86d03ad934e8106d346c7ec89b297b58f3f091b3563fa1c284",
+        "resolved_config.json": "cee75cae1f35f133febde00a0ce933616dba2651115b6f25f0f70ff94ae4824c",
+    },
+    "sim_latent": {
+        "dataset.jsonl": "5bb4d3821bbdd737696c08977e3f5ad850f55126768b1316102b8cc8cf9fdfda",
+        "resolved_config.json": "a5099cfc035a8743c049eb79c778e5c3d787fb3aa59e95436c6810806cc8d67b",
+    },
+    "estimate": {
+        "jumps.csv": "c6747ed298c35376e63ef4fd15ae7c00eaa7b8d307957aec11df7a92d4310e95",
+        "marginal1.csv": "31c8018c6da1f1a368f71bc0d5f82329f6cb6b15c7368ceb8f197a945b6cf394",
+        "marginal2.csv": "f33482b412d3a596495622283a881a1005a5dcb59d7e52ed5a0bc71150780c81",
+        "resolved_config.json": "c120d50f9de2533153f42f1393e4f05317ab4bb5c6285bfb1144492db6b7c8c7",
+        "summary.json": "fe1d23100172be70974f1c141e79e25f28762008c336e4a187ff1f7561f6aac6",
+        "surface.csv": "afb42e1f0737da3413ab1c010c0902be4b331150bad6427ad0492540560e6ad0",
+    },
+    "independence": {
+        "replicates.csv": "db3e087ed8e47ddb9f4e34ca4504251ac2609dfa6297981df30753a990d2aa64",
+        "resolved_config.json": "74dc911d9a1d9306f2a0196b23c929a450db656c651c8389afe8554040d87749",
+        "test_report.json": "38be638abba544eddad7b1d16a768117bfd39fa476a3c80f1ba82da746b2231b",
+    },
+    "hazard_order": {
+        "replicates.csv": "174f1602877fc45c0757f0b1783f81473b07dc956fde24580895872c151297c7",
+        "resolved_config.json": "d3d7005447d7ecc27d53eb571c0d8999037d8ef0b9ca5120d1e06b31c44f5ff5",
+        "test_report.json": "578706e9fd2ed773c3ac2e574c90a4efa83b04adc59d9f82348ebc43f4b59ede",
+    },
+    "fgm_order": {
+        "replicates.csv": "e7bc5c992f85fcf34c84127a37d7deb7e205733001398f50dcf3c79ef72f0c29",
+        "resolved_config.json": "399d07f459489e9910bc84e8e315e32ed22e6e70c7cab3f2f860c39fd1747025",
+        "test_report.json": "28ca56a0aa5f47929c23b24dda36c1ca1264d06dc4a84936585a1eb2e19ec259",
+    },
+    "mc_clt": {
+        "mc_report.csv": "bdd8d39c6418b05971ef0eb57efe225e1e1863e184c92f221cd77566827a2b44",
+        "mc_report.json": "2f63574af9dbc0ef65e21e93039954ccf441776f64ae823e01ce9b5ea4bd07ad",
+        "resolved_config.json": "cfa7b71c91c2f64f236ab406202a09f3ab037769ee13711cb9aa8899b26fd298",
+    },
+    "mc_size_power": {
+        "mc_report.csv": "ccbe216abf4cf1703ade048b05c6b54c1328efa5f564554da6d3aaed999f933b",
+        "mc_report.json": "10a040e249c975534e338d44a8cb1ef58ccf5c057b560de01471ad3d8d9265e4",
+        "resolved_config.json": "4b2b5dc54021812baded0775c56228265e28f27b233a1b750792b850d7b3a57d",
+    },
+    "validate": {
+        "resolved_config.json": "63be3a337693a91c63f6e6ce561e7c7b759ffed01afa69167fa9a99cce02a5d1",
+        "validation.json": "35da92929a5550a6267a97245fcfa29c599357adae25e524c1edaa628bb92b89",
+    },
+    "band_sim": {
+        "dataset.jsonl": "b592a55f9f8247a30dd56c2d825988810619f79b71c4a1697827544452775fa2",
+        "resolved_config.json": "ec15c37df8069cdd0c9672ed3e207d57ab7293b74c5fda5e40e415d4d893ac0c",
+    },
+    "band_estimate": {
+        "jumps.csv": "d13c0ddb694aa557a0400031037b2373c56416dedcf36b67584d2cf5729880a6",
+        "marginal1.csv": "c7de20afceaf0d04515048a0e6c444059dab19954c7827af2669672fef74fa6a",
+        "marginal2.csv": "bc7d17b9156518d78a39faa41eb77c99bf8f59a0f070c5ceb8a5e7cd28482b4a",
+        "resolved_config.json": "c120d50f9de2533153f42f1393e4f05317ab4bb5c6285bfb1144492db6b7c8c7",
+        "summary.json": "4fd031b539cd0cef1fd7e6ea6109cbb626695d0d65bd9d454bb30da9de458494",
+        "surface.csv": "f7ee6886ec971d3c7c98c703c4827452cc08a876c67d0ba89c10e796ee934a7b",
+    },
+    "band_validate": {
+        "resolved_config.json": "b22e5097b61334eae42c02fcad2b0e09e7955e3095bb831a287e26714188444a",
+        "validation.json": "61563e1ede5fa29863badbcfc3c21c2a95235ed05aaa6087d8cedaaa3d3cb911",
+    },
+}
+
+
+def test_cli_outputs_match_their_golden_digests(tmp_path):
+    got = {}
+    for name, argv in _golden_runs(tmp_path):
+        out = tmp_path / name
+        assert main([str(a) for a in argv] + ["--out", str(out)]) == 0, name
+        got[name] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                     for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+    assert got == GOLDEN
+
+
+def test_cli_out_of_memory_exits_2_naming_the_command(tmp_path, capsys, monkeypatch):
+    # stands in for a size key that asks for more memory than the machine grants
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB")
+
+    data = tmp_path / "worked.jsonl"
+    write_dataset(data, worked_records())
+    monkeypatch.setattr(bihazard.cli, "nelson_aalen_surface", exhausted)
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(CONFIGS / "estimate.json"), "--data", str(data),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "estimate ran out of memory" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
