@@ -4,8 +4,12 @@ One JSON config file is the source of truth per run; --set key=value
 overrides single leaves (dotted paths descend into sections).  Configs are
 decoded strictly; errors name the key path.  Commands that draw randomness
 require masterSeed and are bit-reproducible; --threads is accepted and ignored.
-Every output directory gets the fully resolved config and a manifest with
-the tool version and content digests of all inputs and outputs.
+
+Each command returns a `Run` (its config, output files, datasets read, report
+lines and exit code) and writes nothing itself.  `_seal` is the one place that
+creates --out: after the command has finished it writes the files, the fully
+resolved config and a manifest with the tool version and content digests of
+all inputs and outputs.  A command that stops with an error leaves no directory.
 
 Exit codes: 0 ok, 2 usage/config, 3 data, 4 numeric, 5 a pre-registered
 criterion or validation failed.
@@ -18,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .decode import BOOL, INT, NUM, OPTIONAL, PAIR, STR, Built, Schema, Tagged
 from .errors import BihazardError, ConfigError, DataError, NumericError
 from .estimators import (jump_masses, kaplan_meier, marginal_nelson_aalen,
                          nelson_aalen_surface, simulate_sample)
-from .geometry import Grid, LowerRect, PredicateRegion
+from .geometry import Grid, LowerRect, PredicateRegion, lattice
 from .inference import (BootstrapSpec, fgm_order_test, hazard_order_test,
                         independence_test)
 from .io import read_sample, write_dataset
@@ -82,68 +87,25 @@ def _apply_overrides(cfg, assignments):
     return cfg
 
 
+def _decoded(args, schema):
+    """(the config file with --set applied, its strict decoding by schema)."""
+    cfg = _apply_overrides(_load_config(args.config), args.set)
+    return cfg, schema.decode(cfg)
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+class Run(NamedTuple):
+    """A finished command: what `_seal` writes into --out and what `main` then reports."""
 
-
-class OutputDir:
-    """Collects output files, then seals the run with config + manifest."""
-
-    def __init__(self, path, command, config, inputs):
-        self.path = path
-        self.command = command
-        self.config = config
-        self.inputs = dict(inputs)
-        self.outputs = {}
-        os.makedirs(path, exist_ok=True)
-
-    def file(self, name):
-        return os.path.join(self.path, name)
-
-    def wrote(self, name):
-        self.outputs[name] = sha256_file(self.file(name))
-
-    def write_json(self, name, obj):
-        with open(self.file(name), "w") as fh:
-            json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.wrote(name)
-
-    def write_csv(self, name, rows):
-        with open(self.file(name), "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in rows:
-                w.writerow([fmt_float(v) if isinstance(v, float) else v for v in row])
-        self.wrote(name)
-
-    def seal(self):
-        self.write_json("resolved_config.json", self.config)
-        manifest = {
-            "version": __version__,
-            "command": self.command,
-            "inputs": {k: v for k, v in sorted(self.inputs.items())},
-            "outputs": {k: v for k, v in sorted(self.outputs.items())
-                        if k != "manifest.json"},
-        }
-        with open(self.file("manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    config: dict            # the config file with --set applied
+    files: dict             # name -> JSON value, CSV rows (a .csv name) or a writer of the path
+    lines: list             # report lines
+    data: tuple = ()        # dataset paths read, hashed into the manifest
+    stderr: bool = False    # report on stderr instead of stdout
+    code: int = EXIT_OK
 
 
 def _hash_input(path):
@@ -151,6 +113,34 @@ def _hash_input(path):
         return sha256_file(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path, body):
+    if callable(body):
+        body(path)
+    elif path.endswith(".csv"):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([fmt_float(v) if isinstance(v, float) else v for v in row]
+                                     for row in body)
+    else:
+        with open(path, "w") as fh:
+            # numpy scalars and arrays are written as the Python values tolist() gives
+            json.dump(body, fh, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
+            fh.write("\n")
+
+
+def _seal(args, run):
+    """Create --out (or write into it), write the run's files, then resolved_config.json,
+    then manifest.json; inputs are hashed first so that a vanished input leaves no directory."""
+    inputs = {path: _hash_input(path) for path in (args.config, *run.data)}
+    os.makedirs(args.out, exist_ok=True)
+    outputs = {}
+    for name, body in {**run.files, "resolved_config.json": run.config}.items():
+        path = os.path.join(args.out, name)
+        _write(path, body)
+        outputs[name] = sha256_file(path)
+    _write(os.path.join(args.out, "manifest.json"),
+           {"version": __version__, "command": args.command, "inputs": inputs, "outputs": outputs})
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +151,7 @@ _SIMULATE = Schema({"masterSeed": INT, "n": INT, "model": MODEL, "censorModel": 
 
 
 def cmd_simulate(args):
-    cfg = _apply_overrides(_load_config(args.config), args.set)
-    c = _SIMULATE.decode(cfg)
+    cfg, c = _decoded(args, _SIMULATE)
     n, seed, rng = c["n"], c["masterSeed"], substream(c["masterSeed"], DATA)
     if n < 0:
         raise ConfigError(f"n must be at least 0, got {n}")
@@ -171,13 +160,10 @@ def cmd_simulate(args):
     if n:
         sample = simulate_sample(c["model"], c["censorModel"], n, rng, form=form)
         records, events = sample.records, int(np.count_nonzero(sample.event_mask))
-    out = OutputDir(args.out, "simulate", cfg, {args.config: sha256_file(args.config)})
     header = {"n": n, "masterSeed": seed, "form": form, "version": __version__}
-    write_dataset(out.file("dataset.jsonl"), records, header=header)
-    out.wrote("dataset.jsonl")
-    out.seal()
-    print(f"wrote {len(records)} records ({events} events) to {out.file('dataset.jsonl')}")
-    return EXIT_OK
+    return Run(cfg, {"dataset.jsonl": lambda path: write_dataset(path, records, header=header)},
+               [f"wrote {len(records)} records ({events} events) to "
+                f"{os.path.join(args.out, 'dataset.jsonl')}"])
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +176,17 @@ _ESTIMATE = Schema({"grid": ({"size": (INT, 64), "tau": (PAIR, [1.0, 1.0])}, {})
 
 
 def cmd_estimate(args):
-    cfg = _apply_overrides(_load_config(args.config), args.set)
-    c = _ESTIMATE.decode(cfg)
+    cfg, c = _decoded(args, _ESTIMATE)
     size, tau = c["grid"]["size"], c["grid"]["tau"]
     method, marginals = c["method"], c["marginals"]
     sample = read_sample(args.data)
     grid = Grid(size, tau)
     surf = nelson_aalen_surface(sample, grid, method=method)
 
-    out = OutputDir(args.out, "estimate", cfg,
-                    {args.config: sha256_file(args.config),
-                     args.data: _hash_input(args.data)})
-    rows = [["t1", "t2", "Hhat"]]
-    for i, x in enumerate(grid.xs):
-        for j, y in enumerate(grid.ys):
-            rows.append([float(x), float(y), float(surf.values[i, j])])
-    out.write_csv("surface.csv", rows)
-    jrows = [["y1", "y2", "mass"]]
-    for p, w in zip(surf.jump_points, surf.jump_masses):
-        jrows.append([float(p[0]), float(p[1]), float(w)])
-    out.write_csv("jumps.csv", jrows)
+    surface = np.dstack([lattice(grid.xs, grid.ys), surf.values]).reshape(-1, 3)
+    jumps = np.column_stack([surf.jump_points, surf.jump_masses])
+    files = {"surface.csv": [["t1", "t2", "Hhat"], *surface.tolist()],
+             "jumps.csv": [["y1", "y2", "mass"], *jumps.tolist()]}
 
     marg_done = False
     if marginals in (True, "auto"):
@@ -217,17 +194,15 @@ def cmd_estimate(args):
             for axis in (0, 1):
                 est = marginal_nelson_aalen(sample, axis)
                 km = kaplan_meier(est)
-                mrows = [["value", "count", "atRisk", "jump", "cumHazard", "kmCdf"]]
-                for idx in range(len(est.values)):
-                    mrows.append([float(est.values[idx]), int(est.counts[idx]),
-                                  int(est.at_risk[idx]), float(est.jumps[idx]),
-                                  float(est.cum[idx]), float(km.values[idx])])
-                out.write_csv(f"marginal{axis + 1}.csv", mrows)
+                columns = (est.values, est.counts, est.at_risk, est.jumps, est.cum, km.values)
+                files[f"marginal{axis + 1}.csv"] = [
+                    ["value", "count", "atRisk", "jump", "cumHazard", "kmCdf"],
+                    *zip(*(col.tolist() for col in columns))]
             marg_done = True
         except BihazardError:
             if marginals is True:
                 raise
-    summary = {
+    files["summary.json"] = summary = {
         "n": sample.n,
         "observedCount": int(np.count_nonzero(sample.event_mask)),
         "fullWindowEstimate": float(np.sum(jump_masses(sample, method))),
@@ -235,11 +210,9 @@ def cmd_estimate(args):
         "grid": {"size": size, "tau": list(tau)},
         "marginalsComputed": marg_done,
     }
-    out.write_json("summary.json", summary)
-    out.seal()
-    print(f"estimated surface on {size}x{size} grid; "
-          f"full-window estimate {summary['fullWindowEstimate']:.6g}")
-    return EXIT_OK
+    return Run(cfg, files, [f"estimated surface on {size}x{size} grid; "
+                            f"full-window estimate {summary['fullWindowEstimate']:.6g}"],
+               data=(args.data,))
 
 
 # ---------------------------------------------------------------------------
@@ -260,38 +233,31 @@ _TEST = Schema(Tagged("test", {
 
 
 def cmd_test(args):
-    cfg = _apply_overrides(_load_config(args.config), args.set)
-    c = _TEST.decode(cfg)
+    cfg, c = _decoded(args, _TEST)
     which, tau, b = c["test"], c.get("tau"), c["bootstrap"]
     spec = BootstrapSpec(replicates=b["B"], alpha=b["alpha"], seed=c["masterSeed"],
                          grid_size=b["gridSize"], sided=b["sided"])
     if (which == "independence") == bool(args.data2):
         raise ConfigError("independence takes --data only; the two-sample tests need --data2")
 
-    inputs = {args.config: sha256_file(args.config), args.data: _hash_input(args.data)}
     sample = read_sample(args.data)
     if which == "independence":
         report = independence_test(sample, spec, tau=tau)
     else:
-        inputs[args.data2] = _hash_input(args.data2)
         sample2 = read_sample(args.data2)
         if which == "hazard-order":
             report = hazard_order_test(sample, sample2, spec, region=c.get("region"), tau=tau)
         else:
             report = fgm_order_test(sample, sample2, tau, spec, c["marginalsEqual"])
 
-    out = OutputDir(args.out, "test", cfg, inputs)
-    out.write_json("test_report.json", report.to_json())
+    files = {"test_report.json": report.to_json()}
     if c["replicateDump"]:
-        rows = [["replicateIndex", "statistic"]]
-        for i, v in enumerate(report.replicate_statistics):
-            rows.append([i, float(v)])
-        out.write_csv("replicates.csv", rows)
-    out.seal()
+        files["replicates.csv"] = [["replicateIndex", "statistic"],
+                                   *enumerate(report.replicate_statistics.tolist())]
     verdict = "reject" if report.reject else "fail to reject"
-    print(f"{which}: statistic {report.statistic:.6g}, "
-          f"critical {report.critical_value:.6g}, p {report.p_value:.4g} -> {verdict}")
-    return EXIT_OK
+    return Run(cfg, files, [f"{which}: statistic {report.statistic:.6g}, critical "
+                            f"{report.critical_value:.6g}, p {report.p_value:.4g} -> {verdict}"],
+               data=(args.data, args.data2) if args.data2 else (args.data,))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +291,7 @@ _MC = Schema(Tagged("experiment", {
 
 
 def cmd_mc(args):
-    cfg = _apply_overrides(_load_config(args.config), args.set)
-    c = _MC.decode(cfg)
+    cfg, c = _decoded(args, _MC)
     experiment = c["experiment"]
     mccfg = MCConfig(model=c["model"], censor_model=c["censorModel"], n=c["n"],
                      replicates=c["replicates"], grid_size=c["gridSize"], seed=c["masterSeed"])
@@ -343,17 +308,13 @@ def cmd_mc(args):
     else:
         report = coverage_study(mccfg, alpha=c["alpha"], b=c["B"], band=c["band"])
 
-    out = OutputDir(args.out, "mc", cfg, {args.config: sha256_file(args.config)})
     body = report.to_json()
     body.pop("runtime", None)    # keep reports byte-identical across runs
-    out.write_json("mc_report.json", body)
-    out.write_csv("mc_report.csv", report.csv_rows())
-    out.seal()
-    print(f"{experiment}: passed={report.passed} ({report.runtime:.1f}s)", file=sys.stderr)
-    for row in report.rows:
-        print(f"  {row['name']}: value={row['value']:.6g} tolerance[{row['tolerance']}] "
-              f"passed={row['passed']}", file=sys.stderr)
-    return EXIT_CRITERIA if report.passed is False else EXIT_OK
+    lines = [f"{experiment}: passed={report.passed} ({report.runtime:.1f}s)"]
+    lines += [f"  {row['name']}: value={row['value']:.6g} tolerance[{row['tolerance']}] "
+              f"passed={row['passed']}" for row in report.rows]
+    return Run(cfg, {"mc_report.json": body, "mc_report.csv": report.csv_rows()}, lines,
+               stderr=True, code=EXIT_CRITERIA if report.passed is False else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +327,7 @@ _VALIDATE = Schema({"censorModel": CENSORING_MODEL, "model": (MODEL, OPTIONAL),
 
 
 def cmd_validate(args):
-    cfg = _apply_overrides(_load_config(args.config), args.set)
-    c = _VALIDATE.decode(cfg)
+    cfg, c = _decoded(args, _VALIDATE)
     grid = Grid(c["grid"]["size"], c["grid"]["tau"])
     diag = cen.validate_censoring(c["censorModel"], grid, epsilon=float(c["epsilon"]))
     result = {"censoring": diag.to_json(), "model": None}
@@ -389,16 +349,21 @@ def cmd_validate(args):
         result["model"] = model_info
         passed = passed and model_ok
     result["passed"] = passed
-    out = OutputDir(args.out, "validate", cfg, {args.config: sha256_file(args.config)})
-    out.write_json("validation.json", result)
-    out.seal()
-    print(f"validation {'passed' if passed else 'failed'}", file=sys.stderr)
-    return EXIT_OK if passed else EXIT_CRITERIA
+    return Run(cfg, {"validation.json": result}, [f"validation {'passed' if passed else 'failed'}"],
+               stderr=True, code=EXIT_OK if passed else EXIT_CRITERIA)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+# command -> (help, takes --data, takes --data2)
+_COMMANDS = {"simulate": ("draw a synthetic dataset", False, False),
+             "estimate": ("estimate the hazard surface from a dataset", True, False),
+             "test": ("run a bootstrap hypothesis test", True, True),
+             "mc": ("run a Monte Carlo verification experiment", False, False),
+             "validate": ("check censoring/model assumptions", False, False)}
+
 
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -406,8 +371,8 @@ def _build_parser():
         description="Cumulative-hazard estimation and tests for region-censored planar data")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, data=False, data2=False):
+    for command, (text, data, data2) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -418,39 +383,22 @@ def _build_parser():
             sp.add_argument("--data", required=True, help="dataset file (.jsonl or .csv)")
         if data2:
             sp.add_argument("--data2", help="second dataset for two-sample tests")
-
-    sp = sub.add_parser("simulate", help="draw a synthetic dataset")
-    common(sp)
-    sp.add_argument("--latent", action="store_true",
-                    help="emit latent points on censored records instead of the observable form")
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("estimate", help="estimate the hazard surface from a dataset")
-    common(sp, data=True)
-    sp.set_defaults(fn=cmd_estimate)
-
-    sp = sub.add_parser("test", help="run a bootstrap hypothesis test")
-    common(sp, data=True, data2=True)
-    sp.set_defaults(fn=cmd_test)
-
-    sp = sub.add_parser("mc", help="run a Monte Carlo verification experiment")
-    common(sp)
-    sp.set_defaults(fn=cmd_mc)
-
-    sp = sub.add_parser("validate", help="check censoring/model assumptions")
-    common(sp)
-    sp.set_defaults(fn=cmd_validate)
+        # looked up when the parser is built, so a wrapper set on the module is the one called
+        sp.set_defaults(fn=globals()[f"cmd_{command}"])
+    sub.choices["simulate"].add_argument(
+        "--latent", action="store_true",
+        help="emit latent points on censored records instead of the observable form")
     return p
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
+    args = _build_parser().parse_args(argv)
+    if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.fn(args)
+        run = args.fn(args)
+        _seal(args, run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -468,6 +416,9 @@ def main(argv=None):
         print(f"config error: {args.command} ran out of memory; reduce the sizes in its config",
               file=sys.stderr)
         return EXIT_CONFIG
+    for line in run.lines:
+        print(line, file=sys.stderr if run.stderr else sys.stdout)
+    return run.code
 
 
 if __name__ == "__main__":

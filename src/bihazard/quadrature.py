@@ -1,8 +1,9 @@
 """Tensor-product midpoint quadrature on planar regions, with dyadic refinement.
 
-`mesh_sum` evaluates on row blocks of 2^16 mesh points (`_BLOCK_POINTS`) when k is
-a power of two and combines the block sums pairwise, as NumPy sums the whole mesh,
-so it equals `vals.sum()` bit for bit; any other k is one block.
+`mesh_sum` evaluates on row blocks of at most 2^16 mesh points (`_BLOCK_POINTS`) and
+equals the whole mesh's `vals.sum()` bit for bit.  When k is a power of two it combines
+the block sums pairwise, as NumPy sums the whole mesh; any other k fills one (k, k)
+value array block by block and sums it once.
 """
 
 from __future__ import annotations
@@ -52,14 +53,20 @@ def midpoints(hi, k):
 def mesh_sum(f, box, k, mask=None):
     """Sum of f over the k x k midpoint mesh of [0, box], zero outside the region mask."""
     mx, my = midpoints(box[0], k), midpoints(box[1], k)
-    rows = max(_BLOCK_POINTS // k, 1) if k & (k - 1) == 0 else k
+    rows = max(_BLOCK_POINTS // k, 1)
+    whole = None if k & (k - 1) == 0 else np.empty((k, k))
     sums = []
     for i in range(0, k, rows):
         pts = lattice(mx[i:i + rows], my)
         vals = np.asarray(f(pts), dtype=float)
         if mask is not None:
             vals = np.where(mask.contains(pts), vals, 0.0)
-        sums.append(vals.sum())
+        if whole is None:
+            sums.append(vals.sum())
+        else:
+            whole[i:i + rows] = vals
+    if whole is not None:
+        return whole.sum()
     s = np.array(sums)
     while len(s) > 1:
         s = s[0::2] + s[1::2]

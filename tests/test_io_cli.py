@@ -447,6 +447,7 @@ def test_cli_estimate_marginals_flag(tmp_path):
                                          "marginals": True})
     assert main(["estimate", "--config", strict, "--out", str(tmp_path / "strict"),
                  "--data", str(data)]) == 3
+    assert not (tmp_path / "strict").exists()
 
 
 def _write_two_samples(tmp_path, theta1=0.0, theta2=0.0, n=35):
@@ -848,17 +849,43 @@ def test_cli_outputs_match_their_golden_digests(tmp_path):
     assert got == GOLDEN
 
 
-def test_cli_out_of_memory_exits_2_naming_the_command(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command,config,heavy", [
+    ("simulate", "simulate.json", "bihazard.cli.simulate_sample"),
+    ("estimate", "estimate.json", "bihazard.cli.nelson_aalen_surface"),
+    ("test", "test_independence.json", "bihazard.cli.independence_test"),
+    ("mc", "mc_clt.json", "bihazard.cli.verify_clt"),
+    ("validate", "validate.json", "bihazard.censoring.validate_censoring")])
+def test_cli_out_of_memory_exits_2_naming_the_command(tmp_path, capsys, monkeypatch,
+                                                      command, config, heavy):
     # stands in for a size key that asks for more memory than the machine grants
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 298. GiB")
 
     data = tmp_path / "worked.jsonl"
     write_dataset(data, worked_records())
-    monkeypatch.setattr(bihazard.cli, "nelson_aalen_surface", exhausted)
+    monkeypatch.setattr(heavy, exhausted)
+    argv = [command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "out")]
+    if command in ("estimate", "test"):
+        argv += ["--data", str(data)]
     capsys.readouterr()
-    assert main(["estimate", "--config", str(CONFIGS / "estimate.json"), "--data", str(data),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "estimate ran out of memory" in err and "Traceback" not in err
+    assert f"{command} ran out of memory" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,config,flag", [
+    ("estimate", "estimate.json", "--data"), ("test", "test_independence.json", "--data"),
+    ("test", "test_hazard_order.json", "--data2")])
+def test_cli_unreadable_dataset_exits_3_with_one_message(tmp_path, capsys, command, config, flag):
+    data, missing = tmp_path / "worked.jsonl", str(tmp_path / "missing.jsonl")
+    write_dataset(data, worked_records())
+    argv = [command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "out"),
+            "--data", missing if flag == "--data" else str(data)]
+    if flag == "--data2":
+        argv += ["--data2", missing]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"data error: cannot read dataset {missing}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()

@@ -95,12 +95,16 @@ def test_mesh_sum_equals_whole_mesh_sum(k):
         assert mesh_sum(hazard, box, k, mask) == want
 
 
-def test_integrated_hazard_memory_is_bounded():
+@pytest.mark.parametrize("spec,converged,resolution,bound_mb", [
+    (QuadratureSpec(), True, 2048, 16),
+    # a non-power-of-two start refines through k = 100 ... 1600, whose meshes are filled by rows
+    (QuadratureSpec(initial=100, rtol=1e-9, max_resolution=1600), False, 1600, 40)])
+def test_integrated_hazard_memory_is_bounded(spec, converged, resolution, bound_mb):
     tracemalloc.start()
     try:
-        res = integrated_hazard(FgmModel(0.3), LowerRect((0.8, 0.8)))
+        res = integrated_hazard(FgmModel(0.3), LowerRect((0.8, 0.8)), spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.converged and res.resolution == 2048
-    assert peak < 16 * 2 ** 20
+    assert res.converged is converged and res.resolution == resolution
+    assert peak < bound_mb * 2 ** 20
