@@ -133,14 +133,17 @@ def _seal(args, run):
     """Create --out (or write into it), write the run's files, then resolved_config.json,
     then manifest.json; inputs are hashed first so that a vanished input leaves no directory."""
     inputs = {path: _hash_input(path) for path in (args.config, *run.data)}
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {}
-    for name, body in {**run.files, "resolved_config.json": run.config}.items():
-        path = os.path.join(args.out, name)
-        _write(path, body)
-        outputs[name] = sha256_file(path)
-    _write(os.path.join(args.out, "manifest.json"),
-           {"version": __version__, "command": args.command, "inputs": inputs, "outputs": outputs})
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        outputs = {}
+        for name, body in {**run.files, "resolved_config.json": run.config}.items():
+            path = os.path.join(args.out, name)
+            _write(path, body)
+            outputs[name] = sha256_file(path)
+        _write(os.path.join(args.out, "manifest.json"),
+               {"version": __version__, "command": args.command, "inputs": inputs, "outputs": outputs})
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from . import censoring as cen
 from .dominance import dominance_counter, dominating_count, dominating_count_naive, running_sums
 from .errors import ConfigError, DataError, DomainError, ObservabilityError, QuantileRangeError, ReductionError
 from .geometry import Grid, LowerRect, as_points, lattice
-from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, mesh_sum, midpoints
+from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, mesh_values, midpoints
 
 __all__ = [
     "SubjectRecord", "CensoredSample", "HazardSurface", "MarginalEstimate", "StepCdf",
@@ -432,14 +432,13 @@ def nelson_aalen_surface(sample, grid, method="auto", weights=None):
 # compensator residual
 # ---------------------------------------------------------------------------
 
-def _risk_counts_on_mesh(sample, mesh):
-    """Z_n at every node of a midpoint mesh (exact integers); mesh[i, j] = (mx[i], my[j]).
+def _risk_counts_on_mesh(sample, mx, my):
+    """Z_n at every node (mx[i], my[j]) of a midpoint mesh (exact integers).
 
     Per term group, the capped points are binned so that
     count[c] = sum of signs over {p : p >= mid_c} falls out of a two-axis
     suffix sum, which the group's mask then cuts to the midpoints inside it.
     """
-    mx, my = mesh[:, 0, 0], mesh[0, :, 1]
     z = np.zeros((len(mx), len(my)), dtype=np.int64)
     for mask, rec, pts, sign in _term_groups(sample.carrier, sample.region_index, sample.terms):
         bx = np.searchsorted(mx, pts[:, 0], side="right")
@@ -447,7 +446,7 @@ def _risk_counts_on_mesh(sample, mesh):
         cell = np.bincount(bx * (len(my) + 1) + by, weights=sign, minlength=(len(mx) + 1) * (len(my) + 1))
         cell = cell.astype(np.int64).reshape(len(mx) + 1, len(my) + 1)
         suff = cell[1:, 1:][::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-        z += suff * _mask(mask, mesh)
+        z += suff if mask is None else suff * _mask(mask, lattice(mx, my))
     return z
 
 
@@ -465,27 +464,26 @@ class CompensatorResidual:
 def compensator_residual(sample, model, region, spec=QuadratureSpec(), weight=None):
     """N_A minus the integral of Z_n * h (optionally * weight) over the region.
 
-    The integrand is piecewise constant in Z_n, so the integral uses a single
-    fixed midpoint mesh (spec.initial per axis) rather than refinement; the
-    resolution is recorded in the result.
+    The integrand is piecewise constant in Z_n, so the integral uses one fixed midpoint mesh
+    (spec.initial per axis), recorded as the resolution.  Only Z_n depends on the sample: h, the
+    weight and the mask on that mesh come from `mesh_values`, evaluated once per run.  (Z_n*h)*w
+    keeps its order (Z_n*(h*w) rounds differently) and sums as `mesh_sum` of that integrand.
     """
     box, mask = (region.corner, None) if isinstance(region, LowerRect) else ((1.0, 1.0), region)
     k = spec.initial
-    if box[0] == 0.0 or box[1] == 0.0:
-        cnt = counting(sample, region)
-        return CompensatorResidual(float(cnt), cnt, 0.0, k)
-
-    def integrand(pts):
-        out = _risk_counts_on_mesh(sample, pts) * np.asarray(model.hazard(pts), dtype=float)
-        return out if weight is None else out * np.asarray(weight(pts), dtype=float)
-
-    integral = float(mesh_sum(integrand, box, k, mask) * (box[0] / k) * (box[1] / k))
     if weight is None:
         cnt = counting(sample, region)
     else:
         ev = sample.event_points
         sel = np.asarray(region.contains(ev), dtype=bool) if len(ev) else np.empty(0, dtype=bool)
         cnt = float(np.sum(np.asarray(weight(ev[sel]), dtype=float))) if np.any(sel) else 0.0
+    if box[0] == 0.0 or box[1] == 0.0:
+        return CompensatorResidual(float(cnt), cnt, 0.0, k)
+    mx, my = midpoints(box[0], k), midpoints(box[1], k)
+    vals = _risk_counts_on_mesh(sample, mx, my) * mesh_values(model.hazard, box, k)
+    vals = vals if weight is None else vals * mesh_values(weight, box, k)
+    vals = vals if mask is None else np.where(mesh_values(mask.contains, box, k), vals, 0.0)
+    integral = float(vals.sum() * (box[0] / k) * (box[1] / k))
     return CompensatorResidual(float(cnt - integral), cnt, integral, k)
 
 

@@ -39,7 +39,7 @@ from .geometry import Grid, LowerRect, lattice
 from .inference import (BootstrapSpec, _independence_diff, fgm_order_test,
                         hazard_order_test, independence_test)
 from .models import integrated_hazard
-from .quadrature import QuadratureSpec, midpoints
+from .quadrature import QuadratureSpec, mesh_values, midpoints
 from .util import DATA, PROBE, run_indexed, substream
 
 __all__ = ["MCConfig", "MCReport", "MIN_REPLICATES_FOR_THRESHOLDS",
@@ -276,8 +276,8 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
             raise DomainError("S * P(t in xi) is not bounded below on the region")
         return 1.0 / sp
 
-    # surface the domain problem before burning replicates
-    weight(lattice(midpoints(region.corner[0], 64), midpoints(region.corner[1], 64)))
+    # surface the domain problem before burning replicates, on the mesh every rung then reads
+    mesh_values(weight, region.corner, cfg.quadrature.initial)
 
     def gap(pre, n):
         lhs = math.sqrt(n) * (nelson_aalen(pre, region) - truth)

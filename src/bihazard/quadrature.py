@@ -1,14 +1,16 @@
 """Tensor-product midpoint quadrature on planar regions, with dyadic refinement.
 
-`mesh_sum` evaluates on row blocks of at most 2^16 mesh points (`_BLOCK_POINTS`) and
-equals the whole mesh's `vals.sum()` bit for bit.  When k is a power of two it combines
-the block sums pairwise, as NumPy sums the whole mesh; any other k fills one (k, k)
-value array block by block and sums it once.
+`mesh_sum` evaluates on row blocks of at most 2^16 mesh points (`_BLOCK_POINTS`) and equals the
+whole mesh's `vals.sum()` bit for bit: a power-of-two k combines the block sums pairwise, as NumPy
+sums the whole mesh; any other k fills one (k, k) value array by blocks and sums it once.
+`mesh_values` keeps f on a whole mesh, so the compensator evaluates its sample-free factors once
+per run; by the invariant above, its whole-mesh product sums to what `mesh_sum` would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +73,15 @@ def mesh_sum(f, box, k, mask=None):
     while len(s) > 1:
         s = s[0::2] + s[1::2]
     return s[0]
+
+
+@lru_cache(maxsize=4)
+def mesh_values(f, box, k):
+    """f on the k x k midpoint mesh of [0, box], read-only; memoized unless f raises.  f is keyed
+    as Python compares it: a bound method by its object's identity, a closure by its own."""
+    vals = np.asarray(f(lattice(midpoints(box[0], k), midpoints(box[1], k)))).view()
+    vals.flags.writeable = False
+    return vals
 
 
 def integrate_region(f, region, spec=QuadratureSpec(), bbox=None):

@@ -19,7 +19,7 @@ from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, 
 from bihazard.geometry import Grid, LowerRect, PredicateRegion
 from bihazard.io import read_dataset, write_dataset
 from bihazard.models import FgmModel
-from bihazard.quadrature import QuadratureSpec, midpoints
+from bihazard.quadrature import QuadratureSpec, mesh_sum, midpoints
 
 FULL = FullSpace()
 
@@ -494,7 +494,7 @@ def test_mesh_risk_counts_match_per_record_counts(family):
         mx, my = midpoints(corner[0], k), midpoints(corner[1], k)
         mesh = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1)
         want = _brute_at_risk_2d(recs, mesh).reshape(k, k)
-        assert np.array_equal(est._risk_counts_on_mesh(s, mesh), want)
+        assert np.array_equal(est._risk_counts_on_mesh(s, mx, my), want)
         res = compensator_residual(s, model, LowerRect(corner), QuadratureSpec(initial=k))
         assert res.integral == float((want * model.hazard(mesh)).sum() * (corner[0] / k) * (corner[1] / k))
 
@@ -631,6 +631,50 @@ def test_compensator_residual_zero_measure():
     res = compensator_residual(s, m, LowerRect((0.0, 0.8)))
     assert res.value == res.count == 0
     assert res.integral == 0.0
+
+
+def test_compensator_residual_weighted_count_at_a_zero_width_box():
+    s = CensoredSample([obs((0.0, 0.5)), obs((0.3, 0.2))])
+    m, twice = FgmModel(0.0), lambda p: np.full(p.shape[:-1], 2.0)
+    for corner in ((0.0, 0.8), (1e-9, 0.8)):
+        res = compensator_residual(s, m, LowerRect(corner), weight=twice)
+        assert res.count == 2.0
+    assert compensator_residual(s, m, LowerRect((0.0, 0.8))).count == 1
+
+
+def _old_compensator_integral(s, model, region, k, weight):
+    """Reference: the compensator's integral as `mesh_sum` of a per-block integrand, which the
+    whole-mesh products must match bit for bit."""
+    box, mask = (region.corner, None) if isinstance(region, LowerRect) else ((1.0, 1.0), region)
+
+    def integrand(pts):
+        out = est._risk_counts_on_mesh(s, pts[:, 0, 0], pts[0, :, 1]) * np.asarray(
+            model.hazard(pts), dtype=float)
+        return out if weight is None else out * np.asarray(weight(pts), dtype=float)
+
+    return float(mesh_sum(integrand, box, k, mask) * (box[0] / k) * (box[1] / k))
+
+
+@pytest.mark.parametrize("k", [12, 64, 256, 300, 512])
+def test_compensator_integral_equals_the_per_block_integrand_sum(k):
+    model = FgmModel(0.4)
+    censors = {"full": CensoringModel("full"),
+               "rectangle": CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.4, 1.0),
+                                                         "tau2": QuantileTable.uniform(0.5, 1.0)}),
+               "band": CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.1, 0.5),
+                                                          "k2": QuantileTable.uniform(0.4, 0.8),
+                                                          "c": 0.2})}
+    disk = PredicateRegion(lambda p: (p[..., 0] - 0.4) ** 2 + (p[..., 1] - 0.5) ** 2 <= 0.2)
+
+    def weight(p):
+        return 1.0 / (1.0 + p[..., 0] * p[..., 1])
+
+    for i, cm in enumerate(censors.values()):
+        s = simulate_sample(model, cm, 150, np.random.default_rng(200 + i))
+        for region in (LowerRect((0.7, 0.9)), disk):
+            for w in (None, weight):
+                res = compensator_residual(s, model, region, QuadratureSpec(initial=k), weight=w)
+                assert res.integral == _old_compensator_integral(s, model, region, k, w)
 
 
 def test_compensator_residual_mask_path_matches_box():

@@ -889,3 +889,14 @@ def test_cli_unreadable_dataset_exits_3_with_one_message(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert f"data error: cannot read dataset {missing}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "F"
+    out.write_text("kept\n")
+    capsys.readouterr()
+    assert main(["validate", "--config", str(CONFIGS / "validate.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write --out {out}: [Errno 17] File exists" in err
+    assert "Traceback" not in err
+    assert out.read_text() == "kept\n"

@@ -7,7 +7,7 @@ import pytest
 from bihazard.errors import ConfigError
 from bihazard.geometry import LowerRect, PredicateRegion, lattice
 from bihazard.models import FgmModel, integrated_hazard
-from bihazard.quadrature import QuadratureSpec, integrate_region, mesh_sum, midpoints
+from bihazard.quadrature import QuadratureSpec, integrate_region, mesh_sum, mesh_values, midpoints
 
 
 def test_spec_validation():
@@ -93,6 +93,35 @@ def test_mesh_sum_equals_whole_mesh_sum(k):
         inside = True if mask is None else mask.contains(mesh)
         want = np.where(inside, hazard(mesh), 0.0).sum()
         assert mesh_sum(hazard, box, k, mask) == want
+
+
+def test_mesh_values_evaluates_once_per_key_and_is_read_only():
+    calls, made = [], []
+
+    def f(pts):
+        calls.append(pts.shape)
+        made.append(pts[..., 0] * pts[..., 1])
+        return made[-1]
+
+    first = mesh_values(f, (0.5, 1.0), 8)
+    assert mesh_values(f, (0.5, 1.0), 8) is first
+    assert calls == [(8, 8, 2)]
+    assert np.array_equal(first, np.multiply.outer(midpoints(0.5, 8), midpoints(1.0, 8)))
+    mesh_values(f, (0.5, 1.0), 16)
+    mesh_values(f, (1.0, 1.0), 8)
+    assert calls == [(8, 8, 2), (16, 16, 2), (8, 8, 2)]
+    assert not first.flags.writeable and made[0].flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+
+    def failing(pts):
+        calls.append("failed")
+        raise ZeroDivisionError
+
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            mesh_values(failing, (1.0, 1.0), 4)
+    assert calls[-2:] == ["failed", "failed"]
 
 
 @pytest.mark.parametrize("spec,converged,resolution,bound_mb", [
