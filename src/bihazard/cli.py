@@ -34,8 +34,7 @@ from .errors import BihazardError, ConfigError, DataError, NumericError
 from .estimators import (jump_masses, kaplan_meier, marginal_nelson_aalen,
                          nelson_aalen_surface, simulate_sample)
 from .geometry import Grid, LowerRect, PredicateRegion, lattice
-from .inference import (BootstrapSpec, fgm_order_test, hazard_order_test,
-                        independence_test)
+from .inference import TESTS, BootstrapSpec
 from .io import read_sample, write_dataset
 from .mc import (MCConfig, coverage_study, size_power_study, verify_clt,
                  verify_glivenko, verify_iid_representation)
@@ -224,52 +223,51 @@ def cmd_estimate(args):
 
 # a config region is a censoring-region JSON; as a test window it is its membership predicate
 _REGION = Built(cen.REGION, lambda shape: PredicateRegion(lambda pts: cen.contains(shape, pts)))
+
+
+def _renamed(d):
+    """The config's keys under the option names that `inference.TESTS` and the harness read."""
+    names = {"modelF": "model_f", "modelG": "model_g", "model1": "model_1", "model2": "model_2",
+             "censorModel": "censor_model", "gridSize": "grid_size", "marginalsEqual": "marginals_equal"}
+    return {names.get(k, k): v for k, v in d.items()}
+
+
 _BOOTSTRAP = {"B": (INT, 999), "alpha": (NUM, 0.05), "gridSize": (INT, 64),
               "sided": (STR, "one-sided")}
 _TEST_ANY = {"masterSeed": INT, "bootstrap": (_BOOTSTRAP, {}), "tau": (PAIR, OPTIONAL),
              "replicateDump": (BOOL, False)}
-_TEST = Schema(Tagged("test", {
+_TEST = Schema(Built(Tagged("test", {
     "independence": _TEST_ANY,
     "hazard-order": {**_TEST_ANY, "region": (_REGION, OPTIONAL)},
     "fgm-order": {**_TEST_ANY, "tau": PAIR, "marginalsEqual": BOOL},
-}))
+}), _renamed))
 
 
 def cmd_test(args):
     cfg, c = _decoded(args, _TEST)
-    which, tau, b = c["test"], c.get("tau"), c["bootstrap"]
+    b = c["bootstrap"]
     spec = BootstrapSpec(replicates=b["B"], alpha=b["alpha"], seed=c["masterSeed"],
                          grid_size=b["gridSize"], sided=b["sided"])
-    if (which == "independence") == bool(args.data2):
+    keys, call = TESTS[c["test"]]
+    if (len(keys) == 2) != bool(args.data2):
         raise ConfigError("independence takes --data only; the two-sample tests need --data2")
-
-    sample = read_sample(args.data)
-    if which == "independence":
-        report = independence_test(sample, spec, tau=tau)
-    else:
-        sample2 = read_sample(args.data2)
-        if which == "hazard-order":
-            report = hazard_order_test(sample, sample2, spec, region=c.get("region"), tau=tau)
-        else:
-            report = fgm_order_test(sample, sample2, tau, spec, c["marginalsEqual"])
+    data = (args.data, args.data2)[:len(keys)]
+    report = call([read_sample(path) for path in data], spec, c)
 
     files = {"test_report.json": report.to_json()}
     if c["replicateDump"]:
         files["replicates.csv"] = [["replicateIndex", "statistic"],
                                    *enumerate(report.replicate_statistics.tolist())]
     verdict = "reject" if report.reject else "fail to reject"
-    return Run(cfg, files, [f"{which}: statistic {report.statistic:.6g}, critical "
+    return Run(cfg, files, [f"{c['test']}: statistic {report.statistic:.6g}, critical "
                             f"{report.critical_value:.6g}, p {report.p_value:.4g} -> {verdict}"],
-               data=(args.data, args.data2) if args.data2 else (args.data,))
+               data=data)
 
 
 # ---------------------------------------------------------------------------
 # mc
 # ---------------------------------------------------------------------------
 
-_SCENARIO_NAMES = {"modelF": "model_f", "modelG": "model_g", "model1": "model_1",
-                   "model2": "model_2", "censorModel": "censor_model", "gridSize": "grid_size",
-                   "marginalsEqual": "marginals_equal"}
 _SCENARIO = Built({
     "name": STR, "test": {"independence", "hazard-order", "fgm-order"},
     **{key: (MODEL, OPTIONAL) for key in ("model", "modelF", "modelG", "model1", "model2")},
@@ -278,7 +276,7 @@ _SCENARIO = Built({
     "sided": (STR, OPTIONAL), "tau": (PAIR, OPTIONAL), "marginalsEqual": (BOOL, OPTIONAL),
     "band": (PAIR, OPTIONAL), "region": (_REGION, OPTIONAL),
     "exceeds": (Built([STR, NUM], lambda e: (e[0], float(e[1]))), OPTIONAL),
-}, lambda d: {_SCENARIO_NAMES.get(k, k): v for k, v in d.items()})
+}, _renamed)
 
 _LADDER = ([INT], [250, 500, 1000, 2000])
 _MC_ANY = {"masterSeed": INT, "model": MODEL, "censorModel": CENSORING_MODEL,

@@ -53,6 +53,7 @@ __all__ = [
 
 _STATUSES = ("observed", "censored_latent", "censored_opaque")
 _FIELDS = ("point", "latent", "minima")      # the coordinates each status carries
+_PAIR_RESOLUTION = 64                         # cells per axis of a rectangle in asymptotic_cov's pairs
 
 
 @dataclass(frozen=True)
@@ -203,17 +204,17 @@ def _term_groups(carrier, region_index, table):
             yield mask, r, np.minimum(carrier[r], table.cap[t]), table.sign[t]
 
 
-def _mask(mask, t):
-    """A term group's mask at the points t (..., 2); None holds everywhere."""
+def _mask(mask, x, y):
+    """A term group's mask at the points (x, y), broadcast together; None holds everywhere."""
     if isinstance(mask, float):
-        return (t[..., 0] < t[..., 1]) & (t[..., 1] < t[..., 0] + mask)
-    return True if mask is None else cen.contains(mask, t)
+        return (x < y) & (y < x + mask)
+    return True if mask is None else cen.contains(mask, np.stack(np.broadcast_arrays(x, y), axis=-1))
 
 
 def _inside(points, region_index, table):
     """1{point_i in region i}: record i's terms summed at its own point."""
     groups = _term_groups(points, region_index, table)
-    return sum(np.bincount(rec, sign * ((pts == points[rec]).all(axis=1) & _mask(mask, points[rec])),
+    return sum(np.bincount(rec, sign * ((pts == points[rec]).all(axis=1) & _mask(mask, *points[rec].T)),
                            len(points)) for mask, rec, pts, sign in groups) > 0
 
 
@@ -308,7 +309,7 @@ def _risk_counts(sample, queries, w, keep=None, naive=False):
     if plan is None:
         plan = []
         for mask, rec, pts, sign in _term_groups(sample.carrier, sample.region_index, sample.terms):
-            hit = slice(None) if mask is None else np.flatnonzero(_mask(mask, q))
+            hit = slice(None) if mask is None else np.flatnonzero(_mask(mask, *q.T))
             fn = dominance_counter(pts, q[hit]) if keep is not None else partial(count, pts, q[hit])
             if np.array_equal(rec, np.arange(sample.n)) and (sign == 1).all():
                 rec = None                  # term i is record i with sign +1: the weights as they are
@@ -446,7 +447,7 @@ def _risk_counts_on_mesh(sample, mx, my):
         cell = np.bincount(bx * (len(my) + 1) + by, weights=sign, minlength=(len(mx) + 1) * (len(my) + 1))
         cell = cell.astype(np.int64).reshape(len(mx) + 1, len(my) + 1)
         suff = cell[1:, 1:][::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-        z += suff if mask is None else suff * _mask(mask, lattice(mx, my))
+        z += suff if mask is None else suff * _mask(mask, mx[:, None], my[None, :])
     return z
 
 
@@ -699,8 +700,7 @@ class AsymptoticCov:
         return self.value
 
 
-def asymptotic_cov(model, censor_model, region_c, region_d,
-                   spec=QuadratureSpec(), pair_resolution=64):
+def asymptotic_cov(model, censor_model, region_c, region_d, spec=QuadratureSpec()):
     """Limit covariance of the estimator at two lower rectangles.
 
     Two pieces: an integral of h / (S * P(t in xi)) over the intersection,
@@ -725,7 +725,7 @@ def asymptotic_cov(model, censor_model, region_c, region_d,
     def sp(pts):
         return np.asarray(model.survival(pts), dtype=float) * np.asarray(pfun(pts), dtype=float)
 
-    k = int(pair_resolution)
+    k = _PAIR_RESOLUTION
 
     def cells(corner):
         """Per axis the cell edges and midpoints of the rectangle, and its cell weights."""

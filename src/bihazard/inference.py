@@ -7,16 +7,16 @@ rejected exactly when the statistic exceeds the critical value.  Those
 three conventions are mutually consistent (reject iff p <= alpha holds
 even with ties) and give a valid level for finite B.
 
-Every test draws its replicates through one engine, `_bootstrap`: replicate r
-resamples subjects together with their censoring sets from the substream
-(masterSeed, branch, r), either per sample or from the pooled two-sample
-multiset.  A resample is a count vector over the base records (record i
-drawn w_i times: the exchangeable-weights bootstrap), so no resample is
-built: chunks of count rows, sized by a fixed byte budget, go through the
-weighted estimators on the base sample, one statistic per row, all rows
-at once (their running sums are points-major, records x rows).  What the
-estimators derive from the base sample alone (the Fenwick layout at its
-events, the marginals' pair table) is built once and shared by the chunks.
+Every test draws its replicates through one engine, `_bootstrap`: replicate r resamples
+subjects together with their censoring sets from the substream (masterSeed, branch, r),
+either per sample or from the pooled two-sample multiset, and the pooled statistics all come
+from `_pooled`.  A resample is a count vector over the base records (record i drawn w_i
+times: the exchangeable-weights bootstrap), so no resample is built: chunks of count rows,
+sized by a fixed byte budget, go through the weighted estimators on the base sample, one
+statistic per row, all rows at once (their running sums are points-major, records x rows).
+What the estimators derive from the base sample alone (the Fenwick layout at its events, the
+marginals' pair table) is built once and shared by the chunks.  `TESTS` is the one dispatch
+of the three tests, for `bihazard test` and the Monte Carlo scenarios alike.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .util import BOOTSTRAP, substream
 
 __all__ = [
     "BootstrapSpec", "TestReport", "bootstrap_resample",
-    "independence_test", "hazard_order_test", "fgm_order_test",
+    "independence_test", "hazard_order_test", "fgm_order_test", "TESTS",
 ]
 
 
@@ -162,10 +162,23 @@ def _bootstrap(name, stat, stat_fn, samples, spec, diag, pooled=False):
     return _finish(name, stat, np.concatenate(reps), spec, diag)
 
 
-def _own_counts(n, m):
-    """Pooled count rows that give the union of two samples back the first and the second."""
-    first = np.arange(n + m) < n
-    return np.array([first, ~first], dtype=np.int32)
+def _pooled(name, first, second, estimate, spec, diag, sided):
+    """Pooled-bootstrap report for sqrt(nm/N) * max (first's estimate - second's), signed or absolute
+    per sided; estimate(union, w) gives a value or an array per count row of the two samples' union."""
+    n, m = first.n, second.n
+    scale = math.sqrt(n * m / (n + m))
+    union = first.concat(second)
+
+    def stat_fn(w):
+        h = estimate(union, w)
+        diff = h[:len(w) // 2] - h[len(w) // 2:]
+        if sided == "two-sided":
+            diff = np.abs(diff)
+        return scale * np.max(diff.reshape(len(diff), -1), axis=1)
+
+    own = np.arange(n + m) < n          # the count rows that give the union back the two samples
+    return _bootstrap(name, float(stat_fn(np.array([own, ~own], dtype=np.int32))[0]), stat_fn,
+                      [first, second], spec, diag, pooled=True)
 
 
 def _auto_tau(check_samples):
@@ -242,40 +255,27 @@ def independence_test(sample, spec, tau=None):
 def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
     """Pooled-bootstrap test of ordered hazards between two samples.
 
-    With a fixed region the statistic is the signed, scaled difference
-    sqrt(nm/N) * (Hhat_F(A) - Hhat_G(A)).  Without one it is the sup over
-    lower rectangles [0, z] for z on a node grid, signed ('one-sided') or
-    absolute ('two-sided') per spec.sided.  Replicates draw N records from
-    the pooled multiset, assign the first n to F and the rest to G, and
+    With a fixed region the statistic is the scaled difference
+    sqrt(nm/N) * (Hhat_F(A) - Hhat_G(A)), and a tau is refused.  Without
+    one it is the sup over lower rectangles [0, z] for z on a node grid
+    over [0, tau].  Either is signed ('one-sided') or absolute
+    ('two-sided') per spec.sided.  Replicates draw N records from the
+    pooled multiset, assign the first n to F and the rest to G, and
     recompute the same statistic with no extra centering: pooling itself
     imposes the null.
     """
-    n, m = sample_f.n, sample_g.n
-    scale = math.sqrt(n * m / (n + m))
-    diag = {"n": n, "m": m, "seed": spec.seed, "sided": spec.sided}
-    union = sample_f.concat(sample_g)
-
+    diag = {"n": sample_f.n, "m": sample_g.n, "seed": spec.seed, "sided": spec.sided,
+            "regionMode": "grid" if region is None else "fixed"}
     if region is not None:
-        def stat_fn(w):
-            h = nelson_aalen(union, region, weights=w)
-            return scale * (h[:len(w) // 2] - h[len(w) // 2:])
-        diag["regionMode"] = "fixed"
+        if tau is not None:
+            raise ConfigError("tau sets the grid window; a fixed region takes no tau")
+        estimate = lambda union, w: nelson_aalen(union, region, weights=w)
     else:
         t, tdiag = _resolve_tau([sample_f, sample_g], tau)
         grid = Grid(spec.grid_size, t)
-        diag.update(tdiag)
-        diag["regionMode"] = "grid"
-        diag["gridSize"] = spec.grid_size
-
-        def stat_fn(w):
-            vals = nelson_aalen_surface(union, grid, weights=w).values
-            diff = vals[:len(w) // 2] - vals[len(w) // 2:]
-            if spec.sided == "two-sided":
-                diff = np.abs(diff)
-            return scale * np.max(diff, axis=(1, 2))
-
-    return _bootstrap("hazard-order", float(stat_fn(_own_counts(n, m))[0]), stat_fn,
-                      [sample_f, sample_g], spec, diag, pooled=True)
+        diag.update(tdiag, gridSize=spec.grid_size)
+        estimate = lambda union, w: nelson_aalen_surface(union, grid, weights=w).values
+    return _pooled("hazard-order", sample_f, sample_g, estimate, spec, diag, spec.sided)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +347,10 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
     diag = {"n": n, "m": m, "seed": spec.seed, "tau": list(t),
             "marginalsEqual": bool(marginals_equal)}
 
-    if marginals_equal:
+    if marginals_equal:             # the negated estimate makes the pooled difference h2 - h1
         region = _order_window_region(t)
-        union = sample1.concat(sample2)
-
-        def stat_fn(w):
-            h = nelson_aalen(union, region, weights=w)
-            return scale * (h[len(w) // 2:] - h[:len(w) // 2])
-
-        return _bootstrap("fgm-order", float(stat_fn(_own_counts(n, m))[0]), stat_fn,
-                          [sample1, sample2], spec, diag, pooled=True)
+        return _pooled("fgm-order", sample1, sample2, lambda u, w: -nelson_aalen(u, region, weights=w),
+                       spec, diag, "one-sided")
 
     # unknown marginals: KM-quantile corner lattice
     ps = np.linspace(0.0, t[0], spec.grid_size + 1)[1:]
@@ -388,3 +382,15 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
     report.diagnostics["emptyReplicates"] = int(np.count_nonzero(
         np.isneginf(report.replicate_statistics)))
     return report
+
+
+
+# test name -> (model keys of its one or two samples, call on (samples, spec, options)), where the
+# options are a decoded `bihazard test` config or a Monte Carlo scenario, keyed alike
+TESTS = {
+    "independence": (("model",), lambda s, spec, opt: independence_test(*s, spec, tau=opt.get("tau"))),
+    "hazard-order": (("model_f", "model_g"), lambda s, spec, opt: hazard_order_test(
+        *s, spec, region=opt.get("region"), tau=opt.get("tau"))),
+    "fgm-order": (("model_1", "model_2"), lambda s, spec, opt: fgm_order_test(
+        *s, opt.get("tau", (0.8, 0.8)), spec, opt.get("marginals_equal", True))),
+}

@@ -15,11 +15,11 @@ in order from the substream (seed, DATA, [scenario,] r) and `_spec` seeds
 its bootstrap on (seed, PROBE, [scenario,] r); `_prefix_ladder` evaluates
 every rung of a ladder on prefixes of one max(ladder) sample, so the rungs
 are paired and convergence comparisons are low-noise; `_rate_row` gives a
-rate, its binomial SE and its check; `_SCENARIO_TESTS` maps each test to
-its sample models and call.  Reference values come from quadrature (or
-closed forms), never from the estimators under test.  Thresholds are only
-asserted when the replicate count is at least MIN_REPLICATES_FOR_THRESHOLDS;
-smaller runs report numbers with no verdict.
+rate, its binomial SE and its check; a scenario calls its test through
+`inference.TESTS`, as `bihazard test` does.  Reference values come from
+quadrature (or closed forms), never from the estimators under test.
+Thresholds are only asserted when the replicate count is at least
+MIN_REPLICATES_FOR_THRESHOLDS; smaller runs report numbers with no verdict.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .errors import ConfigError, DomainError
 from .estimators import (asymptotic_cov, at_risk, compensator_residual, nelson_aalen,
                          simulate_sample)
 from .geometry import Grid, LowerRect, lattice
-from .inference import (BootstrapSpec, _independence_diff, fgm_order_test,
-                        hazard_order_test, independence_test)
+from .inference import TESTS, BootstrapSpec, _independence_diff, independence_test
 from .models import integrated_hazard
 from .quadrature import QuadratureSpec, mesh_values, midpoints
 from .util import DATA, PROBE, run_indexed, substream
@@ -293,22 +292,12 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
 # size / power tables
 # ---------------------------------------------------------------------------
 
-# test name -> (model keys of its one or two samples, call on (samples, spec, scenario))
-_SCENARIO_TESTS = {
-    "independence": (("model",), lambda s, spec, scen: independence_test(*s, spec)),
-    "hazard-order": (("model_f", "model_g"), lambda s, spec, scen: hazard_order_test(
-        *s, spec, region=scen.get("region"))),
-    "fgm-order": (("model_1", "model_2"), lambda s, spec, scen: fgm_order_test(
-        *s, scen.get("tau", (0.8, 0.8)), spec, scen.get("marginals_equal", True))),
-}
-
-
 def _scenario_reject(cfg, s_idx, scen, r):
     """One replicate of one scenario; returns the test's reject flag."""
     spec = _spec(cfg, (s_idx, r), replicates=scen.get("B", 200), alpha=scen.get("alpha", 0.05),
                  grid_size=scen.get("grid_size", cfg.grid_size),
                  sided=scen.get("sided", "one-sided"))
-    keys, call = _SCENARIO_TESTS[scen["test"]]
+    keys, call = TESTS[scen["test"]]
     n = scen.get("n", cfg.n)
     censor = scen.get("censor_model", cfg.censor_model)
     samples = _draw(cfg, (s_idx, r), *[(scen.get(key, cfg.model), censor, size)
@@ -323,7 +312,7 @@ def size_power_study(cfg, scenarios):
     'exceeds': (other scenario name, margin) for a power-vs-size check.
     """
     for s_idx, scen in enumerate(scenarios):
-        if scen["test"] not in _SCENARIO_TESTS:
+        if scen["test"] not in TESTS:
             raise ConfigError(f"unknown test {scen['test']!r}")
         for key in ("n", "m"):
             if scen.get(key, 1) < 1:
@@ -343,12 +332,22 @@ def size_power_study(cfg, scenarios):
 # confidence-band coverage
 # ---------------------------------------------------------------------------
 
-def _truth_difference(model, mesh=1024):
+_TRUTH_MESH, _TRUTH_ROWS = 1024, 64
+
+
+def _truth_difference(model):
     """True H - H1*H2 at a grid's nodes, as a function of the grid (exact zero when theta is 0)."""
-    mids = midpoints(1.0, mesh)
-    if model.theta != 0.0:                      # the hazard mesh's cumulative sums, built once
-        h = np.asarray(model.hazard(lattice(mids, mids)), dtype=float)
-        cum = np.pad((h / (mesh * mesh)).cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+    mids = midpoints(1.0, _TRUTH_MESH)
+    if model.theta != 0.0:
+        # the hazard mesh's cumulative sums, built once by row blocks: a block's first row carries
+        # the column sums so far, so each column sums in the order of one whole-mesh cumsum
+        cum, cols = np.zeros((_TRUTH_MESH + 1, _TRUTH_MESH + 1)), np.zeros(_TRUTH_MESH)
+        for lo in range(0, _TRUTH_MESH, _TRUTH_ROWS):
+            h = np.asarray(model.hazard(lattice(mids[lo:lo + _TRUTH_ROWS], mids)), dtype=float)
+            block = h / (_TRUTH_MESH * _TRUTH_MESH)
+            block[0] += cols
+            cols = (block := block.cumsum(axis=0))[-1]
+            cum[1 + lo:1 + lo + _TRUTH_ROWS, 1:] = block.cumsum(axis=1)
 
     def at(grid):
         lam1 = -np.log1p(-np.asarray(model.marginal_x.cdf(grid.xs), dtype=float))

@@ -84,22 +84,18 @@ def mesh_values(f, box, k):
     return vals
 
 
-def integrate_region(f, region, spec=QuadratureSpec(), bbox=None):
+def integrate_region(f, region, spec=QuadratureSpec()):
     """Integrate a vectorized f over the region.
 
     For a LowerRect the mesh covers exactly [0, corner]; for other regions
-    the mesh covers bbox (default the unit square) and membership masks the
-    integrand.  Refinement doubles the per-axis resolution until the
-    estimate moves by less than rtol (relative, floored at 1); if the
-    budget runs out the last estimate is returned with converged=False.
+    the mesh covers the unit square and membership masks the integrand.
+    Refinement doubles the per-axis resolution until the estimate moves by
+    less than rtol (relative, floored at 1); if the budget runs out the last
+    estimate is returned with converged=False.
     """
     if not isinstance(region, Region):
         raise ConfigError("integrate_region needs a Region")
-    if isinstance(region, LowerRect):
-        box, mask = region.corner, None
-    else:
-        box = (1.0, 1.0) if bbox is None else (float(bbox[0]), float(bbox[1]))
-        mask = region
+    box, mask = (region.corner, None) if isinstance(region, LowerRect) else ((1.0, 1.0), region)
     if box[0] == 0.0 or box[1] == 0.0:
         return QuadratureResult(0.0, True, spec.initial, 0.0)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bihazard.censoring
+import bihazard.inference
 import bihazard.cli as cli
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, Rectangle)
@@ -123,7 +124,9 @@ PROBES = ([("simulate", "simulate.json", argv, None, code, msg)
           + [("mc", cfg, argv, None, code, msg) for cfg, argv, code, msg in MC_PROBES]
           + [("test", "test_hazard_order.json",
               _set("region", {"kind": "band_complement", "k1": "x", "k2": 0.5, "c": 0.1}),
-              None, 3, "region.k1 must be a number")]
+              None, 3, "region.k1 must be a number"),
+             ("test", "test_hazard_order.json", _set("tau", [0.5, 0.5]), None, 2,
+              "config error: tau sets the grid window; a fixed region takes no tau")]
           + [("validate", "validate.json", _set("censorModel.mc_prob_samples", 0), None, 2,
               "censorModel: mc_prob_samples must be at least 1, got 0"),
              ("validate", "validate.json", _set("censorModel.tau1.high", 1.5), None, 2,
@@ -184,10 +187,10 @@ def _stop(*args, **kwargs):
     raise Decoded
 
 
-# the first call after decoding in each command
-HEAVY = ["simulate_sample", "nelson_aalen_surface", "independence_test", "hazard_order_test",
-         "fgm_order_test", "verify_clt", "verify_glivenko", "verify_iid_representation",
-         "size_power_study", "coverage_study"]
+# the first call after decoding in each command: in the cli module, or a test the table calls
+HEAVY = ["simulate_sample", "nelson_aalen_surface", "verify_clt", "verify_glivenko",
+         "verify_iid_representation", "size_power_study", "coverage_study"]
+HEAVY_TESTS = ["independence_test", "hazard_order_test", "fgm_order_test"]
 
 
 def _node_paths(node, prefix=()):
@@ -210,6 +213,7 @@ def _decode_only(argv):
     """Run the command up to its first sampling or fitting call; True if decoding passed."""
     args = cli._build_parser().parse_args(argv)
     with mock.patch.multiple(cli, **{name: _stop for name in HEAVY}), \
+            mock.patch.multiple(bihazard.inference, **{name: _stop for name in HEAVY_TESTS}), \
             mock.patch.object(bihazard.censoring, "validate_censoring", _stop):
         try:
             args.fn(args)

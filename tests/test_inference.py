@@ -190,6 +190,24 @@ def test_hazard_order_fixed_region_statistic():
     full = PredicateRegion(lambda p: np.ones(p.shape[:-1], dtype=bool))
     rep2 = hazard_order_test(sf, sg, spec, region=full)
     assert rep2.statistic == pytest.approx(rep.statistic, rel=1e-12)
+    # tau sets the grid's window only, so it is refused with a region
+    with pytest.raises(ConfigError, match="a fixed region takes no tau"):
+        hazard_order_test(sf, sg, spec, region=full, tau=(0.5, 0.5))
+
+
+def test_hazard_order_fixed_region_applies_sided():
+    rng = np.random.default_rng(1)
+    f, g = (simulate_sample(FgmModel(theta), CensoringModel("full"), 80, rng) for theta in (0.0, 0.9))
+    region = LowerRect((0.6, 0.6))
+    one, two = (hazard_order_test(f, g, BootstrapSpec(replicates=99, sided=sided), region=region)
+                for sided in ("one-sided", "two-sided"))
+    assert one.statistic < 0.0 and two.statistic == abs(one.statistic)
+    assert two.diagnostics["sided"] == "two-sided"
+    # the same draws, taken absolute
+    assert np.array_equal(two.replicate_statistics, np.abs(one.replicate_statistics))
+    assert np.all(two.replicate_statistics >= 0.0)
+    swapped = hazard_order_test(g, f, BootstrapSpec(replicates=99, sided="two-sided"), region=region)
+    assert swapped.statistic == pytest.approx(two.statistic, rel=1e-12)
 
 
 def test_hazard_order_grid_sidedness():

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 import bihazard
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, Rectangle, region_to_json)
+from bihazard import cli
 from bihazard.cli import main
+from bihazard.decode import Schema
 from bihazard.errors import DataError
 from bihazard.estimators import CensoredSample, SubjectRecord, jump_masses, simulate_sample
+from bihazard.inference import TESTS, BootstrapSpec
 from bihazard.io import (CSV_COLUMNS, RECORD, read_dataset, read_dataset_csv, read_sample,
                          record_to_json, write_dataset, write_dataset_csv)
 from bihazard.models import FgmModel
@@ -849,10 +852,31 @@ def test_cli_outputs_match_their_golden_digests(tmp_path):
     assert got == GOLDEN
 
 
+@pytest.mark.parametrize("options", [
+    {"test": "independence", "tau": [0.7, 0.6]},
+    {"test": "hazard-order", "tau": [0.7, 0.6]},
+    {"test": "hazard-order", "region": {"kind": "rectangle", "tau": [0.7, 0.7]}},
+    {"test": "fgm-order", "tau": [0.7, 0.7], "marginalsEqual": False}])
+def test_test_table_reads_a_test_config_and_a_scenario_alike(options):
+    # `bihazard test` and a size_power scenario decode the same keys into the same call
+    config = cli._TEST.decode({"masterSeed": 1, **options})
+    scenario = Schema(cli._SCENARIO).decode({"name": "s", **options})
+    keys, call = TESTS[options["test"]]
+    rng = np.random.default_rng(5)
+    samples = [simulate_sample(FgmModel(0.3), CensoringModel("full"), 40, rng) for _ in keys]
+    spec = BootstrapSpec(replicates=19, seed=4, grid_size=8)
+    got, want = call(samples, spec, scenario), call(samples, spec, config)
+    assert got.to_json() == want.to_json()
+    assert np.array_equal(got.replicate_statistics, want.replicate_statistics)
+    if "tau" in options:
+        assert got.diagnostics["tau"] == options["tau"]
+    assert got.diagnostics.get("marginalsEqual") is options.get("marginalsEqual")
+
+
 @pytest.mark.parametrize("command,config,heavy", [
     ("simulate", "simulate.json", "bihazard.cli.simulate_sample"),
     ("estimate", "estimate.json", "bihazard.cli.nelson_aalen_surface"),
-    ("test", "test_independence.json", "bihazard.cli.independence_test"),
+    ("test", "test_independence.json", "bihazard.inference.independence_test"),
     ("mc", "mc_clt.json", "bihazard.cli.verify_clt"),
     ("validate", "validate.json", "bihazard.censoring.validate_censoring")])
 def test_cli_out_of_memory_exits_2_naming_the_command(tmp_path, capsys, monkeypatch,

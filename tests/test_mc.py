@@ -1,18 +1,21 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bihazard import mc
 from bihazard.censoring import CensoringModel, QuantileTable
 from bihazard.errors import ConfigError, DomainError
 from bihazard.estimators import asymptotic_cov
-from bihazard.geometry import Grid, LowerRect, PredicateRegion
+from bihazard.geometry import Grid, LowerRect, PredicateRegion, lattice
+from bihazard.inference import independence_test
 from bihazard.mc import (MCConfig, MIN_REPLICATES_FOR_THRESHOLDS, _normal_distance,
                          _truth_difference, coverage_study, size_power_study, verify_clt,
                          verify_glivenko, verify_iid_representation)
 from bihazard.models import FgmModel, integrated_hazard
-from bihazard.quadrature import QuadratureSpec
+from bihazard.quadrature import QuadratureSpec, midpoints
 
 FULL = CensoringModel("full")
 
@@ -118,6 +121,26 @@ def test_truth_difference_matches_quadrature():
             assert diff[i, j] == pytest.approx(h - prod, abs=3e-3)
 
 
+@pytest.mark.parametrize("theta", [0.6, -0.7, 0.95])
+def test_truth_difference_by_row_blocks_equals_the_whole_mesh(theta):
+    model = FgmModel(theta)
+    tracemalloc.start()
+    try:
+        truth = _truth_difference(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20
+    # node j / 1024 reads row and column j of the cumulative table: all but the last of each
+    grid = Grid(1024, (1023 / 1024, 1023 / 1024))
+    mids = midpoints(1.0, 1024)
+    h = np.asarray(model.hazard(lattice(mids, mids)), dtype=float)
+    cum = np.pad((h / (1024 * 1024)).cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+    lam1 = -np.log1p(-np.asarray(model.marginal_x.cdf(grid.xs), dtype=float))
+    lam2 = -np.log1p(-np.asarray(model.marginal_y.cdf(grid.ys), dtype=float))
+    assert np.array_equal(truth(grid), cum[:-1, :-1] - np.outer(lam1, lam2))
+
+
 # ---------------------------------------------------------------------------
 # Glivenko ladder
 # ---------------------------------------------------------------------------
@@ -208,6 +231,20 @@ def test_size_power_scenario_options():
     with pytest.raises(ConfigError):
         size_power_study(tiny_cfg(replicates=3),
                          [{"name": "x", "test": "mystery"}])
+
+
+def test_independence_scenario_passes_tau():
+    cfg = tiny_cfg(n=25, replicates=8, grid_size=6)
+    scen = {"name": "t", "test": "independence", "B": 19, "alpha": 0.5, "tau": (0.4, 0.4)}
+
+    def flags(tau):
+        return [independence_test(*mc._draw(cfg, (0, r)),
+                                  mc._spec(cfg, (0, r), replicates=19, alpha=0.5, grid_size=6),
+                                  tau=tau).reject for r in range(cfg.replicates)]
+
+    want = flags((0.4, 0.4))
+    assert want != flags(None)          # the window changes some verdicts
+    assert size_power_study(cfg, [scen]).rows[0]["value"] == np.mean(want)
 
 
 def test_report_serialization():

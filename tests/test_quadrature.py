@@ -43,25 +43,25 @@ def test_smooth_function_converges():
     assert res.value == pytest.approx(want, rel=1e-6)
 
 
-def test_masked_region_matches_direct_rectangle():
-    f = lambda p: np.exp(p[..., 0] - p[..., 1])
-    direct = integrate_region(f, LowerRect((0.5, 0.75)), QuadratureSpec(initial=8))
-    masked_region = PredicateRegion(lambda p: (p[..., 0] <= 0.5) & (p[..., 1] <= 0.75))
-    masked = integrate_region(f, masked_region, QuadratureSpec(initial=8, rtol=1e-5))
-    assert masked.value == pytest.approx(direct.value, rel=1e-3)
+def _exp_difference(p):
+    return np.exp(p[..., 0] - p[..., 1])
+
+
+@pytest.mark.parametrize("f,region,spec,want,rel", [
+    # a masked rectangle against the same rectangle as a LowerRect
+    (_exp_difference, PredicateRegion(lambda p: (p[..., 0] <= 0.5) & (p[..., 1] <= 0.75)),
+     QuadratureSpec(initial=8, rtol=1e-5),
+     integrate_region(_exp_difference, LowerRect((0.5, 0.75)), QuadratureSpec(initial=8)).value, 1e-3),
+    # the quarter disk of radius 1/2 (inside [0, 1/2]^2) has area pi/16
+    (lambda p: np.ones(p.shape[:-1]), PredicateRegion(lambda p: (p[..., 0] ** 2 + p[..., 1] ** 2) <= 0.25),
+     QuadratureSpec(initial=64, rtol=1e-3), math.pi * 0.25 / 4.0, 5e-3)])
+def test_masked_region_on_the_unit_square(f, region, spec, want, rel):
+    assert integrate_region(f, region, spec).value == pytest.approx(want, rel=rel)
 
 
 def test_zero_measure_box():
     res = integrate_region(lambda p: np.ones(p.shape[:-1]), LowerRect((0.0, 0.7)))
     assert res.value == 0.0 and res.converged
-
-
-def test_bbox_argument():
-    f = lambda p: np.ones(p.shape[:-1])
-    disk = PredicateRegion(lambda p: (p[..., 0] ** 2 + p[..., 1] ** 2) <= 0.25)
-    res = integrate_region(f, disk, QuadratureSpec(initial=64, rtol=1e-3),
-                           bbox=(0.5, 0.5))
-    assert res.value == pytest.approx(math.pi * 0.25 / 4.0, rel=5e-3)
 
 
 def test_unconverged_flag():
