@@ -210,6 +210,16 @@ def _resolve_tau(check_samples, tau):
     return t, {"tau": list(t), "tauSource": "auto", "tauFallbackSteps": steps}
 
 
+def option_error(test, sided, region=None, tau=None):
+    """Why a test refuses these options, or None: the tests raise it when called, and
+    `mc.size_power_study` asks it for every scenario before any replicate runs."""
+    if test == "hazard-order" and region is not None and tau is not None:
+        return "tau sets the grid window; a fixed region takes no tau"
+    if test == "fgm-order" and sided != "one-sided":
+        return "fgm-order is one-sided by construction; sided must be 'one-sided'"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # independence
 # ---------------------------------------------------------------------------
@@ -231,7 +241,7 @@ def independence_test(sample, spec, tau=None):
     difference surface before taking the sup.  tau defaults to the
     componentwise 0.8-quantile of the observed points (stepping down
     if nobody is at risk there); an explicit tau with an empty at-risk
-    set is refused.
+    set is refused.  Deviations are absolute whatever spec.sided says.
     """
     t, diag = _resolve_tau([sample], tau)
     grid = Grid(spec.grid_size, t)
@@ -266,9 +276,9 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
     """
     diag = {"n": sample_f.n, "m": sample_g.n, "seed": spec.seed, "sided": spec.sided,
             "regionMode": "grid" if region is None else "fixed"}
+    if refused := option_error("hazard-order", spec.sided, region, tau):
+        raise ConfigError(refused)
     if region is not None:
-        if tau is not None:
-            raise ConfigError("tau sets the grid window; a fixed region takes no tau")
         estimate = lambda union, w: nelson_aalen(union, region, weights=w)
     else:
         t, tdiag = _resolve_tau([sample_f, sample_g], tau)
@@ -320,7 +330,8 @@ def _copula_corner_surface(sample, ps, qs, weights=None):
 
 
 def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
-    """One-sided test of a smaller copula parameter in sample1 than sample2.
+    """One-sided test of a smaller copula parameter in sample1 than sample2;
+    a two-sided spec is refused.
 
     The comparison lives on the copula scale inside A = [0, tau] cut down
     to the set where a larger parameter strictly raises the hazard
@@ -339,6 +350,8 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
     Replicates resample each sample separately and center each estimate
     at its original surface before taking the sup.
     """
+    if refused := option_error("fgm-order", spec.sided):
+        raise ConfigError(refused)
     t = (float(tau[0]), float(tau[1]))
     if not (0.0 < t[0] < 1.0 and 0.0 < t[1] < 1.0):
         raise ConfigError(f"tau components must lie strictly inside (0,1), got {t}")

@@ -36,7 +36,7 @@ from .errors import ConfigError, DomainError
 from .estimators import (asymptotic_cov, at_risk, compensator_residual, nelson_aalen,
                          simulate_sample)
 from .geometry import Grid, LowerRect, lattice
-from .inference import TESTS, BootstrapSpec, _independence_diff, independence_test
+from .inference import TESTS, BootstrapSpec, _independence_diff, independence_test, option_error
 from .models import integrated_hazard
 from .quadrature import QuadratureSpec, mesh_values, midpoints
 from .util import DATA, PROBE, run_indexed, substream
@@ -319,6 +319,9 @@ def size_power_study(cfg, scenarios):
                 raise ConfigError(f"scenarios[{s_idx}].{key} must be at least 1, got {scen[key]!r}")
         if "exceeds" in scen and scen["exceeds"][0] not in [s["name"] for s in scenarios]:
             raise ConfigError(f"scenarios[{s_idx}].exceeds names no scenario: {scen['exceeds'][0]!r}")
+        if refused := option_error(scen["test"], scen.get("sided", "one-sided"), scen.get("region"),
+                                   scen.get("tau")):
+            raise ConfigError(f"scenarios[{s_idx}]: {refused}")
     start = time.perf_counter()
     flags = [run_indexed(lambda r: _scenario_reject(cfg, s_idx, scen, r), cfg.replicates)
              for s_idx, scen in enumerate(scenarios)]

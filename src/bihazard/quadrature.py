@@ -1,10 +1,10 @@
 """Tensor-product midpoint quadrature on planar regions, with dyadic refinement.
 
-`mesh_sum` evaluates on row blocks of at most 2^16 mesh points (`_BLOCK_POINTS`) and equals the
-whole mesh's `vals.sum()` bit for bit: a power-of-two k combines the block sums pairwise, as NumPy
-sums the whole mesh; any other k fills one (k, k) value array by blocks and sums it once.
-`mesh_values` keeps f on a whole mesh, so the compensator evaluates its sample-free factors once
-per run; by the invariant above, its whole-mesh product sums to what `mesh_sum` would give.
+`mesh_sum` equals the whole mesh's `vals.sum()` bit for bit at every k: it cuts the flat k * k
+mesh where NumPy's pairwise sum splits an array (the first half is n // 2 rounded down to a
+multiple of 8) into ranges of at most 2^16 points and adds their NumPy sums back up that tree.
+`mesh_values` keeps f on a whole mesh; by this invariant the compensator's whole-mesh product
+sums as `mesh_sum` would.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import LowerRect, Region, lattice
 
-_BLOCK_POINTS = 1 << 16     # mesh points per evaluated row block
+_BLOCK_POINTS = 1 << 16     # most mesh points summed by one NumPy call
 
 
 @dataclass(frozen=True)
@@ -52,27 +52,29 @@ def midpoints(hi, k):
     return (np.arange(k) + 0.5) * (hi / k)
 
 
+def _pairwise(lo, hi, leaf):
+    """leaf(lo, hi) on each range of NumPy's split of [lo, hi), added in NumPy's order."""
+    if hi - lo <= _BLOCK_POINTS:
+        return leaf(lo, hi)
+    mid = lo + (hi - lo) // 2 // 8 * 8
+    return _pairwise(lo, mid, leaf) + _pairwise(mid, hi, leaf)
+
+
 def mesh_sum(f, box, k, mask=None):
-    """Sum of f over the k x k midpoint mesh of [0, box], zero outside the region mask."""
+    """Sum of f over the k x k midpoint mesh of [0, box], zero outside the region mask.  f gets
+    the `lattice` row block a range covers, flattened to (n, 2) and sliced if the range cuts a row.
+    A loop keeps one range's arrays until the next range's exist, so malloc reuses their pages."""
     mx, my = midpoints(box[0], k), midpoints(box[1], k)
-    rows = max(_BLOCK_POINTS // k, 1)
-    whole = None if k & (k - 1) == 0 else np.empty((k, k))
-    sums = []
-    for i in range(0, k, rows):
-        pts = lattice(mx[i:i + rows], my)
+    sums = {}
+    for lo, hi in _pairwise(0, k * k, lambda lo, hi: [(lo, hi)]):
+        pts = lattice(mx[lo // k:-(-hi // k)], my)
+        if lo % k or hi % k:
+            pts = pts.reshape(-1, 2)[lo % k:lo % k + hi - lo]
         vals = np.asarray(f(pts), dtype=float)
         if mask is not None:
             vals = np.where(mask.contains(pts), vals, 0.0)
-        if whole is None:
-            sums.append(vals.sum())
-        else:
-            whole[i:i + rows] = vals
-    if whole is not None:
-        return whole.sum()
-    s = np.array(sums)
-    while len(s) > 1:
-        s = s[0::2] + s[1::2]
-    return s[0]
+        sums[lo] = vals.sum()
+    return _pairwise(0, k * k, lambda lo, hi: sums[lo])
 
 
 @lru_cache(maxsize=4)
@@ -87,10 +89,10 @@ def mesh_values(f, box, k):
 def integrate_region(f, region, spec=QuadratureSpec()):
     """Integrate a vectorized f over the region.
 
-    For a LowerRect the mesh covers exactly [0, corner]; for other regions
-    the mesh covers the unit square and membership masks the integrand.
-    Refinement doubles the per-axis resolution until the estimate moves by
-    less than rtol (relative, floored at 1); if the budget runs out the last
+    For a LowerRect the mesh covers exactly [0, corner]; for other regions the mesh covers the
+    unit square and membership masks the integrand.  Refinement doubles the per-axis resolution
+    until the estimate moves by less than rtol (relative, floored at 1), twice in a row for a
+    masked f, whose coarse estimates can repeat by chance; if the budget runs out the last
     estimate is returned with converged=False.
     """
     if not isinstance(region, Region):
@@ -98,18 +100,15 @@ def integrate_region(f, region, spec=QuadratureSpec()):
     box, mask = (region.corner, None) if isinstance(region, LowerRect) else ((1.0, 1.0), region)
     if box[0] == 0.0 or box[1] == 0.0:
         return QuadratureResult(0.0, True, spec.initial, 0.0)
-
-    def estimate(k):
-        return float(mesh_sum(f, box, k, mask) * ((box[0] / k) * (box[1] / k)))
-
-    k = spec.initial
+    estimate = lambda k: float(mesh_sum(f, box, k, mask) * ((box[0] / k) * (box[1] / k)))
+    k, change, agreed = spec.initial, np.inf, 0
     prev = estimate(k)
-    change = np.inf
     while k < spec.max_resolution:
         k *= 2
         cur = estimate(k)
         change = abs(cur - prev) / max(abs(cur), 1.0)
-        if change < spec.rtol:
+        agreed = agreed + 1 if change < spec.rtol else 0
+        if agreed == (1 if mask is None else 2):
             return QuadratureResult(cur, True, k, change)
         prev = cur
     return QuadratureResult(prev, False, k, float(change))

@@ -126,7 +126,9 @@ PROBES = ([("simulate", "simulate.json", argv, None, code, msg)
               _set("region", {"kind": "band_complement", "k1": "x", "k2": 0.5, "c": 0.1}),
               None, 3, "region.k1 must be a number"),
              ("test", "test_hazard_order.json", _set("tau", [0.5, 0.5]), None, 2,
-              "config error: tau sets the grid window; a fixed region takes no tau")]
+              "config error: tau sets the grid window; a fixed region takes no tau"),
+             ("test", "test_fgm_order.json", _set("bootstrap.sided", "two-sided"), None, 2,
+              "config error: fgm-order is one-sided by construction; sided must be 'one-sided'")]
           + [("validate", "validate.json", _set("censorModel.mc_prob_samples", 0), None, 2,
               "censorModel: mc_prob_samples must be at least 1, got 0"),
              ("validate", "validate.json", _set("censorModel.tau1.high", 1.5), None, 2,

@@ -254,6 +254,15 @@ def test_fgm_tau_validation():
             fgm_order_test(s1, s2, bad, spec, True)
 
 
+def test_fgm_order_refuses_a_two_sided_spec():
+    # one-sided by construction: a two-sided spec used to return the one-sided report unchanged
+    s1, s2 = sim(0.5, 40, 61), sim(-0.5, 40, 63)
+    for marginals_equal in (True, False):
+        with pytest.raises(ConfigError, match="fgm-order is one-sided by construction"):
+            fgm_order_test(s1, s2, (0.8, 0.8), BootstrapSpec(replicates=99, sided="two-sided"),
+                           marginals_equal)
+
+
 def test_fgm_marginals_equal_statistic():
     s1 = CensoredSample([obs((0.1, 0.1))])
     s2 = CensoredSample([obs((0.05, 0.05)), obs((0.15, 0.15))])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bihazard
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, Rectangle, region_to_json)
-from bihazard import cli
+from bihazard import cli, mc
 from bihazard.cli import main
 from bihazard.decode import Schema
 from bihazard.errors import DataError
@@ -616,7 +616,7 @@ def test_cli_mc_iid_repr_and_coverage(tmp_path, experiment, extra, names):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_cli_mc_scenario_errors(tmp_path, capsys):
+def test_cli_mc_scenario_errors(tmp_path, capsys, monkeypatch):
     base = {"masterSeed": 1, "experiment": "size_power", "model": {"theta": 0.0},
             "censorModel": {"family": "full"}, "replicates": 2}
     bad1 = dict(base, scenarios=[{"name": "s", "test": "independence", "mean": 1}])
@@ -645,6 +645,18 @@ def test_cli_mc_scenario_errors(tmp_path, capsys):
                                 ("n", True, "scenarios[1].n must be an integer")):
         scen = {"name": "s", "test": "hazard-order", "B": 9, key: value}
         bad = dict(base, scenarios=[{"name": "ok", "test": "independence"}, scen])
+        assert main(["mc", "--config", wjson(tmp_path / "5.json", bad),
+                     "--out", str(tmp_path / "o5")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    # refused options of a test too, by the rule the test itself applies, before any replicate
+    monkeypatch.setattr(mc, "_scenario_reject", lambda *a: pytest.fail("a replicate ran"))
+    for scen, message in (({"region": {"kind": "rectangle", "tau": [0.7, 0.7]}, "tau": [0.5, 0.5]},
+                           "scenarios[1]: tau sets the grid window; a fixed region takes no tau"),
+                          ({"test": "fgm-order", "sided": "two-sided"},
+                           "scenarios[1]: fgm-order is one-sided by construction")):
+        bad = dict(base, scenarios=[{"name": "ok", "test": "independence"},
+                                    {"name": "s", "test": "hazard-order", "B": 9, **scen}])
         assert main(["mc", "--config", wjson(tmp_path / "5.json", bad),
                      "--out", str(tmp_path / "o5")]) == 2
         err = capsys.readouterr().err

@@ -288,7 +288,7 @@ def _pinned_reports():
         {"name": "ho", "test": "hazard-order", "model_f": FgmModel(0.5), "n": 20, "m": 15,
          "B": 9, "alpha": 0.5, "region": LowerRect((0.7, 0.7)), "censor_model": rect_model(0.6)},
         {"name": "fgm", "test": "fgm-order", "model_1": FgmModel(-0.5), "model_2": FgmModel(0.5),
-         "n": 20, "m": 15, "B": 9, "alpha": 0.5, "tau": (0.7, 0.7), "sided": "two-sided"},
+         "n": 20, "m": 15, "B": 9, "alpha": 0.5, "tau": (0.7, 0.7)},
     ]
     return {
         "clt": verify_clt(tiny_cfg(censor_model=rect_model(), replicates=50),
