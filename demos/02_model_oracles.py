@@ -16,9 +16,9 @@ print("== pointwise oracles ==")
 model = FgmModel(0.5)
 pt = np.array([0.3, 0.6])
 print(f"  theta=0.5 at {pt.tolist()}:")
-print(f"    survival {float(model.survival(pt)):.6f}")
-print(f"    density  {float(model.density(pt)):.6f}")
-print(f"    hazard   {float(model.hazard(pt)):.6f}")
+print(f"    survival {float(model.survival(*pt)):.6f}")
+print(f"    density  {float(model.density(*pt)):.6f}")
+print(f"    hazard   {float(model.hazard(*pt)):.6f}")
 
 print()
 print("== integrated hazard vs the independence closed form ==")

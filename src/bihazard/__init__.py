@@ -26,7 +26,7 @@ from .estimators import (CensoredSample, HazardSurface, MarginalEstimate,
                          jump_masses, kaplan_meier, km_quantile,
                          marginal_nelson_aalen, nelson_aalen,
                          nelson_aalen_surface, simulate_sample)
-from .geometry import Grid, LowerRect, PredicateRegion, Region, incomparable, join, leq, wide_history
+from .geometry import Grid, LowerRect, PredicateRegion, Region
 from .inference import (BootstrapSpec, TestReport, bootstrap_resample,
                         fgm_order_test, hazard_order_test, independence_test)
 from .io import (read_dataset, read_dataset_csv, read_sample, write_dataset,

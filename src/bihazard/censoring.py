@@ -4,8 +4,10 @@ A subject's failure point is recorded only if it falls inside the
 subject's observable region xi; outside, the point is censored.  Regions
 come in six shapes: the full square, lower rectangles [0, tau], products
 of per-axis interval unions, complements of a diagonal band, lower layers
-(staircases), and free-form rasters.  All membership tests are vectorized
-over (..., 2) point arrays, with closed boundaries except where noted.
+(staircases), and free-form rasters.  Each shape is a geometry Region: its
+membership is `at(x, y)` at broadcastable coordinates, with closed
+boundaries except where noted, and `contains(region, pts)` is the same on
+(..., 2) point arrays.  Inclusion probabilities take coordinates too.
 
 A CensoringModel is a distribution over regions of one shape.  It can
 draw regions, and it reports the inclusion probabilities P(t in xi) and
@@ -16,12 +18,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .decode import INT, NUM, PAIR, STR, Built, Schema, Tagged
 from .errors import ConfigError, DataError
-from .geometry import as_points, lattice
+from .geometry import Region
 
 __all__ = [
     "FullSpace", "Rectangle", "GridProduct", "BandComplement", "LowerLayer",
@@ -37,12 +40,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FullSpace:
+class FullSpace(Region):
     """No censoring: xi = [0,1]^2."""
+
+    def at(self, x, y):
+        return np.ones(np.broadcast(x, y).shape, dtype=bool)
 
 
 @dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Region):
     """xi = [0, tau1] x [0, tau2] (closed); the bivariate right-censoring set."""
 
     tau: tuple
@@ -53,9 +59,12 @@ class Rectangle:
             raise ConfigError(f"rectangle corner must lie in [0,1]^2, got {t}")
         object.__setattr__(self, "tau", t)
 
+    def at(self, x, y):
+        return (x <= self.tau[0]) & (y <= self.tau[1])
+
 
 @dataclass(frozen=True)
-class GridProduct:
+class GridProduct(Region):
     """xi = (union of x-intervals) x (union of y-intervals), closed intervals.
 
     Per axis the intervals are disjoint, sorted, and the first starts at 0.
@@ -67,6 +76,16 @@ class GridProduct:
     def __post_init__(self):
         object.__setattr__(self, "x_intervals", _clean_intervals(self.x_intervals, "x"))
         object.__setattr__(self, "y_intervals", _clean_intervals(self.y_intervals, "y"))
+
+    def at(self, x, y):
+        return _in_union(x, self.x_intervals) & _in_union(y, self.y_intervals)
+
+
+def _in_union(v, intervals):
+    out = np.zeros(np.shape(v), dtype=bool)
+    for a, b in intervals:
+        out |= (a <= v) & (v <= b)
+    return out
 
 
 def _clean_intervals(raw, axis_name):
@@ -86,7 +105,7 @@ def _clean_intervals(raw, axis_name):
 
 
 @dataclass(frozen=True)
-class BandComplement:
+class BandComplement(Region):
     """Complement of the open diagonal band {k1<t1<k2, t1<t2<t1+c}; stored closed."""
 
     k1: float
@@ -103,9 +122,12 @@ class BandComplement:
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "c", c)
 
+    def at(self, x, y):
+        return ~((self.k1 < x) & (x < self.k2) & (x < y) & (y < x + self.c))
+
 
 @dataclass(frozen=True)
-class LowerLayer:
+class LowerLayer(Region):
     """Staircase xi = union of [0, corner_k]; corners strictly ordered.
 
     Corners are sorted with x strictly increasing and y strictly decreasing,
@@ -128,8 +150,12 @@ class LowerLayer:
                                       "and strictly decreasing in y")
         object.__setattr__(self, "corners", tuple(cs))
 
+    def at(self, x, y):
+        cs = np.asarray(self.corners)
+        return ((np.asarray(x)[..., None] <= cs[:, 0]) & (np.asarray(y)[..., None] <= cs[:, 1])).any(axis=-1)
 
-class Raster:
+
+class Raster(Region):
     """Boolean m x m cell mask; cell (i, j) is [i/m,(i+1)/m) x [j/m,(j+1)/m).
 
     Cells are half-open, so membership on the outer boundary t=1 is False;
@@ -157,6 +183,13 @@ class Raster:
 
     def __repr__(self):
         return f"Raster(m={self.m}, true={int(self.mask.sum())}/{self.m * self.m})"
+
+    def at(self, x, y):
+        i, j = np.broadcast_arrays(*(np.floor(v * self.m).astype(np.int64) for v in (x, y)))
+        ok = (i >= 0) & (i < self.m) & (j >= 0) & (j < self.m)
+        out = np.zeros(ok.shape, dtype=bool)
+        out[ok] = self.mask[i[ok], j[ok]]
+        return out
 
 
 class RegionTable(Sequence):
@@ -192,35 +225,9 @@ class RegionTable(Sequence):
 
 def contains(region, pts):
     """Membership of pts (..., 2) in the region; bool scalar or array."""
-    p = as_points(pts)
-    x, y = p[..., 0], p[..., 1]
-    if isinstance(region, FullSpace):
-        out = np.ones(p.shape[:-1], dtype=bool)
-    elif isinstance(region, Rectangle):
-        out = (x <= region.tau[0]) & (y <= region.tau[1])
-    elif isinstance(region, GridProduct):
-        out = _in_union(x, region.x_intervals) & _in_union(y, region.y_intervals)
-    elif isinstance(region, BandComplement):
-        out = ~((region.k1 < x) & (x < region.k2) & (x < y) & (y < x + region.c))
-    elif isinstance(region, LowerLayer):
-        cs = np.asarray(region.corners)
-        out = ((x[..., None] <= cs[:, 0]) & (y[..., None] <= cs[:, 1])).any(axis=-1)
-    elif isinstance(region, Raster):
-        i = np.floor(x * region.m).astype(np.int64)
-        j = np.floor(y * region.m).astype(np.int64)
-        ok = (i >= 0) & (i < region.m) & (j >= 0) & (j < region.m)
-        out = np.zeros(p.shape[:-1], dtype=bool)
-        out[ok] = region.mask[i[ok], j[ok]]
-    else:
+    if not isinstance(region, Region):
         raise ConfigError(f"unknown region type {type(region).__name__}")
-    return bool(out) if out.ndim == 0 else out
-
-
-def _in_union(v, intervals):
-    out = np.zeros(np.shape(v), dtype=bool)
-    for a, b in intervals:
-        out |= (a <= v) & (v <= b)
-    return out
+    return region.contains(pts)
 
 
 def rasterize(region, m):
@@ -233,7 +240,7 @@ def rasterize(region, m):
             raise ConfigError(f"cannot re-rasterize a raster from m={region.m} to m={m}")
         return region
     c = (np.arange(m) + 0.5) / m
-    return Raster(m, contains(region, lattice(c, c)))
+    return Raster(m, region.at(c[:, None], c[None, :]))
 
 
 def observable_core(raster):
@@ -408,30 +415,27 @@ class CensoringModel:
         raise ConfigError("model is not a fixed region")
 
 
-def inclusion_prob(model, pts):
-    """P(t in xi) for each point, in closed form."""
-    p = as_points(pts)
+def inclusion_prob(model, x, y):
+    """P((x, y) in xi) at broadcastable coordinates, in closed form."""
     if model.family == "rectangle":
-        out = (model.params["tau1"].tail_prob(p[..., 0])
-               * model.params["tau2"].tail_prob(p[..., 1]))
+        out = model.params["tau1"].tail_prob(x) * model.params["tau2"].tail_prob(y)
     elif model.family in _FIXED_FAMILIES:
-        out = contains(model.params["region"], p)
+        out = model.params["region"].at(x, y)
     else:
-        out = 1.0 - _in_band_prob(model, p)
+        out = 1.0 - _in_band_prob(model, (x, y))
     return _returned(out)
 
 
-def joint_inclusion_prob(model, s, t):
-    """P(s in xi and t in xi), in closed form."""
-    s = as_points(s)
-    t = as_points(t)
+def joint_inclusion_prob(model, sx, sy, tx, ty):
+    """P(s in xi and t in xi) for s = (sx, sy) and t = (tx, ty), all broadcastable, in closed form."""
     if model.family == "rectangle":
-        out = (model.params["tau1"].tail_prob(np.maximum(s[..., 0], t[..., 0]))
-               * model.params["tau2"].tail_prob(np.maximum(s[..., 1], t[..., 1])))
+        out = (model.params["tau1"].tail_prob(np.maximum(sx, tx))
+               * model.params["tau2"].tail_prob(np.maximum(sy, ty)))
     elif model.family in _FIXED_FAMILIES:
         region = model.params["region"]
-        out = np.logical_and(contains(region, s), contains(region, t))
+        out = np.logical_and(region.at(sx, sy), region.at(tx, ty))
     else:
+        s, t = (sx, sy), (tx, ty)
         out = 1.0 - _in_band_prob(model, s) - _in_band_prob(model, t) + _in_band_prob(model, s, t)
     return _returned(out)
 
@@ -442,18 +446,17 @@ def _returned(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _in_band_prob(model, *point_sets):
-    """P(every point set lies in the drawn band {k1 < x < k2, x < y < x + c}).
+def _in_band_prob(model, *points):
+    """P(every point (x, y) lies in the drawn band {k1 < x < k2, x < y < x + c}).
 
     With A and B the independent k1 and k2 table draws, k1 = min(A, B) and
     k2 = max(A, B), so for u <= v, P(k1 < u, v < k2) = P(A < u) P(B > v) +
     P(B < u) P(A > v): the two orders are disjoint events.
     """
     a, b, c = model.params["k1"], model.params["k2"], float(model.params["c"])
-    sets = np.broadcast_arrays(*point_sets)
-    x = [p[..., 0] for p in sets]
-    strip = np.logical_and.reduce([(p[..., 0] < p[..., 1]) & (p[..., 1] < p[..., 0] + c) for p in sets])
-    u, v = np.minimum.reduce(x), np.maximum.reduce(x)
+    strip = reduce(np.logical_and, [(x < y) & (y < x + c) for x, y in points])
+    xs = [x for x, _ in points]
+    u, v = reduce(np.minimum, xs), reduce(np.maximum, xs)
     return strip * (a.cdf_left(u) * (1.0 - b.cdf(v)) + b.cdf_left(u) * (1.0 - a.cdf(v)))
 
 
@@ -493,23 +496,18 @@ def validate_censoring(model, grid, epsilon=0.05):
     eps = float(epsilon)
     if not (0.0 < eps < 1.0):
         raise ConfigError("epsilon must lie in (0,1)")
-    nodes = grid.nodes()
-    probs = inclusion_prob(model, nodes)
-    k = int(np.argmin(probs))
-    arg = (float(nodes[k, 0]), float(nodes[k, 1]))
-    min_p = float(probs[k])
+    x, y = grid.xs[:, None], grid.ys[None, :]
+    probs = inclusion_prob(model, x, y)
+    # the nodes run with the first coordinate fastest, so the first minimal node is that of probs.T
+    j, i = np.unravel_index(np.argmin(probs.T), probs.T.shape)
+    arg = (float(grid.xs[i]), float(grid.ys[j]))
+    min_p = float(probs[i, j])
 
-    # adjacent pairs along each axis, both orientations: mesh[i, j] = (xs[i], ys[j]), and the
-    # nodes run with the first coordinate fastest, so the node values are the mesh's transposed
-    mesh = lattice(grid.xs, grid.ys)
-    at_mesh = probs.reshape(mesh.shape[1::-1]).T
+    # adjacent pairs along each axis, both orientations
     ratios = []
-    for axis in (0, 1):
-        rows, at_rows = np.moveaxis(mesh, axis, 0), np.moveaxis(at_mesh, axis, 0)
-        s, t = rows[:-1].reshape(-1, 2), rows[1:].reshape(-1, 2)
-        h = t[:, axis] - s[:, axis]
-        pj = np.asarray(joint_inclusion_prob(model, s, t))
-        ps, pt = at_rows[:-1].reshape(-1), at_rows[1:].reshape(-1)
+    for s, t, h, ps, pt in (((x[:-1], y), (x[1:], y), np.diff(x, axis=0), probs[:-1], probs[1:]),
+                            ((x, y[:, :-1]), (x, y[:, 1:]), np.diff(y, axis=1), probs[:, :-1], probs[:, 1:])):
+        pj = joint_inclusion_prob(model, *s, *t)
         ratios.append(np.max((ps - pj) / h))
         ratios.append(np.max((pt - pj) / h))
     lip = float(max(ratios))

@@ -9,7 +9,8 @@ Each command returns a `Run` (its config, output files, datasets read, report
 lines and exit code) and writes nothing itself.  `_seal` is the one place that
 creates --out: after the command has finished it writes the files, the fully
 resolved config and a manifest with the tool version and content digests of
-all inputs and outputs.  A command that stops with an error leaves no directory.
+all inputs and outputs.  A command or a write that stops with an error leaves
+no new directory.
 
 Exit codes: 0 ok, 2 usage/config, 3 data, 4 numeric, 5 a pre-registered
 criterion or validation failed.
@@ -21,6 +22,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 from typing import NamedTuple
 
@@ -33,7 +35,7 @@ from .decode import BOOL, INT, NUM, OPTIONAL, PAIR, STR, Built, Schema, Tagged
 from .errors import BihazardError, ConfigError, DataError, NumericError
 from .estimators import (jump_masses, kaplan_meier, marginal_nelson_aalen,
                          nelson_aalen_surface, simulate_sample)
-from .geometry import Grid, LowerRect, PredicateRegion, lattice
+from .geometry import Grid, LowerRect, lattice
 from .inference import TESTS, BootstrapSpec
 from .io import read_sample, write_dataset
 from .mc import (MCConfig, coverage_study, size_power_study, verify_clt,
@@ -129,20 +131,30 @@ def _write(path, body):
 
 
 def _seal(args, run):
-    """Create --out (or write into it), write the run's files, then resolved_config.json,
-    then manifest.json; inputs are hashed first so that a vanished input leaves no directory."""
+    """Write the run's files, then resolved_config.json, then manifest.json into --out; inputs
+    are hashed first so that a vanished input leaves no directory.  An existing --out is written
+    into; a new one is written as a temporary sibling and renamed at the end, so that a failed
+    write leaves no --out."""
     inputs = {path: _hash_input(path) for path in (args.config, *run.data)}
+    out = os.path.normpath(args.out)
+    fresh = not os.path.exists(out)
+    target = f"{out}.partial-{os.getpid()}" if fresh else out
     try:
-        os.makedirs(args.out, exist_ok=True)
+        os.makedirs(target, exist_ok=True)
         outputs = {}
         for name, body in {**run.files, "resolved_config.json": run.config}.items():
-            path = os.path.join(args.out, name)
+            path = os.path.join(target, name)
             _write(path, body)
             outputs[name] = sha256_file(path)
-        _write(os.path.join(args.out, "manifest.json"),
+        _write(os.path.join(target, "manifest.json"),
                {"version": __version__, "command": args.command, "inputs": inputs, "outputs": outputs})
+        if fresh:
+            os.rename(target, out)
     except OSError as exc:
         raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
+    finally:
+        if fresh:
+            shutil.rmtree(target, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +233,6 @@ def cmd_estimate(args):
 # test
 # ---------------------------------------------------------------------------
 
-# a config region is a censoring-region JSON; as a test window it is its membership predicate
-_REGION = Built(cen.REGION, lambda shape: PredicateRegion(lambda pts: cen.contains(shape, pts)))
-
 
 def _renamed(d):
     """The config's keys under the option names that `inference.TESTS` and the harness read."""
@@ -238,7 +247,7 @@ _TEST_ANY = {"masterSeed": INT, "bootstrap": (_BOOTSTRAP, {}), "tau": (PAIR, OPT
              "replicateDump": (BOOL, False)}
 _TEST = Schema(Built(Tagged("test", {
     "independence": _TEST_ANY,
-    "hazard-order": {**_TEST_ANY, "region": (_REGION, OPTIONAL)},
+    "hazard-order": {**_TEST_ANY, "region": (cen.REGION, OPTIONAL)},
     "fgm-order": {**_TEST_ANY, "tau": PAIR, "marginalsEqual": BOOL},
 }), _renamed))
 
@@ -274,7 +283,7 @@ _SCENARIO = Built({
     "censorModel": (CENSORING_MODEL, OPTIONAL), "n": (INT, OPTIONAL), "m": (INT, OPTIONAL),
     "alpha": (NUM, OPTIONAL), "B": (INT, OPTIONAL), "gridSize": (INT, OPTIONAL),
     "sided": (STR, OPTIONAL), "tau": (PAIR, OPTIONAL), "marginalsEqual": (BOOL, OPTIONAL),
-    "band": (PAIR, OPTIONAL), "region": (_REGION, OPTIONAL),
+    "band": (PAIR, OPTIONAL), "region": (cen.REGION, OPTIONAL),
     "exceeds": (Built([STR, NUM], lambda e: (e[0], float(e[1]))), OPTIONAL),
 }, _renamed)
 
@@ -336,7 +345,7 @@ def cmd_validate(args):
     if "model" in c:
         model = c["model"]
         corner = grid.tau
-        sval = float(model.survival(np.array(corner)))
+        sval = float(model.survival(*corner))
         model_info = {"windowCorner": list(corner), "survivalAtCorner": sval}
         try:
             res = integrated_hazard(model, LowerRect(corner), QuadratureSpec())

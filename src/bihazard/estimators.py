@@ -40,7 +40,7 @@ import numpy as np
 from . import censoring as cen
 from .dominance import dominance_counter, dominating_count, dominating_count_naive, running_sums
 from .errors import ConfigError, DataError, DomainError, ObservabilityError, QuantileRangeError, ReductionError
-from .geometry import Grid, LowerRect, as_points, lattice
+from .geometry import Grid, LowerRect, as_points
 from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, mesh_values, midpoints
 
 __all__ = [
@@ -208,7 +208,7 @@ def _mask(mask, x, y):
     """A term group's mask at the points (x, y), broadcast together; None holds everywhere."""
     if isinstance(mask, float):
         return (x < y) & (y < x + mask)
-    return True if mask is None else cen.contains(mask, np.stack(np.broadcast_arrays(x, y), axis=-1))
+    return True if mask is None else mask.at(x, y)
 
 
 def _inside(points, region_index, table):
@@ -477,13 +477,13 @@ def compensator_residual(sample, model, region, spec=QuadratureSpec(), weight=No
     else:
         ev = sample.event_points
         sel = np.asarray(region.contains(ev), dtype=bool) if len(ev) else np.empty(0, dtype=bool)
-        cnt = float(np.sum(np.asarray(weight(ev[sel]), dtype=float))) if np.any(sel) else 0.0
+        cnt = float(np.sum(np.asarray(weight(*ev[sel].T), dtype=float))) if np.any(sel) else 0.0
     if box[0] == 0.0 or box[1] == 0.0:
         return CompensatorResidual(float(cnt), cnt, 0.0, k)
     mx, my = midpoints(box[0], k), midpoints(box[1], k)
     vals = _risk_counts_on_mesh(sample, mx, my) * mesh_values(model.hazard, box, k)
     vals = vals if weight is None else vals * mesh_values(weight, box, k)
-    vals = vals if mask is None else np.where(mesh_values(mask.contains, box, k), vals, 0.0)
+    vals = vals if mask is None else np.where(mesh_values(mask.at, box, k), vals, 0.0)
     integral = float(vals.sum() * (box[0] / k) * (box[1] / k))
     return CompensatorResidual(float(cnt - integral), cnt, integral, k)
 
@@ -681,12 +681,12 @@ def _frac_less_matrix(edges_a, edges_b):
 
 def _inclusion_fn(censor_model):
     if censor_model is None:
-        return lambda pts: 1.0
+        return lambda x, y: 1.0
     if censor_model.family == "band_complement":
         raise ConfigError(
             "asymptotic covariance needs P(s, t in xi) to be a function of s v t, which holds "
             "for rectangle and fixed-region censoring models only, not band_complement")
-    return lambda pts: np.asarray(cen.inclusion_prob(censor_model, pts), dtype=float)
+    return partial(cen.inclusion_prob, censor_model)
 
 
 @dataclass
@@ -722,8 +722,8 @@ def asymptotic_cov(model, censor_model, region_c, region_d, spec=QuadratureSpec(
         return AsymptoticCov(0.0, 0.0, 0.0, zero)
     pfun = _inclusion_fn(censor_model)
 
-    def sp(pts):
-        return np.asarray(model.survival(pts), dtype=float) * np.asarray(pfun(pts), dtype=float)
+    def sp(x, y):
+        return model.survival(x, y) * pfun(x, y)
 
     k = _PAIR_RESOLUTION
 
@@ -731,28 +731,24 @@ def asymptotic_cov(model, censor_model, region_c, region_d, spec=QuadratureSpec(
         """Per axis the cell edges and midpoints of the rectangle, and its cell weights."""
         edges = [np.linspace(0.0, v, k + 1) for v in corner]
         mids = [midpoints(v, k) for v in corner]
-        pts = lattice(*mids)
-        s = sp(pts)
+        x, y = mids[0][:, None], mids[1][None, :]
+        s = sp(x, y)
         if np.min(s) <= 1e-12:
             raise DomainError("S * P(t in xi) is not bounded below on the requested rectangles")
         area = (corner[0] / k) * (corner[1] / k)
-        return edges, mids, np.asarray(model.hazard(pts), dtype=float) / s * area
+        return edges, mids, model.hazard(x, y) / s * area
 
     c_cells, d_cells = cells((c1, c2)), cells((d1, d2))
 
     # diagonal piece over C n D
     inter = LowerRect((min(c1, d1), min(c2, d2)))
 
-    def diag_integrand(pts):
-        return np.asarray(model.hazard(pts), dtype=float) / sp(pts)
-
-    t1 = integrate_region(diag_integrand, inter, spec)
+    t1 = integrate_region(lambda x, y: model.hazard(x, y) / sp(x, y), inter, spec)
 
     rect = censor_model is not None and censor_model.family == "rectangle"
 
-    def join_kernel(xv, yv):
-        pts = lattice(xv, yv)
-        return np.asarray(model.survival(pts), dtype=float) * (pfun(pts) if rect else 1.0)
+    def join_kernel(x, y):
+        return model.survival(x, y) * (pfun(x, y) if rect else 1.0)
 
     def wedge(a, b):
         """Pairs s in rectangle a, t in b with s1 < t1, s2 > t2: join = (t1, s2)."""
@@ -760,7 +756,7 @@ def asymptotic_cov(model, censor_model, region_c, region_d, spec=QuadratureSpec(
         (bxe, bye), (bxm, bym), b_mat = b
         m1 = _frac_less_matrix(axe, bxe).T @ a_mat   # [t1, s2]
         m2 = b_mat @ _frac_less_matrix(bye, aye)     # [t1, s2]
-        return float(np.sum(m1 * m2 * join_kernel(bxm, aym)))
+        return float(np.sum(m1 * m2 * join_kernel(bxm[:, None], aym[None, :])))
 
     # wedge piece; the wedge {t1 < s1, s2 < t2} is the first wedge with C and D swapped
     cross = wedge(c_cells, d_cells) + wedge(d_cells, c_cells)

@@ -1,8 +1,11 @@
-"""Componentwise partial order on the unit square, regions, and grids.
+"""Regions of the unit square, and grids.
 
-Points live in [0,1]^2 and are ordered componentwise: s <= t iff s1 <= t1
-and s2 <= t2.  Everything here is vectorized: point arguments may be a
-single pair or an (..., 2) array, and predicates broadcast accordingly.
+Every function of a point takes its coordinates: f(x, y) with x and y
+broadcastable, so a k x k mesh is an x column against a y row and per-axis
+work is done k times.  A region's membership is `Region.at(x, y)`;
+`Region.contains(pts)` takes (..., 2) point arrays, for callers that hold
+point lists (event points, query lists), and derives from `at` in one place.
+`lattice` builds point arrays only where the output is a point list.
 """
 
 from __future__ import annotations
@@ -28,34 +31,17 @@ def lattice(xs, ys):
     return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
 
 
-def leq(s, t):
-    """Componentwise s <= t.  Broadcasts; returns bool (scalar or array)."""
-    s = as_points(s)
-    t = as_points(t)
-    out = (s[..., 0] <= t[..., 0]) & (s[..., 1] <= t[..., 1])
-    return bool(out) if out.ndim == 0 else out
-
-
-def incomparable(s, t):
-    """True where neither s <= t nor t <= s."""
-    s = as_points(s)
-    t = as_points(t)
-    le = (s[..., 0] <= t[..., 0]) & (s[..., 1] <= t[..., 1])
-    ge = (s[..., 0] >= t[..., 0]) & (s[..., 1] >= t[..., 1])
-    out = ~(le | ge)
-    return bool(out) if out.ndim == 0 else out
-
-
-def join(s, t):
-    """Componentwise maximum (least upper bound)."""
-    return np.maximum(as_points(s), as_points(t))
-
-
 class Region:
-    """A Borel subset of [0,1]^2, queried through contains()."""
+    """A Borel subset of [0,1]^2: `at(x, y)` is its membership at broadcastable coordinates."""
+
+    def at(self, x, y):
+        raise NotImplementedError
 
     def contains(self, pts):
-        raise NotImplementedError
+        """Membership of (..., 2) points; a bool for a single point."""
+        p = as_points(pts)
+        out = np.asarray(self.at(p[..., 0], p[..., 1]), dtype=bool)
+        return bool(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -68,17 +54,19 @@ class LowerRect(Region):
         c = tuple(float(x) for x in np.asarray(self.corner, dtype=float).reshape(2))
         object.__setattr__(self, "corner", c)
 
-    def contains(self, pts):
-        p = as_points(pts)
-        out = (p[..., 0] <= self.corner[0]) & (p[..., 1] <= self.corner[1])
-        return bool(out) if out.ndim == 0 else out
+    def at(self, x, y):
+        return (x <= self.corner[0]) & (y <= self.corner[1])
 
 
 @dataclass(frozen=True)
 class PredicateRegion(Region):
-    """Region given by a vectorized membership predicate on (..., 2) arrays."""
+    """Region given by a vectorized membership predicate on (..., 2) point arrays, which its
+    coordinate form stacks x and y into."""
 
     predicate: object
+
+    def at(self, x, y):
+        return self.contains(np.stack(np.broadcast_arrays(x, y), axis=-1))
 
     def contains(self, pts):
         p = as_points(pts)
@@ -86,22 +74,6 @@ class PredicateRegion(Region):
         if out.shape != p.shape[:-1]:
             raise ConfigError("region predicate must return one boolean per point")
         return bool(out) if out.ndim == 0 else out
-
-
-def wide_history(t):
-    """Everything not strictly beyond t: {s : s1 <= t1 or s2 <= t2}.
-
-    This is the closed complement of the open upper quadrant of t; it is
-    the region on which at-risk membership at t is decidable from data
-    observable up to t.
-    """
-    t = as_points(t).reshape(2)
-    t1, t2 = float(t[0]), float(t[1])
-
-    def pred(p):
-        return (p[..., 0] <= t1) | (p[..., 1] <= t2)
-
-    return PredicateRegion(pred)
 
 
 @dataclass(frozen=True)
@@ -132,7 +104,3 @@ class Grid:
     def nodes(self):
         """All m^2 nodes, row-major with the first coordinate varying fastest."""
         return lattice(self.xs, self.ys).swapaxes(0, 1).reshape(-1, 2)
-
-    def refine(self):
-        """Next finer grid whose node set contains this one (2m-1 nodes)."""
-        return Grid(2 * self.m - 1, self.tau)

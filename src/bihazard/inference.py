@@ -30,7 +30,7 @@ from .decode import INT, NUM, Schema
 from .errors import ConfigError, DataError, QuantileRangeError
 from .estimators import (at_risk, cell_surface, jump_masses, kaplan_meier,
                          marginal_nelson_aalen, nelson_aalen, nelson_aalen_surface)
-from .geometry import Grid, PredicateRegion
+from .geometry import Grid, Region
 from .models import fgm_order_region
 from .util import BOOTSTRAP, substream
 
@@ -292,14 +292,14 @@ def hazard_order_test(sample_f, sample_g, spec, region=None, tau=None):
 # FGM copula-parameter order
 # ---------------------------------------------------------------------------
 
-def _order_window_region(tau):
-    t1, t2 = float(tau[0]), float(tau[1])
+@dataclass(frozen=True)
+class _OrderWindow(Region):
+    """The FGM order region within the window [0, tau]."""
 
-    def pred(pts):
-        x, y = pts[..., 0], pts[..., 1]
-        return (x <= t1) & (y <= t2) & fgm_order_region(x, y)
+    tau: tuple
 
-    return PredicateRegion(pred)
+    def at(self, x, y):
+        return (x <= self.tau[0]) & (y <= self.tau[1]) & fgm_order_region(x, y)
 
 
 def _corner_cells(cdf, levels, coords):
@@ -361,7 +361,7 @@ def fgm_order_test(sample1, sample2, tau, spec, marginals_equal):
             "marginalsEqual": bool(marginals_equal)}
 
     if marginals_equal:             # the negated estimate makes the pooled difference h2 - h1
-        region = _order_window_region(t)
+        region = _OrderWindow((float(t[0]), float(t[1])))
         return _pooled("fgm-order", sample1, sample2, lambda u, w: -nelson_aalen(u, region, weights=w),
                        spec, diag, "one-sided")
 

@@ -35,7 +35,7 @@ from .decode import INT, Schema
 from .errors import ConfigError, DomainError
 from .estimators import (asymptotic_cov, at_risk, compensator_residual, nelson_aalen,
                          simulate_sample)
-from .geometry import Grid, LowerRect, lattice
+from .geometry import Grid, LowerRect
 from .inference import TESTS, BootstrapSpec, _independence_diff, independence_test, option_error
 from .models import integrated_hazard
 from .quadrature import QuadratureSpec, mesh_values, midpoints
@@ -110,10 +110,9 @@ def _report(experiment, cfg, rows, start, **meta):
                     {**meta, "replicates": cfg.replicates, "seed": cfg.seed})
 
 
-def _at_risk_limit(cfg, pts):
-    """S(t) P(t in xi) at the points: the limit of Z_n(t)/n, from the model and the censoring."""
-    return (np.asarray(cfg.model.survival(pts), dtype=float)
-            * np.asarray(cen.inclusion_prob(cfg.censor_model, pts), dtype=float))
+def _at_risk_limit(cfg, x, y):
+    """S(t) P(t in xi) at t = (x, y): the limit of Z_n(t)/n, from the model and the censoring."""
+    return cfg.model.survival(x, y) * cen.inclusion_prob(cfg.censor_model, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +240,7 @@ def verify_glivenko(cfg, ladder=(250, 500, 1000, 2000), bound=0.05):
     start = time.perf_counter()
     ladder = sorted(int(n) for n in ladder)
     nodes = Grid(cfg.grid_size, (1.0, 1.0)).nodes()
-    ref = _at_risk_limit(cfg, nodes)
+    ref = _at_risk_limit(cfg, *nodes.T)
     medians, rows = _prefix_ladder(
         cfg, ladder, lambda pre, n: float(np.max(np.abs(at_risk(pre, nodes) / n - ref))),
         "median_sup", "survival times inclusion probability")
@@ -269,8 +268,8 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
         raise ConfigError("the representation check uses a lower rectangle region")
     truth = float(integrated_hazard(cfg.model, region, cfg.quadrature))
 
-    def weight(pts):
-        sp = _at_risk_limit(cfg, pts)
+    def weight(x, y):
+        sp = _at_risk_limit(cfg, x, y)
         if np.any(sp <= 1e-12):
             raise DomainError("S * P(t in xi) is not bounded below on the region")
         return 1.0 / sp
@@ -319,6 +318,13 @@ def size_power_study(cfg, scenarios):
                 raise ConfigError(f"scenarios[{s_idx}].{key} must be at least 1, got {scen[key]!r}")
         if "exceeds" in scen and scen["exceeds"][0] not in [s["name"] for s in scenarios]:
             raise ConfigError(f"scenarios[{s_idx}].exceeds names no scenario: {scen['exceeds'][0]!r}")
+        for key, name in (("B", "replicates"), ("alpha", "alpha"), ("grid_size", "grid_size"),
+                          ("sided", "sided")):
+            try:
+                if key in scen:
+                    BootstrapSpec(**{name: scen[key]})
+            except ConfigError as exc:
+                raise ConfigError(f"scenarios[{s_idx}].{key}: {exc}") from None
         if refused := option_error(scen["test"], scen.get("sided", "one-sided"), scen.get("region"),
                                    scen.get("tau")):
             raise ConfigError(f"scenarios[{s_idx}]: {refused}")
@@ -346,7 +352,7 @@ def _truth_difference(model):
         # the column sums so far, so each column sums in the order of one whole-mesh cumsum
         cum, cols = np.zeros((_TRUTH_MESH + 1, _TRUTH_MESH + 1)), np.zeros(_TRUTH_MESH)
         for lo in range(0, _TRUTH_MESH, _TRUTH_ROWS):
-            h = np.asarray(model.hazard(lattice(mids[lo:lo + _TRUTH_ROWS], mids)), dtype=float)
+            h = model.hazard(mids[lo:lo + _TRUTH_ROWS, None], mids)
             block = h / (_TRUTH_MESH * _TRUTH_MESH)
             block[0] += cols
             cols = (block := block.cumsum(axis=0))[-1]

@@ -8,8 +8,10 @@ The dependence family is Farlie-Gumbel-Morgenstern:
 
 With marginals F, G on [0,1] the joint survival is S(t) = Cbar(F(t1), G(t2)),
 the density is c(F,G) * f * g, and the hazard rate is h = density / S
-(set to 0 where S = 0).  The cumulative hazard of a region A is the
-Lebesgue integral of h over A, computed by midpoint quadrature.
+(set to 0 where S = 0).  All three take broadcastable coordinates x and y,
+so on a mesh the marginals are evaluated once per axis.  The cumulative
+hazard of a region A is the Lebesgue integral of h over A, computed by
+midpoint quadrature.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .decode import NUM, PAIR, Built, Schema, Tagged
 from .errors import ConfigError, DomainError
-from .geometry import LowerRect, as_points
+from .geometry import LowerRect
 from .quadrature import QuadratureSpec, integrate_region
 
 __all__ = [
@@ -177,24 +179,19 @@ class FgmModel:
             raise ConfigError(f"FGM parameter must lie in [-1,1], got {th}")
         object.__setattr__(self, "theta", th)
 
-    def survival(self, pts):
-        """S(t) = P(Y1 >= t1, Y2 >= t2)."""
-        p = as_points(pts)
-        u = self.marginal_x.cdf(p[..., 0])
-        v = self.marginal_y.cdf(p[..., 1])
-        return copula_survival(u, v, self.theta)
+    def survival(self, x, y):
+        """S(x, y) = P(Y1 >= x, Y2 >= y) at broadcastable coordinates."""
+        return copula_survival(self.marginal_x.cdf(x), self.marginal_y.cdf(y), self.theta)
 
-    def density(self, pts):
-        p = as_points(pts)
-        x, y = p[..., 0], p[..., 1]
+    def density(self, x, y):
         u = self.marginal_x.cdf(x)
         v = self.marginal_y.cdf(y)
         return copula_density(u, v, self.theta) * self.marginal_x.pdf(x) * self.marginal_y.pdf(y)
 
-    def hazard(self, pts):
+    def hazard(self, x, y):
         """h = density / survival, 0 where the survival function vanishes."""
-        s = np.asarray(self.survival(pts), dtype=float)
-        d = np.asarray(self.density(pts), dtype=float)
+        s = self.survival(x, y)
+        d = self.density(x, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(s > 0.0, d / np.where(s > 0.0, s, 1.0), 0.0)
         return out if out.ndim else float(out)
@@ -219,7 +216,7 @@ def integrated_hazard(model, region, spec=QuadratureSpec()):
         corner = np.asarray(region.corner)
         if np.any(corner > 1.0):
             raise DomainError("region exceeds the unit square")
-        if float(model.survival(corner)) <= 0.0 and corner[0] > 0.0 and corner[1] > 0.0:
+        if float(model.survival(*corner)) <= 0.0 and corner[0] > 0.0 and corner[1] > 0.0:
             raise DomainError("region touches the zero set of the survival function")
     return integrate_region(model.hazard, region, spec)
 

@@ -1,5 +1,8 @@
 """Tensor-product midpoint quadrature on planar regions, with dyadic refinement.
 
+Integrands and region masks are functions of coordinates, f(x, y) with x and y broadcastable, so
+a mesh reaches them as a column of x midpoints against a row of y midpoints, never as points.
+
 `mesh_sum` equals the whole mesh's `vals.sum()` bit for bit at every k: it cuts the flat k * k
 mesh where NumPy's pairwise sum splits an array (the first half is n // 2 rounded down to a
 multiple of 8) into ranges of at most 2^16 points and adds their NumPy sums back up that tree.
@@ -15,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import LowerRect, Region, lattice
+from .geometry import LowerRect, Region
 
 _BLOCK_POINTS = 1 << 16     # most mesh points summed by one NumPy call
 
@@ -61,33 +64,31 @@ def _pairwise(lo, hi, leaf):
 
 
 def mesh_sum(f, box, k, mask=None):
-    """Sum of f over the k x k midpoint mesh of [0, box], zero outside the region mask.  f gets
-    the `lattice` row block a range covers, flattened to (n, 2) and sliced if the range cuts a row.
-    A loop keeps one range's arrays until the next range's exist, so malloc reuses their pages."""
-    mx, my = midpoints(box[0], k), midpoints(box[1], k)
+    """Sum of f(x, y) over the k x k midpoint mesh of [0, box], zero outside the region mask.
+    f and mask.at get the x column of the rows a range covers and the y row; a range that cuts a
+    row sums its part of those rows, flat.  A loop keeps one range's arrays until the next
+    range's exist, so malloc reuses their pages."""
+    mx, my = midpoints(box[0], k)[:, None], midpoints(box[1], k)[None, :]
     sums = {}
     for lo, hi in _pairwise(0, k * k, lambda lo, hi: [(lo, hi)]):
-        pts = lattice(mx[lo // k:-(-hi // k)], my)
-        if lo % k or hi % k:
-            pts = pts.reshape(-1, 2)[lo % k:lo % k + hi - lo]
-        vals = np.asarray(f(pts), dtype=float)
+        x = mx[lo // k:-(-hi // k)]
+        vals = np.broadcast_to(np.asarray(f(x, my), dtype=float), (len(x), k))
         if mask is not None:
-            vals = np.where(mask.contains(pts), vals, 0.0)
-        sums[lo] = vals.sum()
+            vals = np.where(mask.at(x, my), vals, 0.0)
+        sums[lo] = vals.reshape(-1)[lo % k:lo % k + hi - lo].sum()
     return _pairwise(0, k * k, lambda lo, hi: sums[lo])
 
 
 @lru_cache(maxsize=4)
 def mesh_values(f, box, k):
-    """f on the k x k midpoint mesh of [0, box], read-only; memoized unless f raises.  f is keyed
-    as Python compares it: a bound method by its object's identity, a closure by its own."""
-    vals = np.asarray(f(lattice(midpoints(box[0], k), midpoints(box[1], k)))).view()
-    vals.flags.writeable = False
-    return vals
+    """f(x, y) on the k x k midpoint mesh of [0, box], x down the rows, as a read-only view;
+    memoized unless f raises.  f is keyed as Python compares it: a bound method by its object's
+    identity, a closure by its own."""
+    return np.broadcast_to(f(midpoints(box[0], k)[:, None], midpoints(box[1], k)[None, :]), (k, k))
 
 
 def integrate_region(f, region, spec=QuadratureSpec()):
-    """Integrate a vectorized f over the region.
+    """Integrate f(x, y) over the region.
 
     For a LowerRect the mesh covers exactly [0, corner]; for other regions the mesh covers the
     unit square and membership masks the integrand.  Refinement doubles the per-axis resolution

@@ -8,7 +8,7 @@ from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridP
                                 observable_core, rasterize, region_from_json,
                                 region_to_json, validate_censoring)
 from bihazard.errors import ConfigError, DataError
-from bihazard.geometry import Grid
+from bihazard.geometry import Grid, lattice
 
 
 # scalar reference predicates, written independently of the library
@@ -347,19 +347,19 @@ def test_inclusion_prob_rectangle_closed_form():
     model = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.5, 1.0),
                                          "tau2": QuantileTable.uniform(0.5, 1.0)})
     # P(tau1 >= 0.75) = 0.5 and P(tau2 >= 0.25) = 1
-    assert inclusion_prob(model, (0.75, 0.25)) == pytest.approx(0.5)
-    assert inclusion_prob(model, (0.75, 0.75)) == pytest.approx(0.25)
+    assert inclusion_prob(model, 0.75, 0.25) == pytest.approx(0.5)
+    assert inclusion_prob(model, 0.75, 0.75) == pytest.approx(0.25)
     # joint inclusion is the tail at the componentwise join
-    j = joint_inclusion_prob(model, (0.6, 0.1), (0.75, 0.2))
+    j = joint_inclusion_prob(model, 0.6, 0.1, 0.75, 0.2)
     assert j == pytest.approx(0.5)
 
 
 def test_inclusion_prob_fixed_region_is_indicator():
     model = CensoringModel("lower_layer",
                            {"region": LowerLayer(((0.3, 0.8), (0.7, 0.4)))})
-    assert inclusion_prob(model, (0.6, 0.3)) == 1.0
-    assert inclusion_prob(model, (0.6, 0.5)) == 0.0
-    assert joint_inclusion_prob(model, (0.6, 0.3), (0.2, 0.7)) == 1.0
+    assert inclusion_prob(model, 0.6, 0.3) == 1.0
+    assert inclusion_prob(model, 0.6, 0.5) == 0.0
+    assert joint_inclusion_prob(model, 0.6, 0.3, 0.2, 0.7) == 1.0
 
 
 def test_band_inclusion_is_the_indicator_for_a_fixed_band():
@@ -373,17 +373,17 @@ def test_band_inclusion_is_the_indicator_for_a_fixed_band():
                     [0.45, 0.45], [0.4, 0.4 + 0.2]])
     want = contains(region, pts).astype(float)
     assert want.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-    assert np.array_equal(inclusion_prob(model, pts), want)
+    assert np.array_equal(inclusion_prob(model, *pts.T), want)
     other = np.array([[0.1, 0.15], [0.7, 0.75], [0.5, 0.55], [0.6, 0.65], [0.35, 0.4], [0.2, 0.1],
                       [0.5, 0.5]])
     want = (contains(region, pts) & contains(region, other)).astype(float)
     assert want.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0]
-    assert np.array_equal(joint_inclusion_prob(model, pts, other), want)
-    assert joint_inclusion_prob(model, (0.1, 0.15), (0.4, 0.9)) == 1.0
-    # point sets broadcast against each other
-    assert np.array_equal(joint_inclusion_prob(model, pts, (0.6, 0.65)), inclusion_prob(model, pts))
-    assert joint_inclusion_prob(model, pts[:, None], other).shape == (7, 7)
-    assert inclusion_prob(model, (0.35, 0.4)) == 0.0
+    assert np.array_equal(joint_inclusion_prob(model, *pts.T, *other.T), want)
+    assert joint_inclusion_prob(model, 0.1, 0.15, 0.4, 0.9) == 1.0
+    # coordinates broadcast against each other
+    assert np.array_equal(joint_inclusion_prob(model, *pts.T, 0.6, 0.65), inclusion_prob(model, *pts.T))
+    assert joint_inclusion_prob(model, *pts.T[:, :, None], *other.T).shape == (7, 7)
+    assert inclusion_prob(model, 0.35, 0.4) == 0.0
 
 
 def test_band_inclusion_hand_computed_uniform_cases():
@@ -392,22 +392,56 @@ def test_band_inclusion_hand_computed_uniform_cases():
     model = CensoringModel("band_complement", {"k1": QuantileTable.fixed(0.2),
                                                "k2": QuantileTable.uniform(0.2, 1.0),
                                                "c": 0.15})
-    assert inclusion_prob(model, (0.5, 0.55)) == 0.375
+    assert inclusion_prob(model, 0.5, 0.55) == 0.375
     # both (0.5, 0.55) and (0.6, 0.7) are kept iff k2 <= 0.5
-    assert joint_inclusion_prob(model, (0.5, 0.55), (0.6, 0.7)) == 0.375
-    assert joint_inclusion_prob(model, (0.6, 0.7), (0.5, 0.55)) == 0.375
+    assert joint_inclusion_prob(model, 0.5, 0.55, 0.6, 0.7) == 0.375
+    assert joint_inclusion_prob(model, 0.6, 0.7, 0.5, 0.55) == 0.375
     # below k1, or outside the strip, a point is always kept
-    assert inclusion_prob(model, np.array([[0.2, 0.25], [0.1, 0.15], [0.5, 0.7]])).tolist() == [1.0] * 3
+    assert inclusion_prob(model, np.array([0.2, 0.1, 0.5]), np.array([0.25, 0.15, 0.7])).tolist() == [1.0] * 3
     # A, B ~ U(0, 1) independent: P(t1 in (min, max)) = 2 t1 (1 - t1); for pairs in the strip
     # P(both in the band) = 2 u (1 - v) with u <= v their first coordinates
     both = CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.0, 1.0),
                                               "k2": QuantileTable.uniform(0.0, 1.0), "c": 0.5})
-    assert inclusion_prob(both, (0.25, 0.5)) == pytest.approx(1.0 - 2 * 0.25 * 0.75, abs=1e-15)
+    assert inclusion_prob(both, 0.25, 0.5) == pytest.approx(1.0 - 2 * 0.25 * 0.75, abs=1e-15)
     s, t = (0.25, 0.5), (0.5, 0.75)
     want = 1.0 - 2 * 0.25 * 0.75 - 2 * 0.5 * 0.5 + 2 * 0.25 * 0.5
-    assert joint_inclusion_prob(both, s, t) == pytest.approx(want, abs=1e-15)
-    assert joint_inclusion_prob(both, t, s) == joint_inclusion_prob(both, s, t)
-    assert joint_inclusion_prob(both, s, s) == inclusion_prob(both, s)
+    assert joint_inclusion_prob(both, *s, *t) == pytest.approx(want, abs=1e-15)
+    assert joint_inclusion_prob(both, *t, *s) == joint_inclusion_prob(both, *s, *t)
+    assert joint_inclusion_prob(both, *s, *s) == inclusion_prob(both, *s)
+
+
+_FAMILY_MODELS = {
+    "full": CensoringModel("full"),
+    "rectangle": CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.3, 0.9),
+                                              "tau2": QuantileTable([(0.0, 0.2), (0.5, 0.6),
+                                                                     (1.0, 1.0)])}),
+    "grid_product": CensoringModel("grid_product", {"region": GridProduct(
+        ((0.0, 0.3), (0.5, 1.0)), ((0.0, 0.6), (0.7, 0.9)))}),
+    "band_complement": CensoringModel("band_complement", {"k1": QuantileTable.uniform(0.1, 0.5),
+                                                          "k2": QuantileTable.uniform(0.3, 0.9),
+                                                          "c": 0.2}),
+    "lower_layer": CensoringModel("lower_layer", {"region": LowerLayer(((0.3, 0.8), (0.7, 0.4)))}),
+    "raster": CensoringModel("raster", {"region": Raster(4, np.tri(4, k=1, dtype=bool))}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_MODELS))
+def test_inclusion_on_axes_matches_the_point_lattice(family):
+    # an x column against a y row gives the bits of the same call at every lattice point, and a
+    # fixed region's coordinate form is its point form
+    model = _FAMILY_MODELS[family]
+    mx, my = np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 37) ** 2
+    x, y, pts = mx[:, None], my[None, :], lattice(mx, my)
+    px, py = pts[..., 0], pts[..., 1]
+    on_axes = inclusion_prob(model, x, y)
+    assert on_axes.shape == (41, 37)
+    assert np.array_equal(on_axes, inclusion_prob(model, px, py))
+    assert np.array_equal(joint_inclusion_prob(model, x, y, 0.45, 0.55),
+                          joint_inclusion_prob(model, px, py, 0.45, 0.55))
+    if model.deterministic:
+        region = model.fixed_region()
+        assert np.array_equal(region.at(x, y), contains(region, pts))
+        assert np.array_equal(on_axes, contains(region, pts).astype(float))
 
 
 # three table shapes: overlapping uniforms; atoms inside tables (mass 0.4 at 0.2 and 0.1 at
@@ -450,14 +484,14 @@ def test_band_inclusion_matches_monte_carlo_oracle(name):
     # the column membership is the region objects' own membership
     for r in range(0, draws, draws // 50):
         assert np.array_equal(held[:, r], contains(regions[r], pts))
-    close(inclusion_prob(model, pts), held.mean(axis=1))
+    close(inclusion_prob(model, *pts.T), held.mean(axis=1))
     # node k is (i, j) with k = 8 j + i; pairs of neighbours along x and along y, and pairs of
     # edge points reversed, shifted and with themselves
     k = np.arange(64).reshape(8, 8)
     e = 64 + np.arange(len(edges))
     for i, j in ((k[:, :-1], k[:, 1:]), (k[:-1], k[1:]), (e, e[::-1]), (e, np.roll(e, 4)), (e, e)):
         i, j = i.ravel(), j.ravel()
-        close(joint_inclusion_prob(model, pts[i], pts[j]), (held[i] & held[j]).mean(axis=1))
+        close(joint_inclusion_prob(model, *pts[i].T, *pts[j].T), (held[i] & held[j]).mean(axis=1))
 
 
 def test_validate_censoring():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, 
 from bihazard.geometry import Grid, LowerRect, PredicateRegion
 from bihazard.io import read_dataset, write_dataset
 from bihazard.models import FgmModel
-from bihazard.quadrature import QuadratureSpec, mesh_sum, midpoints
+from bihazard.quadrature import QuadratureSpec, mesh_sum, mesh_values, midpoints
 
 FULL = FullSpace()
 
@@ -496,7 +497,8 @@ def test_mesh_risk_counts_match_per_record_counts(family):
         want = _brute_at_risk_2d(recs, mesh).reshape(k, k)
         assert np.array_equal(est._risk_counts_on_mesh(s, mx, my), want)
         res = compensator_residual(s, model, LowerRect(corner), QuadratureSpec(initial=k))
-        assert res.integral == float((want * model.hazard(mesh)).sum() * (corner[0] / k) * (corner[1] / k))
+        h = model.hazard(mesh[..., 0], mesh[..., 1])
+        assert res.integral == float((want * h).sum() * (corner[0] / k) * (corner[1] / k))
 
 
 @settings(max_examples=40)
@@ -635,7 +637,7 @@ def test_compensator_residual_zero_measure():
 
 def test_compensator_residual_weighted_count_at_a_zero_width_box():
     s = CensoredSample([obs((0.0, 0.5)), obs((0.3, 0.2))])
-    m, twice = FgmModel(0.0), lambda p: np.full(p.shape[:-1], 2.0)
+    m, twice = FgmModel(0.0), lambda x, y: np.full(np.broadcast(x, y).shape, 2.0)
     for corner in ((0.0, 0.8), (1e-9, 0.8)):
         res = compensator_residual(s, m, LowerRect(corner), weight=twice)
         assert res.count == 2.0
@@ -647,10 +649,9 @@ def _old_compensator_integral(s, model, region, k, weight):
     whole-mesh products must match bit for bit."""
     box, mask = (region.corner, None) if isinstance(region, LowerRect) else ((1.0, 1.0), region)
 
-    def integrand(pts):
-        out = est._risk_counts_on_mesh(s, pts[:, 0, 0], pts[0, :, 1]) * np.asarray(
-            model.hazard(pts), dtype=float)
-        return out if weight is None else out * np.asarray(weight(pts), dtype=float)
+    def integrand(x, y):
+        out = est._risk_counts_on_mesh(s, x[:, 0], y[0]) * model.hazard(x, y)
+        return out if weight is None else out * weight(x, y)
 
     return float(mesh_sum(integrand, box, k, mask) * (box[0] / k) * (box[1] / k))
 
@@ -666,8 +667,8 @@ def test_compensator_integral_equals_the_per_block_integrand_sum(k):
                                                           "c": 0.2})}
     disk = PredicateRegion(lambda p: (p[..., 0] - 0.4) ** 2 + (p[..., 1] - 0.5) ** 2 <= 0.2)
 
-    def weight(p):
-        return 1.0 / (1.0 + p[..., 0] * p[..., 1])
+    def weight(x, y):
+        return 1.0 / (1.0 + x * y)
 
     for i, cm in enumerate(censors.values()):
         s = simulate_sample(model, cm, 150, np.random.default_rng(200 + i))
@@ -690,6 +691,22 @@ def test_compensator_residual_mask_path_matches_box():
     assert direct.resolution == 64
 
 
+def test_compensator_first_call_memory_is_bounded():
+    # the first call evaluates the hazard on the whole k = 1024 mesh (an empty mesh_values memo),
+    # on an x column against a y row: 41 MiB at the peak, against 57 MiB from a point stack
+    model = FgmModel(0.4)
+    s = simulate_sample(model, CensoringModel("full"), 300, np.random.default_rng(5))
+    mesh_values.cache_clear()
+    tracemalloc.start()
+    try:
+        res = compensator_residual(s, model, LowerRect((0.8, 0.9)), QuadratureSpec(initial=1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.resolution == 1024 and res.value == float.fromhex("0x1.87510f4e58610p+3")
+    assert peak < 47 * 2 ** 20
+
+
 def test_compensator_residual_unit_weight_matches_plain():
     rng = np.random.default_rng(103)
     s = CensoredSample(_random_rect_records(rng, 50))
@@ -697,7 +714,7 @@ def test_compensator_residual_unit_weight_matches_plain():
     spec = QuadratureSpec(initial=32)
     plain = compensator_residual(s, m, LowerRect((0.7, 0.7)), spec)
     weighted = compensator_residual(s, m, LowerRect((0.7, 0.7)), spec,
-                                    weight=lambda p: np.ones(p.shape[:-1]))
+                                    weight=lambda x, y: np.ones(np.broadcast(x, y).shape))
     assert weighted.value == pytest.approx(plain.value, abs=1e-12)
 
 

@@ -11,7 +11,7 @@ from bihazard.estimators import (CensoredSample, SubjectRecord, at_risk, kaplan_
                                  simulate_sample)
 from bihazard.geometry import Grid, LowerRect, PredicateRegion
 from bihazard.inference import (BootstrapSpec, _copula_corner_surface, _finish,
-                                _independence_diff, _order_window_region, _resolve_tau,
+                                _independence_diff, _OrderWindow, _resolve_tau,
                                 bootstrap_resample, fgm_order_test, hazard_order_test,
                                 independence_test)
 from bihazard.mc import MCConfig, _truth_difference
@@ -411,7 +411,7 @@ def _engine_against_loops(model):
     # copula order with equal marginals: pooled resampling over the order window
     tau = (0.8, 0.8)
     rep = fgm_order_test(f, g, tau, spec, True)
-    window = _order_window_region(tau)
+    window = _OrderWindow(tau)
     want = _loop_pooled(lambda a, c: scale * (nelson_aalen(c, window) - nelson_aalen(a, window)),
                         f, g, seed, b)
     _assert_close_to_loop(rep.replicate_statistics, want, scale)

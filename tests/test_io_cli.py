@@ -654,13 +654,17 @@ def test_cli_mc_scenario_errors(tmp_path, capsys, monkeypatch):
     for scen, message in (({"region": {"kind": "rectangle", "tau": [0.7, 0.7]}, "tau": [0.5, 0.5]},
                            "scenarios[1]: tau sets the grid window; a fixed region takes no tau"),
                           ({"test": "fgm-order", "sided": "two-sided"},
-                           "scenarios[1]: fgm-order is one-sided by construction")):
+                           "scenarios[1]: fgm-order is one-sided by construction"),
+                          ({"B": 0}, "scenarios[1].B: replicates must be at least 1"),
+                          ({"alpha": 0}, "scenarios[1].alpha: alpha must lie in (0, 1]"),
+                          ({"sided": "both"}, "scenarios[1].sided: sided must be")):
         bad = dict(base, scenarios=[{"name": "ok", "test": "independence"},
                                     {"name": "s", "test": "hazard-order", "B": 9, **scen}])
         assert main(["mc", "--config", wjson(tmp_path / "5.json", bad),
                      "--out", str(tmp_path / "o5")]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o5").exists()
     bad = dict(base, scenarios=[{"name": "s", "test": "independence", "exceeds": ["t", 0.1]}])
     assert main(["mc", "--config", wjson(tmp_path / "6.json", bad),
                  "--out", str(tmp_path / "o6")]) == 2
@@ -936,3 +940,30 @@ def test_cli_out_naming_an_existing_file_exits_2(tmp_path, capsys):
     assert f"config error: cannot write --out {out}: [Errno 17] File exists" in err
     assert "Traceback" not in err
     assert out.read_text() == "kept\n"
+
+
+def test_cli_failed_write_leaves_no_out(tmp_path, capsys, monkeypatch):
+    real, written = cli._write, []
+
+    def second_fails(path, body):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(28, "No space left on device")
+        real(path, body)
+
+    monkeypatch.setattr(cli, "_write", second_fails)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["validate", "--config", str(CONFIGS / "validate.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write --out {out}: [Errno 28] No space left on device" in err
+    assert len(written) == 2 and os.listdir(tmp_path) == []
+    # an existing --out is written into, and keeps what the failed write left there
+    out.mkdir()
+    written.clear()
+    assert main(["validate", "--config", str(CONFIGS / "validate.json"), "--out", str(out)]) == 2
+    assert os.listdir(out) == ["validation.json"]
+    monkeypatch.setattr(cli, "_write", real)
+    assert main(["validate", "--config", str(CONFIGS / "validate.json"), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["manifest.json", "resolved_config.json", "validation.json"]
+    assert os.listdir(tmp_path) == ["out"]

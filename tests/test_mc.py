@@ -134,7 +134,8 @@ def test_truth_difference_by_row_blocks_equals_the_whole_mesh(theta):
     # node j / 1024 reads row and column j of the cumulative table: all but the last of each
     grid = Grid(1024, (1023 / 1024, 1023 / 1024))
     mids = midpoints(1.0, 1024)
-    h = np.asarray(model.hazard(lattice(mids, mids)), dtype=float)
+    mesh = lattice(mids, mids)
+    h = model.hazard(mesh[..., 0], mesh[..., 1])
     cum = np.pad((h / (1024 * 1024)).cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
     lam1 = -np.log1p(-np.asarray(model.marginal_x.cdf(grid.xs), dtype=float))
     lam2 = -np.log1p(-np.asarray(model.marginal_y.cdf(grid.ys), dtype=float))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bihazard.errors import ConfigError, DomainError
-from bihazard.geometry import LowerRect
+from bihazard.geometry import LowerRect, lattice
 from bihazard.models import (FgmModel, TableMarginal, TruncatedExponential,
                              UniformMarginal, conditional_quantile, copula_cdf,
                              copula_density, copula_survival, fgm_order_region,
@@ -105,20 +105,40 @@ def test_fgm_model_validation():
 
 def test_fgm_model_frozen_values():
     m = FgmModel(theta=0.5)
-    assert m.survival((0.5, 0.5)) == pytest.approx(0.25 * (1 + 0.5 * 0.25))
+    assert m.survival(0.5, 0.5) == pytest.approx(0.25 * (1 + 0.5 * 0.25))
     z = FgmModel(theta=0.0)
-    assert z.hazard((0.5, 0.5)) == pytest.approx(4.0)
+    assert z.hazard(0.5, 0.5) == pytest.approx(4.0)
     one = FgmModel(theta=1.0)
-    assert one.density((0.0, 0.0)) == pytest.approx(2.0)
-    assert z.hazard((1.0, 1.0)) == 0.0           # survival vanishes there
+    assert one.density(0.0, 0.0) == pytest.approx(2.0)
+    assert z.hazard(1.0, 1.0) == 0.0           # survival vanishes there
 
 
 def test_fgm_hazard_is_density_over_survival():
     rng = np.random.default_rng(43)
     m = FgmModel(theta=-0.6, marginal_x=TruncatedExponential(1.5))
-    pts = rng.random((50, 2)) * 0.95
-    h = m.hazard(pts)
-    assert np.allclose(h, m.density(pts) / m.survival(pts))
+    x, y = rng.random((2, 50)) * 0.95
+    h = m.hazard(x, y)
+    assert np.allclose(h, m.density(x, y) / m.survival(x, y))
+    # a column of x against a row of y gives every pair
+    assert np.array_equal(m.hazard(x[:, None], y[None, :])[np.arange(50), np.arange(50)], h)
+
+
+_MARGINALS = {"uniform": UniformMarginal(), "truncated_exponential": TruncatedExponential(1.5),
+              "table": TableMarginal([(0.0, 0.0), (0.4, 0.7), (1.0, 1.0)])}
+
+
+@pytest.mark.parametrize("name", sorted(_MARGINALS))
+def test_fgm_on_axes_matches_the_point_lattice(name):
+    # a mesh evaluated as an x column against a y row gives the bits of the same functions at
+    # every point of the (k, k, 2) lattice; the axes end at 1, where the survival vanishes
+    m = FgmModel(theta=-0.7, marginal_x=_MARGINALS[name], marginal_y=TruncatedExponential(0.8))
+    for k in (257, 700):
+        mx, my = np.linspace(0.0, 1.0, k), np.linspace(0.0, 1.0, k + 3) ** 2
+        pts = lattice(mx, my)
+        for f in (m.survival, m.density, m.hazard):
+            on_axes = f(mx[:, None], my[None, :])
+            assert on_axes.shape == (k, k + 3)
+            assert np.array_equal(on_axes, f(pts[..., 0], pts[..., 1]))
 
 
 def test_fgm_sample_marginals_and_dependence():
@@ -184,9 +204,9 @@ def test_model_json_round_trip():
     for m in models:
         back = model_from_json(model_to_json(m))
         assert back.theta == m.theta
-        pts = np.array([[0.2, 0.3], [0.7, 0.9]])
-        assert np.allclose(back.survival(pts), m.survival(pts))
-        assert np.allclose(back.density(pts), m.density(pts))
+        x, y = np.array([0.2, 0.7]), np.array([0.3, 0.9])
+        assert np.allclose(back.survival(x, y), m.survival(x, y))
+        assert np.allclose(back.density(x, y), m.density(x, y))
 
 
 def test_model_json_errors():
