@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .censoring import (BandComplement, CensoringDiagnostics, CensoringModel,
                         FullSpace, GridProduct, LowerLayer, QuantileTable,
-                        Raster, Rectangle, censoring_model_from_json,
-                        censoring_model_to_json, contains, inclusion_prob,
+                        Raster, Rectangle, contains, inclusion_prob,
                         joint_inclusion_prob, observable_core, rasterize,
                         region_from_json, region_to_json, validate_censoring)
 from .errors import (BihazardError, ConfigError, DataError, DomainError,
@@ -36,5 +35,5 @@ from .mc import (MCConfig, MCReport, coverage_study, size_power_study,
 from .models import (FgmModel, TableMarginal, TruncatedExponential,
                      UniformMarginal, conditional_quantile, copula_cdf,
                      copula_density, copula_survival, fgm_order_region,
-                     integrated_hazard, model_from_json, model_to_json)
+                     integrated_hazard)
 from .quadrature import QuadratureSpec, integrate_region

@@ -327,9 +327,6 @@ class QuantileTable:
         """P(X >= t); not P(X > t) where X has an atom at t."""
         return 1.0 - self.cdf_left(t)
 
-    def to_json(self):
-        return {"kind": "table", "points": [[float(p), float(x)] for p, x in zip(self.ps, self.xs)]}
-
 
 # ---------------------------------------------------------------------------
 # censoring models
@@ -397,22 +394,6 @@ class CensoringModel:
         regions = RegionTable(np.full(n, 1 + band, dtype=np.int8), np.column_stack(
             [lo, hi, np.full(n, float(self.params["c"]))] if band else [a, b, np.zeros(n)]), [None] * n)
         return regions, np.arange(n)
-
-    @property
-    def deterministic(self):
-        if self.family in _FIXED_FAMILIES:
-            return True
-        if self.family == "rectangle":
-            return all(len(self.params[k].xs) == 2 and self.params[k].xs[0] == self.params[k].xs[1]
-                       for k in ("tau1", "tau2"))
-        return False
-
-    def fixed_region(self):
-        if self.family in _FIXED_FAMILIES:
-            return self.params["region"]
-        if self.family == "rectangle" and self.deterministic:
-            return Rectangle((self.params["tau1"].xs[0], self.params["tau2"].xs[0]))
-        raise ConfigError("model is not a fixed region")
 
 
 def inclusion_prob(model, x, y):
@@ -566,18 +547,6 @@ def region_from_json(obj):
     return REGION.decode(obj, "region")
 
 
-def censoring_model_to_json(model):
-    out = {"family": model.family, "mc_prob_samples": model.mc_prob_samples,
-           "mc_seed": model.mc_seed}
-    if model.family in _DRAWN:
-        out.update((k, model.params[k].to_json()) for k in _DRAWN[model.family])
-        if model.family == "band_complement":
-            out["c"] = model.params["c"]
-    elif model.family != "full":
-        out["region"] = region_to_json(model.params["region"])
-    return out
-
-
 _QUANTILE_TABLE = Tagged("kind", {
     "fixed": Built({"value": NUM}, lambda d: QuantileTable.fixed(d["value"])),
     "uniform": Built({"low": NUM, "high": NUM}, lambda d: QuantileTable.uniform(d["low"], d["high"])),
@@ -599,7 +568,3 @@ CENSORING_MODEL = Schema(Built(Tagged("family", {
                         "c": Built(NUM, float)},
     **{fam: {**_MC_PROB, "region": REGION} for fam in ("grid_product", "lower_layer", "raster")},
 }), _censoring_model))
-
-
-def censoring_model_from_json(obj):
-    return CENSORING_MODEL.decode(obj, "censoring model")

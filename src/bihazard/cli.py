@@ -38,8 +38,7 @@ from .estimators import (jump_masses, kaplan_meier, marginal_nelson_aalen,
 from .geometry import Grid, LowerRect, lattice
 from .inference import TESTS, BootstrapSpec
 from .io import read_sample, write_dataset
-from .mc import (MCConfig, coverage_study, size_power_study, verify_clt,
-                 verify_glivenko, verify_iid_representation)
+from .mc import EXPERIMENTS, MCConfig
 from .models import MODEL, integrated_hazard
 from .quadrature import QuadratureSpec
 from .util import DATA, fmt_float, sha256_file, substream
@@ -235,9 +234,10 @@ def cmd_estimate(args):
 
 
 def _renamed(d):
-    """The config's keys under the option names that `inference.TESTS` and the harness read."""
+    """The config's keys under the option names that `inference.TESTS` and `mc.EXPERIMENTS` read."""
     names = {"modelF": "model_f", "modelG": "model_g", "model1": "model_1", "model2": "model_2",
-             "censorModel": "censor_model", "gridSize": "grid_size", "marginalsEqual": "marginals_equal"}
+             "censorModel": "censor_model", "gridSize": "grid_size", "marginalsEqual": "marginals_equal",
+             "varRtol": "var_rtol", "ksBound": "ks_bound"}
     return {names.get(k, k): v for k, v in d.items()}
 
 
@@ -290,37 +290,25 @@ _SCENARIO = Built({
 _LADDER = ([INT], [250, 500, 1000, 2000])
 _MC_ANY = {"masterSeed": INT, "model": MODEL, "censorModel": CENSORING_MODEL,
            "n": (INT, 500), "replicates": (INT, 200), "gridSize": (INT, 32)}
-_MC = Schema(Tagged("experiment", {
+_MC = Schema(Built(Tagged("experiment", {
     "clt": {**_MC_ANY, "checkpoints": [PAIR], "varRtol": (NUM, 0.10), "ksBound": (NUM, 0.05),
             "checks": ([STR], ["mean", "variance", "normality"])},
     "glivenko": {**_MC_ANY, "ladder": _LADDER, "bound": (NUM, 0.05)},
     "iid_repr": {**_MC_ANY, "region": PAIR, "ladder": _LADDER},
     "size_power": {**_MC_ANY, "scenarios": [_SCENARIO]},
     "coverage": {**_MC_ANY, "alpha": (NUM, 0.05), "B": (INT, 200), "band": (PAIR, [0.88, 0.99])},
-}))
+}), _renamed))
 
 
 def cmd_mc(args):
     cfg, c = _decoded(args, _MC)
-    experiment = c["experiment"]
-    mccfg = MCConfig(model=c["model"], censor_model=c["censorModel"], n=c["n"],
-                     replicates=c["replicates"], grid_size=c["gridSize"], seed=c["masterSeed"])
-    if experiment == "clt":
-        report = verify_clt(mccfg, c["checkpoints"], var_rtol=c["varRtol"],
-                            ks_bound=c["ksBound"], checks=tuple(c["checks"]))
-    elif experiment == "glivenko":
-        report = verify_glivenko(mccfg, ladder=tuple(c["ladder"]), bound=c["bound"])
-    elif experiment == "iid_repr":
-        report = verify_iid_representation(mccfg, LowerRect(c["region"]),
-                                           ladder=tuple(c["ladder"]))
-    elif experiment == "size_power":
-        report = size_power_study(mccfg, c["scenarios"])
-    else:
-        report = coverage_study(mccfg, alpha=c["alpha"], b=c["B"], band=c["band"])
+    mccfg = MCConfig(model=c["model"], censor_model=c["censor_model"], n=c["n"],
+                     replicates=c["replicates"], grid_size=c["grid_size"], seed=c["masterSeed"])
+    report = EXPERIMENTS[c["experiment"]](mccfg, c)
 
     body = report.to_json()
     body.pop("runtime", None)    # keep reports byte-identical across runs
-    lines = [f"{experiment}: passed={report.passed} ({report.runtime:.1f}s)"]
+    lines = [f"{report.experiment}: passed={report.passed} ({report.runtime:.1f}s)"]
     lines += [f"  {row['name']}: value={row['value']:.6g} tolerance[{row['tolerance']}] "
               f"passed={row['passed']}" for row in report.rows]
     return Run(cfg, {"mc_report.json": body, "mc_report.csv": report.csv_rows()}, lines,

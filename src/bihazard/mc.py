@@ -43,7 +43,7 @@ from .util import DATA, PROBE, run_indexed, substream
 
 __all__ = ["MCConfig", "MCReport", "MIN_REPLICATES_FOR_THRESHOLDS",
            "verify_clt", "verify_glivenko", "verify_iid_representation",
-           "size_power_study", "coverage_study"]
+           "size_power_study", "coverage_study", "EXPERIMENTS"]
 
 MIN_REPLICATES_FOR_THRESHOLDS = 50
 
@@ -148,6 +148,22 @@ def _prefix_ladder(cfg, ladder, rung, label, source):
     return medians, rows
 
 
+def _ladder(ladder):
+    ladder = sorted(int(n) for n in ladder)
+    if not ladder or ladder[0] < 1:
+        raise ConfigError(f"ladder must be a nonempty list of sizes of at least 1, got {ladder}")
+    return ladder
+
+
+def _check_bootstrap(opt, where=""):
+    """Refuse a bad B, alpha, grid_size or sided in opt before any replicate, naming the key."""
+    for key in [k for k in ("B", "alpha", "grid_size", "sided") if k in opt]:
+        try:
+            BootstrapSpec(**{"replicates" if key == "B" else key: opt[key]})
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{key}: {exc}") from None
+
+
 def _rate_row(cfg, name, flags, check, rates=None, source="pre-registered rejection band"):
     """The share of flagged replicates with its binomial SE, checked against check's
     'band': (lo, hi), named by source, or 'exceeds': (other, margin), a floor of
@@ -238,7 +254,7 @@ def verify_glivenko(cfg, ladder=(250, 500, 1000, 2000), bound=0.05):
     nonincreasing medians and a final median at or below the bound.
     """
     start = time.perf_counter()
-    ladder = sorted(int(n) for n in ladder)
+    ladder = _ladder(ladder)
     nodes = Grid(cfg.grid_size, (1.0, 1.0)).nodes()
     ref = _at_risk_limit(cfg, *nodes.T)
     medians, rows = _prefix_ladder(
@@ -263,7 +279,7 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
     prefix-paired n-ladder.
     """
     start = time.perf_counter()
-    ladder = sorted(int(n) for n in ladder)
+    ladder = _ladder(ladder)
     if not isinstance(region, LowerRect):
         raise ConfigError("the representation check uses a lower rectangle region")
     truth = float(integrated_hazard(cfg.model, region, cfg.quadrature))
@@ -318,13 +334,7 @@ def size_power_study(cfg, scenarios):
                 raise ConfigError(f"scenarios[{s_idx}].{key} must be at least 1, got {scen[key]!r}")
         if "exceeds" in scen and scen["exceeds"][0] not in [s["name"] for s in scenarios]:
             raise ConfigError(f"scenarios[{s_idx}].exceeds names no scenario: {scen['exceeds'][0]!r}")
-        for key, name in (("B", "replicates"), ("alpha", "alpha"), ("grid_size", "grid_size"),
-                          ("sided", "sided")):
-            try:
-                if key in scen:
-                    BootstrapSpec(**{name: scen[key]})
-            except ConfigError as exc:
-                raise ConfigError(f"scenarios[{s_idx}].{key}: {exc}") from None
+        _check_bootstrap(scen, f"scenarios[{s_idx}].")
         if refused := option_error(scen["test"], scen.get("sided", "one-sided"), scen.get("region"),
                                    scen.get("tau")):
             raise ConfigError(f"scenarios[{s_idx}]: {refused}")
@@ -378,6 +388,7 @@ def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
     when the true surface stays inside, which is exactly
     sup sqrt(n)|Dhat - truth| <= c_alpha.
     """
+    _check_bootstrap({"B": b, "alpha": alpha})
     start = time.perf_counter()
     truth = _truth_difference(cfg.model)
 
@@ -392,3 +403,14 @@ def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
     rows = [_rate_row(cfg, "coverage", run_indexed(one, cfg.replicates), {"band": band},
                       source=f"nominal level {1 - alpha}")]
     return _report("coverage", cfg, rows, start, n=cfg.n, B=b, alpha=alpha)
+
+
+# experiment -> call on (MCConfig, options named by `cli._renamed`); each finds its function when called
+EXPERIMENTS = {
+    "clt": lambda cfg, opt: verify_clt(cfg, opt["checkpoints"], var_rtol=opt["var_rtol"],
+                                       ks_bound=opt["ks_bound"], checks=tuple(opt["checks"])),
+    "glivenko": lambda cfg, opt: verify_glivenko(cfg, ladder=opt["ladder"], bound=opt["bound"]),
+    "iid_repr": lambda cfg, opt: verify_iid_representation(cfg, LowerRect(opt["region"]), opt["ladder"]),
+    "size_power": lambda cfg, opt: size_power_study(cfg, opt["scenarios"]),
+    "coverage": lambda cfg, opt: coverage_study(cfg, alpha=opt["alpha"], b=opt["B"], band=opt["band"]),
+}

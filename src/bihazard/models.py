@@ -28,7 +28,6 @@ from .quadrature import QuadratureSpec, integrate_region
 __all__ = [
     "UniformMarginal", "TruncatedExponential", "TableMarginal", "FgmModel",
     "fgm_order_region", "integrated_hazard",
-    "model_to_json", "model_from_json",
 ]
 
 
@@ -109,9 +108,6 @@ class TableMarginal:
 
     def quantile(self, p):
         return np.interp(np.asarray(p, dtype=float), self.fs, self.xs)
-
-    def to_json(self):
-        return {"kind": "table", "points": [[x, f] for x, f in zip(self.xs, self.fs)]}
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +218,8 @@ def integrated_hazard(model, region, spec=QuadratureSpec()):
 
 
 # ---------------------------------------------------------------------------
-# JSON codec
+# config decoder
 # ---------------------------------------------------------------------------
-
-def _marginal_to_json(m):
-    if isinstance(m, UniformMarginal):
-        return {"kind": "uniform"}
-    if isinstance(m, TruncatedExponential):
-        return {"kind": "truncexp", "rate": m.rate}
-    if isinstance(m, TableMarginal):
-        return m.to_json()
-    raise ConfigError(f"unknown marginal type {type(m).__name__}")
-
 
 _MARGINAL = Tagged("kind", {
     "uniform": Built({}, lambda d: UniformMarginal()),
@@ -245,13 +231,3 @@ MODEL = Schema(Built({"theta": (NUM, 0.0),
                       "marginalF": (_MARGINAL, {"kind": "uniform"}),
                       "marginalG": (_MARGINAL, {"kind": "uniform"})},
                      lambda d: FgmModel(d["theta"], d["marginalF"], d["marginalG"])))
-
-
-def model_to_json(model):
-    return {"theta": model.theta,
-            "marginalF": _marginal_to_json(model.marginal_x),
-            "marginalG": _marginal_to_json(model.marginal_y)}
-
-
-def model_from_json(obj):
-    return MODEL.decode(obj, "model")

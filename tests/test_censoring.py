@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
-                                LowerLayer, QuantileTable, Raster, Rectangle,
-                                censoring_model_from_json, censoring_model_to_json,
+from bihazard.censoring import (CENSORING_MODEL, BandComplement, CensoringModel, FullSpace,
+                                GridProduct, LowerLayer, QuantileTable, Raster, Rectangle,
                                 contains, inclusion_prob, joint_inclusion_prob,
                                 observable_core, rasterize, region_from_json,
                                 region_to_json, validate_censoring)
@@ -280,21 +279,6 @@ def test_model_validation():
                                            "c": 0.1})
 
 
-def test_deterministic_and_fixed_region():
-    full = CensoringModel("full")
-    assert full.deterministic
-    assert isinstance(full.fixed_region(), FullSpace)
-    fixed = CensoringModel("rectangle", {"tau1": QuantileTable.fixed(0.5),
-                                         "tau2": QuantileTable.fixed(0.7)})
-    assert fixed.deterministic
-    assert fixed.fixed_region() == Rectangle((0.5, 0.7))
-    rand = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.5, 1.0),
-                                        "tau2": QuantileTable.fixed(0.7)})
-    assert not rand.deterministic
-    with pytest.raises(ConfigError):
-        rand.fixed_region()
-
-
 def test_sample_region_reproducible():
     model = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.2, 0.9),
                                          "tau2": QuantileTable.uniform(0.2, 0.9)})
@@ -438,8 +422,8 @@ def test_inclusion_on_axes_matches_the_point_lattice(family):
     assert np.array_equal(on_axes, inclusion_prob(model, px, py))
     assert np.array_equal(joint_inclusion_prob(model, x, y, 0.45, 0.55),
                           joint_inclusion_prob(model, px, py, 0.45, 0.55))
-    if model.deterministic:
-        region = model.fixed_region()
+    if "region" in model.params:
+        region = model.params["region"]
         assert np.array_equal(region.at(x, y), contains(region, pts))
         assert np.array_equal(on_axes, contains(region, pts).astype(float))
 
@@ -542,35 +526,15 @@ def test_region_json_errors():
         region_from_json({"kind": "grid_product", "x": [[0.0, 1.0]]})
 
 
-def test_censoring_model_json_round_trip():
-    models = [
-        CensoringModel("full"),
-        CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.5, 1.0),
-                                     "tau2": QuantileTable.fixed(0.8)}),
-        CensoringModel("band_complement", {"k1": QuantileTable.fixed(0.2),
-                                           "k2": QuantileTable.fixed(0.6),
-                                           "c": 0.1}, mc_prob_samples=500, mc_seed=4),
-        CensoringModel("raster", {"region": Raster(3, np.eye(3, dtype=bool))}),
-    ]
-    for m in models:
-        back = censoring_model_from_json(censoring_model_to_json(m))
-        assert back.family == m.family
-        assert back.mc_prob_samples == m.mc_prob_samples
-        assert back.mc_seed == m.mc_seed
-        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-        (a, ia), (b, ib) = m.sample_regions(1, rng_a), back.sample_regions(1, rng_b)
-        assert list(a) == list(b) and np.array_equal(ia, ib)
-
-
 def test_censoring_model_json_errors():
     with pytest.raises(ConfigError):
-        censoring_model_from_json({"family": "full", "bogus": 1})
+        CENSORING_MODEL.decode({"family": "full", "bogus": 1})
     with pytest.raises(ConfigError):
-        censoring_model_from_json({"no_family": True})
+        CENSORING_MODEL.decode({"no_family": True})
     fixed = {"kind": "fixed", "value": 0.5}
     for bad in ({"family": "band_complement", "k1": fixed, "k2": fixed},
                     {"family": "rectangle", "tau1": {"kind": "fixed"}, "tau2": fixed},
                     {"family": "rectangle", "tau1": fixed, "tau2": "uniform"},
                     {"family": "full", "mc_prob_samples": 2.7}):
         with pytest.raises(ConfigError):
-            censoring_model_from_json(bad)
+            CENSORING_MODEL.decode(bad)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import bihazard.censoring
 import bihazard.inference
 import bihazard.cli as cli
+import bihazard.mc
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, Rectangle)
 from bihazard.cli import main
@@ -75,6 +76,8 @@ def test_scalar_kinds_treat_booleans_as_neither_integers_nor_numbers():
 FIXED = {"kind": "fixed", "value": 0.2}
 GLIVENKO = {"masterSeed": 1, "experiment": "glivenko", "model": {"theta": 0.0},
             "censorModel": {"family": "full"}}
+IID_REPR = {**GLIVENKO, "experiment": "iid_repr", "region": [0.5, 0.5]}
+LADDER = "config error: ladder must be a nonempty list of sizes of at least 1"
 
 
 def _set(key, value):
@@ -103,6 +106,9 @@ MC_PROBES = [
     ("mc_clt.json", _set("checks", 5), 2, "checks must be a list"),
     (GLIVENKO, _set("ladder", 5), 2, "ladder must be a list"),
     (GLIVENKO, _set("ladder", ["a"]), 2, "ladder[0] must be an integer"),
+    (GLIVENKO, _set("ladder", []), 2, f"{LADDER}, got []"),
+    (GLIVENKO, _set("ladder", [0, 10]), 2, f"{LADDER}, got [0, 10]"),
+    (IID_REPR, _set("ladder", []), 2, f"{LADDER}, got []"),
     ("mc_clt.json", _set("checkpoints", 5), 2, "checkpoints must be a list"),
     ("mc_size_power.json", _set("scenarios", 5), 2, "scenarios must be a list"),
     ("mc_size_power.json", _set("scenarios", [{"name": "b", "test": "independence"},
@@ -189,10 +195,11 @@ def _stop(*args, **kwargs):
     raise Decoded
 
 
-# the first call after decoding in each command: in the cli module, or a test the table calls
-HEAVY = ["simulate_sample", "nelson_aalen_surface", "verify_clt", "verify_glivenko",
-         "verify_iid_representation", "size_power_study", "coverage_study"]
+# the first call after decoding in each command: in the cli module, or what a table calls
+HEAVY = ["simulate_sample", "nelson_aalen_surface"]
 HEAVY_TESTS = ["independence_test", "hazard_order_test", "fgm_order_test"]
+HEAVY_MC = ["verify_clt", "verify_glivenko", "verify_iid_representation", "size_power_study",
+            "coverage_study"]
 
 
 def _node_paths(node, prefix=()):
@@ -216,6 +223,7 @@ def _decode_only(argv):
     args = cli._build_parser().parse_args(argv)
     with mock.patch.multiple(cli, **{name: _stop for name in HEAVY}), \
             mock.patch.multiple(bihazard.inference, **{name: _stop for name in HEAVY_TESTS}), \
+            mock.patch.multiple(bihazard.mc, **{name: _stop for name in HEAVY_MC}), \
             mock.patch.object(bihazard.censoring, "validate_censoring", _stop):
         try:
             args.fn(args)

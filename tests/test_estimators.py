@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bihazard import estimators as est
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
-                                LowerLayer, QuantileTable, Raster, Rectangle, contains)
+                                LowerLayer, QuantileTable, Raster, Rectangle, contains,
+                                observable_core, rasterize)
 from bihazard.errors import (ConfigError, DataError, DomainError, ObservabilityError,
                              QuantileRangeError, ReductionError)
 from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, at_risk,
@@ -499,6 +500,67 @@ def test_mesh_risk_counts_match_per_record_counts(family):
         res = compensator_residual(s, model, LowerRect(corner), QuadratureSpec(initial=k))
         h = model.hazard(mesh[..., 0], mesh[..., 1])
         assert res.integral == float((want * h).sum() * (corner[0] / k) * (corner[1] / k))
+
+
+def _lattice_region(kind, m, rng):
+    """A region whose boundaries lie on the 1/m lattice, so that its raster core is exact."""
+    if kind == "raster":
+        mask = rng.random((m, m)) < 0.5
+        columns, rows = rng.integers(0, m, size=2)
+        mask[:columns] = mask[:, :rows] = True   # full first columns and rows, so cores are not rare
+        return Raster(m, mask)
+    if kind == "layer":
+        k = rng.integers(1, m + 1)
+        xs = np.append(np.sort(rng.choice(np.arange(1, m), k - 1, replace=False)), m)
+        ys = np.append(m, -np.sort(-rng.choice(np.arange(1, m), k - 1, replace=False)))
+        return LowerLayer(tuple(zip(xs / m, ys / m)))
+
+    def union():
+        cells = rng.random(m) < 0.7
+        cells[0] = True
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], cells, [0]])))
+        return tuple(zip(edges[::2] / m, edges[1::2] / m))
+
+    return GridProduct(union(), union())
+
+
+def _moved_off_region(region, n, rng):
+    """Two samples of n FGM(0.5) subjects under region that differ only in where each censored
+    latent point lies outside the region."""
+    points = FgmModel(0.5).sample(n, rng)
+    outside = rng.random((4096, 2))
+    outside = outside[~region.at(outside[:, 0], outside[:, 1])]
+    moved = [y if region.at(*y) or not len(outside) else outside[rng.integers(len(outside))]
+             for y in points]
+    return [CensoredSample([obs(tuple(y), region) if region.at(*y) else
+                            SubjectRecord(censor=region, status="censored_latent", latent=tuple(y))
+                            for y in ys]) for ys in (points, moved)]
+
+
+def _at_risk_changes(region, m, n, seed):
+    """(core, changed): the cell centres on observable_core(rasterize(region, m)), and those
+    where at_risk differs once every censored latent point moves elsewhere outside the region."""
+    a, b = _moved_off_region(region, n, np.random.default_rng(seed))
+    c = (np.arange(m) + 0.5) / m
+    centres = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
+    return observable_core(rasterize(region, m)).mask, at_risk(a, centres) != at_risk(b, centres)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["raster", "layer", "grid"]), m=st.integers(1, 8),
+       n=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_at_risk_on_the_observable_core_ignores_where_latent_points_lie(kind, m, n, seed):
+    # the paper's observability claim: on the core, at_risk reads nothing a study cannot see
+    region = _lattice_region(kind, m, np.random.default_rng(seed))
+    core, changed = _at_risk_changes(region, m, n, seed + 1)
+    assert not (changed & core).any()
+
+
+def test_at_risk_off_the_observable_core_reads_latent_points():
+    # the L-shaped layer: its core is the lower-left quarter, and off it the count moves
+    core, changed = _at_risk_changes(LowerLayer(((0.5, 1.0), (1.0, 0.5))), 8, 200, 3)
+    assert core.sum() == 16 and core[:4, :4].all()
+    assert changed.any() and not (changed & core).any()
 
 
 @settings(max_examples=40)

@@ -18,6 +18,7 @@ from bihazard.cli import main
 from bihazard.decode import Schema
 from bihazard.errors import DataError
 from bihazard.estimators import CensoredSample, SubjectRecord, jump_masses, simulate_sample
+from bihazard.geometry import LowerRect
 from bihazard.inference import TESTS, BootstrapSpec
 from bihazard.io import (CSV_COLUMNS, RECORD, read_dataset, read_dataset_csv, read_sample,
                          record_to_json, write_dataset, write_dataset_csv)
@@ -594,12 +595,32 @@ def test_cli_mc_thread_invariance(tmp_path):
     assert (out1 / "mc_report.csv").exists()
 
 
-@pytest.mark.parametrize("experiment, extra, names", [
+# experiment, config keys beyond the shared ones, the same run through the Python API, row names
+MC_EXPERIMENTS = [
+    ("clt", {"n": 30, "checkpoints": [[0.5, 0.6]], "varRtol": 0.2, "ksBound": 0.3,
+             "checks": ["variance", "normality"]},
+     lambda cfg: mc.verify_clt(cfg, [(0.5, 0.6)], var_rtol=0.2, ks_bound=0.3,
+                               checks=("variance", "normality")),
+     ["variance@(0.5,0.6)", "normality@(0.5,0.6)"]),
+    ("glivenko", {"ladder": [40, 20], "bound": 0.3, "gridSize": 6},
+     lambda cfg: mc.verify_glivenko(cfg, ladder=(20, 40), bound=0.3),
+     ["median_sup@n=20", "median_sup@n=40", "ladder_monotone", "final_median"]),
     ("iid_repr", {"region": [0.6, 0.6], "ladder": [20, 40]},
+     lambda cfg: mc.verify_iid_representation(cfg, LowerRect((0.6, 0.6)), ladder=(20, 40)),
      ["median_gap@n=20", "median_gap@n=40", "ladder_monotone"]),
-    ("coverage", {"n": 30, "B": 19, "alpha": 0.1, "gridSize": 6}, ["coverage"]),
-])
-def test_cli_mc_iid_repr_and_coverage(tmp_path, experiment, extra, names):
+    ("size_power", {"scenarios": [{"name": "s", "test": "hazard-order", "n": 20, "m": 25, "B": 9,
+                                   "gridSize": 6, "sided": "two-sided"}]},
+     lambda cfg: mc.size_power_study(cfg, [{"name": "s", "test": "hazard-order", "n": 20, "m": 25,
+                                            "B": 9, "grid_size": 6, "sided": "two-sided"}]),
+     ["rate:s"]),
+    ("coverage", {"n": 30, "B": 19, "alpha": 0.1, "gridSize": 6, "band": [0.5, 1.0]},
+     lambda cfg: mc.coverage_study(cfg, alpha=0.1, b=19, band=(0.5, 1.0)), ["coverage"]),
+]
+
+
+@pytest.mark.parametrize("experiment, extra, direct, names", MC_EXPERIMENTS,
+                         ids=[row[0] for row in MC_EXPERIMENTS])
+def test_cli_mc_experiments_match_the_python_api(tmp_path, experiment, extra, direct, names):
     cfg = {"masterSeed": 29, "experiment": experiment, "model": {"theta": 0.4},
            "censorModel": {"family": "rectangle",
                            "tau1": {"kind": "uniform", "low": 0.7, "high": 1.0},
@@ -614,6 +635,14 @@ def test_cli_mc_iid_repr_and_coverage(tmp_path, experiment, extra, names):
     assert [row["name"] for row in body["rows"]] == names
     for name in ("mc_report.json", "mc_report.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the command reports what the Python API computes from the same options, number for number
+    model = FgmModel(0.4)
+    censor = CensoringModel("rectangle", {"tau1": QuantileTable.uniform(0.7, 1.0),
+                                          "tau2": QuantileTable.uniform(0.7, 1.0)})
+    want = direct(mc.MCConfig(model, censor, n=extra.get("n", 500), replicates=4,
+                              grid_size=extra.get("gridSize", 32), seed=29)).to_json()
+    want.pop("runtime")
+    assert body == json.loads(json.dumps(want, default=lambda obj: obj.tolist()))
 
 
 def test_cli_mc_scenario_errors(tmp_path, capsys, monkeypatch):
@@ -665,6 +694,16 @@ def test_cli_mc_scenario_errors(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "o5").exists()
+    # coverage refuses its own B and alpha the same way, before any replicate draws a sample
+    monkeypatch.setattr(mc, "_draw", lambda *a: pytest.fail("a replicate ran"))
+    coverage = wjson(tmp_path / "cov.json", dict(base, experiment="coverage"))
+    for assignment, message in (("B=0", "config error: B: replicates must be at least 1"),
+                                ("alpha=0", "config error: alpha: alpha must lie in (0, 1]")):
+        assert main(["mc", "--config", coverage, "--out", str(tmp_path / "o8"),
+                     "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o8").exists()
     bad = dict(base, scenarios=[{"name": "s", "test": "independence", "exceeds": ["t", 0.1]}])
     assert main(["mc", "--config", wjson(tmp_path / "6.json", bad),
                  "--out", str(tmp_path / "o6")]) == 2
@@ -893,7 +932,7 @@ def test_test_table_reads_a_test_config_and_a_scenario_alike(options):
     ("simulate", "simulate.json", "bihazard.cli.simulate_sample"),
     ("estimate", "estimate.json", "bihazard.cli.nelson_aalen_surface"),
     ("test", "test_independence.json", "bihazard.inference.independence_test"),
-    ("mc", "mc_clt.json", "bihazard.cli.verify_clt"),
+    ("mc", "mc_clt.json", "bihazard.mc.verify_clt"),
     ("validate", "validate.json", "bihazard.censoring.validate_censoring")])
 def test_cli_out_of_memory_exits_2_naming_the_command(tmp_path, capsys, monkeypatch,
                                                       command, config, heavy):

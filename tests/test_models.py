@@ -5,10 +5,10 @@ import pytest
 
 from bihazard.errors import ConfigError, DomainError
 from bihazard.geometry import LowerRect, lattice
-from bihazard.models import (FgmModel, TableMarginal, TruncatedExponential,
+from bihazard.models import (MODEL, FgmModel, TableMarginal, TruncatedExponential,
                              UniformMarginal, conditional_quantile, copula_cdf,
                              copula_density, copula_survival, fgm_order_region,
-                             integrated_hazard, model_from_json, model_to_json)
+                             integrated_hazard)
 from bihazard.quadrature import QuadratureSpec
 
 
@@ -196,25 +196,12 @@ def test_integrated_hazard_converged_flag():
     assert not res.converged
 
 
-def test_model_json_round_trip():
-    models = [FgmModel(),
-              FgmModel(theta=-0.7, marginal_x=TruncatedExponential(1.2)),
-              FgmModel(theta=1.0,
-                       marginal_y=TableMarginal([(0.0, 0.0), (0.4, 0.6), (1.0, 1.0)]))]
-    for m in models:
-        back = model_from_json(model_to_json(m))
-        assert back.theta == m.theta
-        x, y = np.array([0.2, 0.7]), np.array([0.3, 0.9])
-        assert np.allclose(back.survival(x, y), m.survival(x, y))
-        assert np.allclose(back.density(x, y), m.density(x, y))
-
-
 def test_model_json_errors():
     with pytest.raises(ConfigError):
-        model_from_json({"theta": 0.2, "unknown": 1})
+        MODEL.decode({"theta": 0.2, "unknown": 1})
     with pytest.raises(ConfigError):
-        model_from_json({"marginalF": {"kind": "cauchy"}})
+        MODEL.decode({"marginalF": {"kind": "cauchy"}})
     with pytest.raises(ConfigError):
-        model_from_json({"marginalF": {"kind": "uniform", "extra": 2}})
+        MODEL.decode({"marginalF": {"kind": "uniform", "extra": 2}})
     with pytest.raises(ConfigError, match="theta must be a number"):
-        model_from_json({"theta": "0.5"})
+        MODEL.decode({"theta": "0.5"})
