@@ -36,7 +36,7 @@ from .errors import BihazardError, ConfigError, DataError, NumericError
 from .estimators import (jump_masses, kaplan_meier, marginal_nelson_aalen,
                          nelson_aalen_surface, simulate_sample)
 from .geometry import Grid, LowerRect, lattice
-from .inference import TESTS, BootstrapSpec
+from .inference import TESTS, BootstrapSpec, check_bootstrap
 from .io import read_sample, write_dataset
 from .mc import EXPERIMENTS, MCConfig
 from .models import MODEL, integrated_hazard
@@ -184,17 +184,16 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 
 _ESTIMATE = Schema({"grid": ({"size": (INT, 64), "tau": (PAIR, [1.0, 1.0])}, {}),
-                    "method": (STR, "auto"),
+                    "method": ({"auto"}, "auto"),
                     "marginals": ({True, False, "auto"}, "auto")})
 
 
 def cmd_estimate(args):
     cfg, c = _decoded(args, _ESTIMATE)
     size, tau = c["grid"]["size"], c["grid"]["tau"]
-    method, marginals = c["method"], c["marginals"]
     sample = read_sample(args.data)
     grid = Grid(size, tau)
-    surf = nelson_aalen_surface(sample, grid, method=method)
+    surf = nelson_aalen_surface(sample, grid)
 
     surface = np.dstack([lattice(grid.xs, grid.ys), surf.values]).reshape(-1, 3)
     jumps = np.column_stack([surf.jump_points, surf.jump_masses])
@@ -202,7 +201,7 @@ def cmd_estimate(args):
              "jumps.csv": [["y1", "y2", "mass"], *jumps.tolist()]}
 
     marg_done = False
-    if marginals in (True, "auto"):
+    if c["marginals"] in (True, "auto"):
         try:
             for axis in (0, 1):
                 est = marginal_nelson_aalen(sample, axis)
@@ -213,13 +212,13 @@ def cmd_estimate(args):
                     *zip(*(col.tolist() for col in columns))]
             marg_done = True
         except BihazardError:
-            if marginals is True:
+            if c["marginals"] is True:
                 raise
     files["summary.json"] = summary = {
         "n": sample.n,
         "observedCount": int(np.count_nonzero(sample.event_mask)),
-        "fullWindowEstimate": float(np.sum(jump_masses(sample, method))),
-        "method": method,
+        "fullWindowEstimate": float(np.sum(jump_masses(sample))),
+        "method": c["method"],
         "grid": {"size": size, "tau": list(tau)},
         "marginalsComputed": marg_done,
     }
@@ -255,6 +254,7 @@ _TEST = Schema(Built(Tagged("test", {
 def cmd_test(args):
     cfg, c = _decoded(args, _TEST)
     b = c["bootstrap"]
+    check_bootstrap(b, "bootstrap.")
     spec = BootstrapSpec(replicates=b["B"], alpha=b["alpha"], seed=c["masterSeed"],
                          grid_size=b["gridSize"], sided=b["sided"])
     keys, call = TESTS[c["test"]]

@@ -21,10 +21,10 @@ and the Nelson-Aalen estimator is
 
 For rectangle (and trivially full-space) censoring, 1{Y_i >= t, t in xi_i}
 equals 1{Y_i ^ tau_i >= t}, so at-risk counts reduce to planar dominance
-counting on the minima; that is the fast path.  Every other family writes
-the indicator as a short signed sum of such terms, each under a mask that
-depends on t alone (a band's strip, a fixed region's membership), so any
-count is one weighted dominance count per mask.
+counting on the minima: one unmasked term per record.  Every other family
+writes the indicator as a short signed sum of such terms, each under a mask
+that depends on t alone (a band's strip, a fixed region's membership), so
+any count is one weighted dominance count per mask.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from operator import eq
 import numpy as np
 
 from . import censoring as cen
-from .dominance import dominance_counter, dominating_count, dominating_count_naive, running_sums
+from .dominance import dominance_counter, dominating_count, running_sums
 from .errors import ConfigError, DataError, DomainError, ObservabilityError, QuantileRangeError, ReductionError
 from .geometry import Grid, LowerRect, as_points
 from .quadrature import QuadratureSpec, QuadratureResult, integrate_region, mesh_values, midpoints
@@ -241,9 +241,7 @@ class CensoredSample:
         self.regions = regions
         self.region_index = region_index
         self.terms = _term_table(regions) if terms is None else terms
-        self.fast = not (regions.kind == 2).any() and all(
-            isinstance(regions[r], cen.FullSpace) for r in np.flatnonzero(regions.kind == 0).tolist())
-        self._mass_cache = {}
+        self._masses = None
         self._layouts = {}
         # every record check at once; the first offending record is named
         inside = _inside(carrier, region_index, self.terms) if inside is None else inside
@@ -293,24 +291,24 @@ class CensoredSample:
 # at-risk, counting, Nelson-Aalen
 # ---------------------------------------------------------------------------
 
-def _risk_counts(sample, queries, w, keep=None, naive=False):
+def _risk_counts(sample, queries, w, keep=None):
     """Z_n at each query, one row per row of the count matrix w (rows x n).
 
     Row r counts record i w[r, i] times, exactly for integer weights.
-    Each term group makes one weighted dominance count (the quadratic
-    reference scan if naive) of its records' capped points at the queries
-    inside its mask, with the terms' signs folded into the weights.
-    Weighted counts under a `keep` key keep each group's dominance layout in
-    sample._layouts, so that the chunks of one bootstrap share it.
+    Each term group makes one weighted dominance count of its records'
+    capped points at the queries inside its mask, with the terms' signs
+    folded into the weights.  Weighted counts under a `keep` key keep each
+    group's dominance layout in sample._layouts for the sample's lifetime,
+    so that every chunk of every bootstrap on the sample shares it.
     """
     q = np.asarray(queries, dtype=float).reshape(-1, 2)
-    count = dominating_count_naive if naive else dominating_count
     plan = sample._layouts.get(keep)
     if plan is None:
         plan = []
         for mask, rec, pts, sign in _term_groups(sample.carrier, sample.region_index, sample.terms):
             hit = slice(None) if mask is None else np.flatnonzero(_mask(mask, *q.T))
-            fn = dominance_counter(pts, q[hit]) if keep is not None else partial(count, pts, q[hit])
+            fn = (dominance_counter(pts, q[hit]) if keep is not None
+                  else partial(dominating_count, pts, q[hit]))
             if np.array_equal(rec, np.arange(sample.n)) and (sign == 1).all():
                 rec = None                  # term i is record i with sign +1: the weights as they are
             plan.append((hit, rec, sign, fn))
@@ -337,38 +335,30 @@ def counting(sample, region):
     return int(np.count_nonzero(region.contains(ev)))
 
 
-def jump_masses(sample, method="auto", weights=None):
-    """1 / Z_n(Y_i) for each observed point, in record order.
+def jump_masses(sample, weights=None):
+    """1 / Z_n(Y_i) for each observed point, in record order, from exact integer counts.
 
-    method 'fast' insists on rectangle/full censoring, 'naive' counts with
-    the quadratic reference scan; counts are exact integers either way, so
-    every method gives identical masses.  With a (rows x n) count matrix
-    `weights` (a bootstrap resample per row), row r holds w_i / Z_w(Y_i):
-    the total mass of record i's w_i copies.
+    The sample keeps its unweighted masses once computed.  With a (rows x n)
+    count matrix `weights` (a bootstrap resample per row), row r holds
+    w_i / Z_w(Y_i): the total mass of record i's w_i copies.
     """
-    if weights is None and method in sample._mass_cache:
-        return sample._mass_cache[method]
-    if method == "fast" and not sample.fast:
-        raise ConfigError("fast path needs rectangle or full-space censoring throughout")
-    if method not in ("auto", "fast", "naive"):
-        raise ConfigError(f"unknown method {method!r}")
+    if weights is None and sample._masses is not None:
+        return sample._masses
     w = np.ones((1, sample.n), dtype=np.int64) if weights is None else np.asarray(weights)
     w_ev = w[:, sample.event_mask]
-    naive = method == "naive"
-    keep = None if naive or weights is None else "events"
-    z = _risk_counts(sample, sample.event_points, w, keep, naive)
+    z = _risk_counts(sample, sample.event_points, w, None if weights is None else "events")
     if np.any(z < w_ev):
         raise DataError("internal inconsistency: an observed point is not at risk at itself")
     masses = w_ev / np.maximum(z, 1)      # integer z >= w_ev >= 1 where drawn; else mass 0
     if weights is None:
-        masses = sample._mass_cache[method] = masses[0]
+        masses = sample._masses = masses[0]
     return masses
 
 
-def nelson_aalen(sample, region, method="auto", weights=None):
+def nelson_aalen(sample, region, weights=None):
     """Hhat_A: left-to-right sum of observed-point masses over the region (one per weight row)."""
     ev = sample.event_points
-    masses = jump_masses(sample, method, weights)
+    masses = jump_masses(sample, weights)
     sel = np.asarray(region.contains(ev), dtype=bool) if len(ev) else np.zeros(0, dtype=bool)
     total = np.cumsum(masses[..., sel], axis=-1)[..., -1] if sel.any() else np.zeros(masses.shape[:-1])
     return float(total) if weights is None else total
@@ -411,22 +401,18 @@ class HazardSurface:
     values: np.ndarray          # [i, j] = Hhat at (xs[i], ys[j])
     jump_points: np.ndarray
     jump_masses: np.ndarray
-    method: str
 
 
-def nelson_aalen_surface(sample, grid, method="auto", weights=None):
+def nelson_aalen_surface(sample, grid, weights=None):
     """Nelson-Aalen estimates at every grid node (one surface per weight row).
 
     The node stage bins each observed point into the first dominating node
-    and accumulates with two cumulative sums; 'fast' and 'naive' differ
-    only in how the integer at-risk counts are obtained, so their outputs
-    are bit-identical.
+    and accumulates with two cumulative sums.
     """
-    masses = jump_masses(sample, method, weights)
+    masses = jump_masses(sample, weights)
     ev = sample.event_points
     vals = surface_values(ev, masses, grid.xs, grid.ys)
-    return HazardSurface(grid=grid, values=vals, jump_points=ev, jump_masses=masses,
-                         method=method)
+    return HazardSurface(grid=grid, values=vals, jump_points=ev, jump_masses=masses)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ times: the exchangeable-weights bootstrap), so no resample is built: chunks of c
 sized by a fixed byte budget, go through the weighted estimators on the base sample, one
 statistic per row, all rows at once (their running sums are points-major, records x rows).
 What the estimators derive from the base sample alone (the Fenwick layout at its events, the
-marginals' pair table) is built once and shared by the chunks.  `TESTS` is the one dispatch
-of the three tests, for `bihazard test` and the Monte Carlo scenarios alike.
+marginals' pair table) is built once and kept by the sample for its lifetime, so it serves
+every chunk of every bootstrap on that sample.  `TESTS` is the one dispatch of the three
+tests, for `bihazard test` and the Monte Carlo scenarios alike.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .models import fgm_order_region
 from .util import BOOTSTRAP, substream
 
 __all__ = [
-    "BootstrapSpec", "TestReport", "bootstrap_resample",
+    "BootstrapSpec", "check_bootstrap", "TestReport", "bootstrap_resample",
     "independence_test", "hazard_order_test", "fgm_order_test", "TESTS",
 ]
 
@@ -68,6 +69,16 @@ class BootstrapSpec:
             raise ConfigError("sided must be 'one-sided' or 'two-sided'")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+
+
+def check_bootstrap(opt, where=""):
+    """Refuse a bad B, alpha, grid size or sided in opt before any replicate, naming the key."""
+    for key in [k for k in ("B", "alpha", "grid_size", "gridSize", "sided") if k in opt]:
+        field = {"B": "replicates", "gridSize": "grid_size"}.get(key, key)
+        try:
+            BootstrapSpec(**{field: opt[key]})
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{key}: {exc}") from None
 
 
 @dataclass
@@ -141,7 +152,6 @@ def _bootstrap(name, stat, stat_fn, samples, spec, diag, pooled=False):
     and stat_fn gets a chunk of rows and returns one statistic per row:
     separately, one (rows x n_k) matrix per sample; pooled, one
     (2 rows x n + m) matrix whose first half counts the first sample's draws.
-    The layouts the estimators cache on the samples serve this bootstrap only.
     """
     sizes = [s.n for s in samples]
     total = sum(sizes)
@@ -157,8 +167,6 @@ def _bootstrap(name, stat, stat_fn, samples, spec, diag, pooled=False):
             counts = [_count_rows([substream(spec.seed, BOOTSTRAP + k, r).integers(0, n, size=n)
                                    for r in chunk], n) for k, n in enumerate(sizes)]
         reps.append(stat_fn(*counts))
-    for s in samples:
-        s._layouts.clear()
     return _finish(name, stat, np.concatenate(reps), spec, diag)
 
 

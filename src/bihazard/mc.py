@@ -36,7 +36,8 @@ from .errors import ConfigError, DomainError
 from .estimators import (asymptotic_cov, at_risk, compensator_residual, nelson_aalen,
                          simulate_sample)
 from .geometry import Grid, LowerRect
-from .inference import TESTS, BootstrapSpec, _independence_diff, independence_test, option_error
+from .inference import (TESTS, BootstrapSpec, _independence_diff, check_bootstrap, independence_test,
+                        option_error)
 from .models import integrated_hazard
 from .quadrature import QuadratureSpec, mesh_values, midpoints
 from .util import DATA, PROBE, run_indexed, substream
@@ -155,15 +156,6 @@ def _ladder(ladder):
     return ladder
 
 
-def _check_bootstrap(opt, where=""):
-    """Refuse a bad B, alpha, grid_size or sided in opt before any replicate, naming the key."""
-    for key in [k for k in ("B", "alpha", "grid_size", "sided") if k in opt]:
-        try:
-            BootstrapSpec(**{"replicates" if key == "B" else key: opt[key]})
-        except ConfigError as exc:
-            raise ConfigError(f"{where}{key}: {exc}") from None
-
-
 def _rate_row(cfg, name, flags, check, rates=None, source="pre-registered rejection band"):
     """The share of flagged replicates with its binomial SE, checked against check's
     'band': (lo, hi), named by source, or 'exceeds': (other, margin), a floor of
@@ -198,7 +190,12 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r} in checks; expected mean, variance or normality")
     start = time.perf_counter()
-    pts = [ (float(t[0]), float(t[1])) for t in checkpoints ]
+    pts = [(float(t[0]), float(t[1])) for t in checkpoints]
+    if not pts:
+        raise ConfigError("checkpoints must list at least one corner")
+    for i, t in enumerate(pts):
+        if not 0.0 < min(t) <= max(t) <= 1.0:
+            raise ConfigError(f"checkpoints[{i}] must lie in (0, 1]^2, got {list(t)}")
     truth = np.array([float(integrated_hazard(cfg.model, LowerRect(t), cfg.quadrature))
                       for t in pts])
     root_n = math.sqrt(cfg.n)
@@ -334,7 +331,7 @@ def size_power_study(cfg, scenarios):
                 raise ConfigError(f"scenarios[{s_idx}].{key} must be at least 1, got {scen[key]!r}")
         if "exceeds" in scen and scen["exceeds"][0] not in [s["name"] for s in scenarios]:
             raise ConfigError(f"scenarios[{s_idx}].exceeds names no scenario: {scen['exceeds'][0]!r}")
-        _check_bootstrap(scen, f"scenarios[{s_idx}].")
+        check_bootstrap(scen, f"scenarios[{s_idx}].")
         if refused := option_error(scen["test"], scen.get("sided", "one-sided"), scen.get("region"),
                                    scen.get("tau")):
             raise ConfigError(f"scenarios[{s_idx}]: {refused}")
@@ -388,7 +385,7 @@ def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
     when the true surface stays inside, which is exactly
     sup sqrt(n)|Dhat - truth| <= c_alpha.
     """
-    _check_bootstrap({"B": b, "alpha": alpha})
+    check_bootstrap({"B": b, "alpha": alpha})
     start = time.perf_counter()
     truth = _truth_difference(cfg.model)
 

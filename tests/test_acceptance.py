@@ -24,7 +24,9 @@ from bihazard import (BandComplement, BootstrapSpec, CensoredSample,
                       independence_test, jump_masses, nelson_aalen,
                       nelson_aalen_surface, observable_core, rasterize,
                       simulate_sample, verify_clt, verify_glivenko)
+from bihazard import estimators
 from bihazard.cli import main
+from bihazard.dominance import dominating_count_naive
 from bihazard.util import DATA, PROBE, substream
 
 _CFG = json.loads((Path(__file__).resolve().parent.parent
@@ -479,7 +481,7 @@ def test_criterion_13_single_subject_identity():
             f"{p['singleSubjectInstances']} instances")
 
 
-def test_criterion_14_performance_and_fast_path_identity():
+def test_criterion_14_performance_and_fast_path_identity(monkeypatch):
     p = _CFG["performance"]
     cm = _rect_cm()
     sample = simulate_sample(FgmModel(0.4), cm, p["n"],
@@ -496,8 +498,11 @@ def test_criterion_14_performance_and_fast_path_identity():
     for _ in range(pe["identityInstances"]):
         n = int(rng.integers(1, pe["identityMaxN"] + 1))
         s = simulate_sample(FgmModel(0.2), cm, n, rng, form="observable")
-        a = nelson_aalen_surface(s, Grid(17, (1.0, 1.0)), method="fast")
-        b = nelson_aalen_surface(s, Grid(17, (1.0, 1.0)), method="naive")
+        a = nelson_aalen_surface(s, Grid(17, (1.0, 1.0)))
+        # the same fit on a fresh copy, every at-risk count by the quadratic reference scan
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "dominating_count", dominating_count_naive)
+            b = nelson_aalen_surface(s.take(np.arange(s.n)), Grid(17, (1.0, 1.0)))
         ident_ok &= (np.array_equal(a.values, b.values)
                      and np.array_equal(a.jump_masses, b.jump_masses))
     ok = budget_ok and ident_ok

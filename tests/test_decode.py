@@ -110,6 +110,11 @@ MC_PROBES = [
     (GLIVENKO, _set("ladder", [0, 10]), 2, f"{LADDER}, got [0, 10]"),
     (IID_REPR, _set("ladder", []), 2, f"{LADDER}, got []"),
     ("mc_clt.json", _set("checkpoints", 5), 2, "checkpoints must be a list"),
+    ("mc_clt.json", _set("checkpoints", []), 2, "config error: checkpoints must list at least one corner"),
+    ("mc_clt.json", _set("checkpoints", [[1.5, 0.5]]), 2,
+     "config error: checkpoints[0] must lie in (0, 1]^2, got [1.5, 0.5]"),
+    ("mc_clt.json", _set("checkpoints", [[0.3, 0.3], [0, 0.5]]), 2,
+     "config error: checkpoints[1] must lie in (0, 1]^2, got [0.0, 0.5]"),
     ("mc_size_power.json", _set("scenarios", 5), 2, "scenarios must be a list"),
     ("mc_size_power.json", _set("scenarios", [{"name": "b", "test": "independence"},
                                               {"name": "a", "test": "independence",
@@ -134,7 +139,13 @@ PROBES = ([("simulate", "simulate.json", argv, None, code, msg)
              ("test", "test_hazard_order.json", _set("tau", [0.5, 0.5]), None, 2,
               "config error: tau sets the grid window; a fixed region takes no tau"),
              ("test", "test_fgm_order.json", _set("bootstrap.sided", "two-sided"), None, 2,
-              "config error: fgm-order is one-sided by construction; sided must be 'one-sided'")]
+              "config error: fgm-order is one-sided by construction; sided must be 'one-sided'"),
+             ("test", "test_hazard_order.json", _set("bootstrap.B", 0), None, 2,
+              "config error: bootstrap.B: replicates must be at least 1"),
+             ("test", "test_hazard_order.json", _set("bootstrap.alpha", 0), None, 2,
+              "config error: bootstrap.alpha: alpha must lie in (0, 1]")]
+          + [("estimate", "estimate.json", _set("method", value), None, 2,
+              f"config error: method must be one of 'auto', got '{value}'") for value in ("naive", "fast")]
           + [("validate", "validate.json", _set("censorModel.mc_prob_samples", 0), None, 2,
               "censorModel: mc_prob_samples must be at least 1, got 0"),
              ("validate", "validate.json", _set("censorModel.tau1.high", 1.5), None, 2,

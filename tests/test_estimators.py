@@ -11,6 +11,7 @@ from bihazard import estimators as est
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, Rectangle, contains,
                                 observable_core, rasterize)
+from bihazard.dominance import dominating_count_naive
 from bihazard.errors import (ConfigError, DataError, DomainError, ObservabilityError,
                              QuantileRangeError, ReductionError)
 from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, at_risk,
@@ -188,13 +189,13 @@ def test_nelson_aalen_sums_left_to_right(monkeypatch):
     sel = np.asarray(region.contains(s.event_points), dtype=bool)
     for _ in range(200):
         masses = rng.random(s.n) * 10.0 ** rng.integers(-8, 8, size=s.n)
-        monkeypatch.setattr(est, "jump_masses", lambda sample, method="auto", weights=None: masses)
+        monkeypatch.setattr(est, "jump_masses", lambda sample, weights=None: masses)
         want = 0.0
         for w in masses[sel]:
             want += float(w)
         got = nelson_aalen(s, region)
         assert type(got) is float and got == want
-    monkeypatch.setattr(est, "jump_masses", lambda sample, method="auto", weights=None: masses)
+    monkeypatch.setattr(est, "jump_masses", lambda sample, weights=None: masses)
     assert nelson_aalen(s, LowerRect((1e-9, 1e-9))) == 0.0
 
 
@@ -208,39 +209,31 @@ def test_opaque_equals_latent_on_worked_sample():
         assert nelson_aalen(a, LowerRect(corner)) == nelson_aalen(b, LowerRect(corner))
 
 
-def test_fast_flag_and_method_errors():
-    assert worked_censored().fast
-    mixed = CensoredSample([obs((0.2, 0.2)),
-                            obs((0.1, 0.1), censor=LowerLayer(((0.5, 0.5),)))])
-    assert not mixed.fast
-    with pytest.raises(ConfigError):
-        jump_masses(mixed, method="fast")
-    # an empty band (k1 = k2) watches the whole square, but only boxes take the fast path
+def _scanned(monkeypatch, fit, sample):
+    """fit of a fresh copy of sample (no cached masses), with every unweighted dominance count
+    made by the quadratic reference scan."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(est, "dominating_count", lambda *a: calls.append(1) or dominating_count_naive(*a))
+        out = fit(sample.take(np.arange(sample.n)))
+    assert calls
+    return out
+
+
+def test_jump_masses_cache_and_paths(monkeypatch):
+    s = worked_uncensored()
+    a = jump_masses(s)
+    assert jump_masses(s) is a
+    assert np.array_equal(_scanned(monkeypatch, jump_masses, s), a)
+    assert a.tolist() == [0.5, 1.0, 0.5]
+    # an empty band (k1 = k2) watches the whole square
     empty_band = CensoredSample([obs(p, BandComplement(0.3, 0.3, 0.2)) for p in ((0.2, 0.3), (0.5, 0.6))])
-    assert not empty_band.fast
-    with pytest.raises(ConfigError):
-        jump_masses(empty_band, method="fast")
     full = CensoredSample([obs((0.2, 0.3)), obs((0.5, 0.6))])
     assert np.array_equal(jump_masses(empty_band), jump_masses(full))
-    with pytest.raises(ConfigError):
-        jump_masses(worked_uncensored(), method="bogus")
-    # the method is checked before the data: a sample without events is no exception
+    # a sample without events has no masses
     quiet = CensoredSample([SubjectRecord(censor=LowerLayer(((0.5, 0.5),)), status="censored_latent",
                                           latent=(0.7, 0.8))])
-    assert quiet.fast is False and len(quiet.event_points) == 0
-    assert jump_masses(quiet).size == 0
-    for method in ("fast", "bogus"):
-        with pytest.raises(ConfigError):
-            jump_masses(quiet, method=method)
-
-
-def test_jump_masses_cache_and_paths():
-    s = worked_uncensored()
-    a = jump_masses(s, method="fast")
-    assert jump_masses(s, method="fast") is a
-    b = jump_masses(s, method="naive")
-    assert np.array_equal(a, b)
-    assert a.tolist() == [0.5, 1.0, 0.5]
+    assert len(quiet.event_points) == 0 and jump_masses(quiet).size == 0
 
 
 def _random_rect_records(rng, n):
@@ -261,14 +254,12 @@ def _random_rect_records(rng, n):
     return recs
 
 
-def test_fast_and_naive_identical_on_random_samples():
+def test_masses_match_quadratic_scan_on_random_samples(monkeypatch):
     rng = np.random.default_rng(73)
     for _ in range(25):
         n = int(rng.integers(1, 120))
         s = CensoredSample(_random_rect_records(rng, n))
-        fast = jump_masses(s, method="fast")
-        naive = jump_masses(s, method="naive")
-        assert np.array_equal(fast, naive)
+        assert np.array_equal(jump_masses(s), _scanned(monkeypatch, jump_masses, s))
 
 
 def test_general_path_agrees_with_fast_on_equivalent_regions():
@@ -286,7 +277,7 @@ def test_general_path_agrees_with_fast_on_equivalent_regions():
                                            point=r.point, latent=r.latent))
         a = CensoredSample(fast_recs)
         b = CensoredSample(slow_recs)
-        assert a.fast and not b.fast
+        assert a.terms.masks == [None] and any(m is not None for m in b.terms.masks)
         q = rng.random((20, 2))
         assert np.array_equal(at_risk(a, q), at_risk(b, q))
         assert np.array_equal(jump_masses(a), jump_masses(b))
@@ -390,11 +381,11 @@ def _brute_marginal(recs, axis):
     return values, counts, risk
 
 
-def test_region_table_kernels_match_per_record_counts_on_every_family():
+def test_region_table_kernels_match_per_record_counts_on_every_family(monkeypatch):
     rng = np.random.default_rng(89)
     recs = _mixed_family_records(rng)
     s = CensoredSample(recs)
-    assert not s.fast and len(s.regions) < len(recs)
+    assert any(m is not None for m in s.terms.masks) and len(s.regions) < len(recs)
     lattice = np.stack(np.meshgrid(np.arange(9) / 8.0, np.arange(9) / 8.0), axis=-1).reshape(-1, 2)
     reducible = [i for i, r in enumerate(recs) if not isinstance(r.censor, Raster)]
     with pytest.raises(ReductionError):
@@ -407,7 +398,7 @@ def test_region_table_kernels_match_per_record_counts_on_every_family():
         assert np.array_equal(at_risk(sub, q), _brute_at_risk_2d(sub_recs, q))
         masses = 1.0 / _brute_at_risk_2d(sub_recs, sub.event_points)
         assert np.array_equal(jump_masses(sub), masses)
-        assert np.array_equal(jump_masses(sub, method="naive"), masses)
+        assert np.array_equal(_scanned(monkeypatch, jump_masses, sub), masses)
 
     for idx in (np.array(reducible), rng.choice(reducible, size=len(reducible))):
         sub = s.take(idx)
@@ -584,7 +575,7 @@ def test_general_path_equals_fast_path_on_recast_rectangles(n, seed):
     grid = Grid(9, (1.0, 1.0))
     for general in (recast(lambda t: GridProduct(((0.0, t[0]),), ((0.0, t[1]),))),
                     recast(lambda t: LowerLayer((t,)))):
-        assert fast.fast and not general.fast
+        assert fast.terms.masks == [None] and any(m is not None for m in general.terms.masks)
         assert np.array_equal(at_risk(general, q), at_risk(fast, q))
         assert np.array_equal(jump_masses(general), jump_masses(fast))
         assert np.array_equal(nelson_aalen_surface(general, grid).values,
@@ -668,14 +659,14 @@ def test_surface_matches_per_node_evaluation():
                 assert surf.values[i, j] == pytest.approx(want, abs=1e-12)
 
 
-def test_surface_fast_naive_bit_identical():
+def test_surface_bit_identical_to_quadratic_scan(monkeypatch):
     rng = np.random.default_rng(97)
     s = CensoredSample(_random_rect_records(rng, 300))
     grid = Grid(17, (0.9, 0.95))
-    fast = nelson_aalen_surface(s, grid, method="fast")
-    naive = nelson_aalen_surface(s, grid, method="naive")
-    assert np.array_equal(fast.values, naive.values)
-    assert np.array_equal(fast.jump_masses, naive.jump_masses)
+    surf = nelson_aalen_surface(s, grid)
+    scan = _scanned(monkeypatch, lambda c: nelson_aalen_surface(c, grid), s)
+    assert np.array_equal(surf.values, scan.values)
+    assert np.array_equal(surf.jump_masses, scan.jump_masses)
 
 
 def test_surface_worked_sample():

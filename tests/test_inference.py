@@ -449,10 +449,12 @@ def test_bootstrap_engine_matches_replicate_loop_oracle(monkeypatch):
 
     # rows are independent, so the chunk size changes no replicate
     whole = [run(spec).replicate_statistics for run in tests]
-    # the layouts cached for the chunks go with the bootstrap that built them
-    assert f._layouts == {} and g._layouts == {}
+    # a sample keeps its layouts, and every later bootstrap on it reuses them
+    kept = [dict(s._layouts) for s in (f, g)]
+    assert all({"events", ("marginal", 0), ("marginal", 1)} <= held.keys() for held in kept)
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 1)
     assert all(np.array_equal(run(spec).replicate_statistics, w) for run, w in zip(tests, whole))
+    assert all(s._layouts[k] is layout for s, held in zip((f, g), kept) for k, layout in held.items())
     monkeypatch.undo()
 
     # workers is accepted and ignored
