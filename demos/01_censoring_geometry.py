@@ -8,7 +8,7 @@ decidable core is useful but destructive.
 import numpy as np
 
 from bihazard import (BandComplement, CensoringModel, FullSpace, Grid,
-                      GridProduct, LowerLayer, QuantileTable, Rectangle,
+                      GridProduct, LowerLayer, LowerRect, QuantileTable,
                       contains, observable_core, rasterize, validate_censoring)
 
 
@@ -20,7 +20,7 @@ def show(mask):
 print("== region families ==")
 regions = {
     "full space": FullSpace(),
-    "rectangle [0,.6]x[0,.8]": Rectangle((0.6, 0.8)),
+    "rectangle [0,.6]x[0,.8]": LowerRect((0.6, 0.8)),
     "grid product": GridProduct(((0.0, 0.3), (0.5, 1.0)), ((0.0, 0.4), (0.7, 1.0))),
     "band complement": BandComplement(0.2, 0.7, 0.15),
     "lower layer": LowerLayer(((0.4, 0.9), (0.8, 0.3))),

@@ -6,10 +6,10 @@ and the one-dimensional marginal estimates derived from the same data.
 """
 import numpy as np
 
-from bihazard import (CensoredSample, FullSpace, Grid, LowerRect, Rectangle,
-                      SubjectRecord, at_risk, copula_nelson_aalen, jump_masses,
-                      kaplan_meier, km_quantile, marginal_nelson_aalen,
-                      nelson_aalen, nelson_aalen_surface)
+from bihazard import (CensoredSample, FullSpace, Grid, LowerRect, SubjectRecord,
+                      at_risk, copula_nelson_aalen, jump_masses, kaplan_meier,
+                      km_quantile, marginal_nelson_aalen, nelson_aalen,
+                      nelson_aalen_surface)
 
 
 def obs(point, censor=FullSpace()):
@@ -26,18 +26,18 @@ print(f"  Hhat over [0,(0.45,0.65)]:  {nelson_aalen(sample, LowerRect((0.45, 0.6
 
 print()
 print("== the censored variant, in both record forms ==")
-reg = Rectangle((0.45, 1.0))
+reg = LowerRect((0.45, 1.0))
 latent = CensoredSample([
     obs((0.2, 0.3)),
     SubjectRecord(censor=reg, status="censored_latent", latent=(0.5, 0.6)),
     obs((0.4, 0.1)),
 ])
 opaque = CensoredSample([
-    SubjectRecord(censor=Rectangle((1.0, 1.0)), status="censored_opaque",
+    SubjectRecord(censor=LowerRect((1.0, 1.0)), status="censored_opaque",
                   minima=(0.2, 0.3), events=(1, 1)),
     SubjectRecord(censor=reg, status="censored_opaque",
                   minima=(0.45, 0.6), events=(0, 1)),
-    SubjectRecord(censor=Rectangle((1.0, 1.0)), status="censored_opaque",
+    SubjectRecord(censor=LowerRect((1.0, 1.0)), status="censored_opaque",
                   minima=(0.4, 0.1), events=(1, 1)),
 ])
 hl = nelson_aalen(latent, LowerRect((1.0, 1.0)))

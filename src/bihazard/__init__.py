@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 
 from .censoring import (BandComplement, CensoringDiagnostics, CensoringModel,
                         FullSpace, GridProduct, LowerLayer, QuantileTable,
-                        Raster, Rectangle, contains, inclusion_prob,
-                        joint_inclusion_prob, observable_core, rasterize,
-                        region_from_json, region_to_json, validate_censoring)
+                        Raster, contains, inclusion_prob, joint_inclusion_prob,
+                        observable_core, rasterize, region_from_json,
+                        region_to_json, validate_censoring)
 from .errors import (BihazardError, ConfigError, DataError, DomainError,
                      NumericError, ObservabilityError, QuantileRangeError,
                      ReductionError)

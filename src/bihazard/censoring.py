@@ -1,8 +1,8 @@
 """Observable regions (censoring sets), their distributions, and diagnostics.
 
 A subject's failure point is recorded only if it falls inside the
-subject's observable region xi; outside, the point is censored.  Regions
-come in six shapes: the full square, lower rectangles [0, tau], products
+subject's observable region xi; outside, the point is censored.  Regions come
+in six shapes: the full square, lower rectangles [0, tau] (LowerRect), products
 of per-axis interval unions, complements of a diagonal band, lower layers
 (staircases), and free-form rasters.  Each shape is a geometry Region: its
 membership is `at(x, y)` at broadcastable coordinates, with closed
@@ -24,10 +24,10 @@ import numpy as np
 
 from .decode import INT, NUM, PAIR, STR, Built, Schema, Tagged
 from .errors import ConfigError, DataError
-from .geometry import Region
+from .geometry import LowerRect, Region
 
 __all__ = [
-    "FullSpace", "Rectangle", "GridProduct", "BandComplement", "LowerLayer",
+    "FullSpace", "GridProduct", "BandComplement", "LowerLayer",
     "Raster", "RegionTable", "contains", "rasterize", "observable_core",
     "QuantileTable", "CensoringModel", "CensoringDiagnostics",
     "inclusion_prob", "joint_inclusion_prob", "validate_censoring",
@@ -45,22 +45,6 @@ class FullSpace(Region):
 
     def at(self, x, y):
         return np.ones(np.broadcast(x, y).shape, dtype=bool)
-
-
-@dataclass(frozen=True)
-class Rectangle(Region):
-    """xi = [0, tau1] x [0, tau2] (closed); the bivariate right-censoring set."""
-
-    tau: tuple
-
-    def __post_init__(self):
-        t = tuple(float(x) for x in np.asarray(self.tau, dtype=float).reshape(2))
-        if not (0.0 <= t[0] <= 1.0 and 0.0 <= t[1] <= 1.0):
-            raise ConfigError(f"rectangle corner must lie in [0,1]^2, got {t}")
-        object.__setattr__(self, "tau", t)
-
-    def at(self, x, y):
-        return (x <= self.tau[0]) & (y <= self.tau[1])
 
 
 @dataclass(frozen=True)
@@ -193,7 +177,7 @@ class Raster(Region):
 
 
 class RegionTable(Sequence):
-    """Regions as rows, read as a sequence of region objects: row r is Rectangle(param[r, :2])
+    """Regions as rows, read as a sequence of region objects: row r is LowerRect(param[r, :2])
     where kind[r] is 1, BandComplement(*param[r]) where it is 2, and else objects[r].  The
     objects of column rows are built when indexed, unless the table was made from them."""
 
@@ -204,7 +188,7 @@ class RegionTable(Sequence):
     def of(cls, rows):
         """From region objects, and (kind, a, b, c) tuples of column rows."""
         rows = list(rows)
-        cols = np.array([r if type(r) is tuple else (1, *r.tau, 0.0) if isinstance(r, Rectangle)
+        cols = np.array([r if type(r) is tuple else (1, *r.corner, 0.0) if isinstance(r, LowerRect)
                          else (2, r.k1, r.k2, r.c) if isinstance(r, BandComplement) else (0, 0.0, 0.0, 0.0)
                          for r in rows], dtype=float).reshape(-1, 4)
         return cls(cols[:, 0].astype(np.int8), cols[:, 1:], [None if type(r) is tuple else r for r in rows])
@@ -216,7 +200,7 @@ class RegionTable(Sequence):
         if self.objects[r] is not None:
             return self.objects[r]
         a, b, c = self.param[r].tolist()
-        return Rectangle((a, b)) if self.kind[r] == 1 else BandComplement(a, b, c)
+        return LowerRect((a, b)) if self.kind[r] == 1 else BandComplement(a, b, c)
 
     def __add__(self, other):
         return RegionTable(np.concatenate([self.kind, other.kind]),
@@ -508,8 +492,8 @@ def validate_censoring(model, grid, epsilon=0.05):
 def region_to_json(region):
     if isinstance(region, FullSpace):
         return {"kind": "full"}
-    if isinstance(region, Rectangle):
-        return {"kind": "rectangle", "tau": [region.tau[0], region.tau[1]]}
+    if isinstance(region, LowerRect):
+        return {"kind": "rectangle", "tau": list(region.corner)}
     if isinstance(region, GridProduct):
         return {"kind": "grid_product",
                 "x": [[a, b] for a, b in region.x_intervals],
@@ -533,7 +517,7 @@ def _raster_from_json(d):
 
 REGION = Schema(Tagged("kind", {
     "full": Built({}, lambda d: FullSpace()),
-    "rectangle": Built({"tau": PAIR}, lambda d: Rectangle(d["tau"])),
+    "rectangle": Built({"tau": PAIR}, lambda d: LowerRect(d["tau"])),
     "grid_product": Built({"x": [PAIR], "y": [PAIR]},
                           lambda d: GridProduct(tuple(d["x"]), tuple(d["y"]))),
     "band_complement": Built({"k1": NUM, "k2": NUM, "c": NUM},

@@ -94,7 +94,7 @@ def _check_fields(f):
 def _columns(records):
     """(carrier, status, events, regions, region_index) of SubjectRecords, with one region row
     per distinct region object in first-seen order (objects, not equal values: equal regions
-    may be written differently, as Rectangle((-0.0, 1.0)) and Rectangle((0.0, 1.0)) are).
+    may be written differently, as LowerRect((-0.0, 1.0)) and LowerRect((0.0, 1.0)) are).
     A RecordView gives its own columns."""
     if isinstance(records, RecordView):
         return records.columns

@@ -46,12 +46,14 @@ class Region:
 
 @dataclass(frozen=True)
 class LowerRect(Region):
-    """The closed rectangle [0, corner] anchored at the origin."""
+    """The closed rectangle [0, corner], corner in [0,1]^2: an estimation and censoring set."""
 
     corner: tuple
 
     def __post_init__(self):
         c = tuple(float(x) for x in np.asarray(self.corner, dtype=float).reshape(2))
+        if not (0.0 <= c[0] <= 1.0 and 0.0 <= c[1] <= 1.0):
+            raise ConfigError(f"rectangle corner must lie in [0,1]^2, got {c}")
         object.__setattr__(self, "corner", c)
 
     def at(self, x, y):

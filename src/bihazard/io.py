@@ -36,6 +36,7 @@ from . import censoring as cen
 from .decode import PAIR, Built, Schema, Tagged
 from .errors import ConfigError, DataError
 from .estimators import _FIELDS, _STATUSES, CensoredSample, RecordView, SubjectRecord, _columns
+from .geometry import LowerRect
 from .util import fmt_float
 
 __all__ = [
@@ -193,7 +194,7 @@ def read_sample(path):
 
 
 def write_dataset_csv(path, records):
-    """Rectangle-censoring CSV shortcut.
+    """The CSV shortcut, for rectangle censoring.
 
     Every record's censor must be a rectangle (full space is written as the
     unit rectangle); latent records are reduced to minima and event flags,
@@ -240,7 +241,7 @@ def read_dataset_csv(path):
                 raise DataError(f"line {lineno}: delta flags must be 0 or 1")
             status, flags = ("observed", None) if (d1, d2) == (1, 1) else ("censored_opaque", (d1, d2))
             try:
-                records.append(SubjectRecord(cen.Rectangle((t1, t2)), status, events=flags,
+                records.append(SubjectRecord(LowerRect((t1, t2)), status, events=flags,
                                              **{"point" if flags is None else "minima": (y1, y2)}))
             except (ConfigError, DataError) as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc

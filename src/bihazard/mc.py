@@ -149,6 +149,21 @@ def _prefix_ladder(cfg, ladder, rung, label, source):
     return medians, rows
 
 
+def _box(corner, name):
+    """The lower rectangle [0, corner] for a corner in (0, 1]^2, or a config error naming it."""
+    if not 0.0 < min(corner) <= max(corner) <= 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1]^2, got {list(map(float, corner))}")
+    return LowerRect(corner)
+
+
+def _check_tolerance(name, value):
+    """Refuse by name a tolerance no result meets: a bound below 0, or a band reversed or off [0, 1]."""
+    if np.ndim(value) == 0 and not value >= 0.0:
+        raise ConfigError(f"{name} must be at least 0, got {value!r}")
+    if np.ndim(value) == 1 and not 0.0 <= value[0] <= value[1] <= 1.0:
+        raise ConfigError(f"{name} must be a range [lo, hi] within [0, 1], got {list(value)}")
+
+
 def _ladder(ladder):
     ladder = sorted(int(n) for n in ladder)
     if not ladder or ladder[0] < 1:
@@ -190,36 +205,32 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r} in checks; expected mean, variance or normality")
     start = time.perf_counter()
-    pts = [(float(t[0]), float(t[1])) for t in checkpoints]
-    if not pts:
+    boxes = [_box(t, f"checkpoints[{i}]") for i, t in enumerate(checkpoints)]
+    if not boxes:
         raise ConfigError("checkpoints must list at least one corner")
-    for i, t in enumerate(pts):
-        if not 0.0 < min(t) <= max(t) <= 1.0:
-            raise ConfigError(f"checkpoints[{i}] must lie in (0, 1]^2, got {list(t)}")
-    truth = np.array([float(integrated_hazard(cfg.model, LowerRect(t), cfg.quadrature))
-                      for t in pts])
+    _check_tolerance("varRtol", var_rtol)
+    _check_tolerance("ksBound", ks_bound)
+    truth = np.array([float(integrated_hazard(cfg.model, box, cfg.quadrature)) for box in boxes])
     root_n = math.sqrt(cfg.n)
     # full-space censoring has the uncensored limit covariance
     censor = None if cfg.censor_model.family == "full" else cfg.censor_model
 
     def one(r):
         (s,) = _draw(cfg, (r,))
-        return np.array([root_n * (nelson_aalen(s, LowerRect(t)) - truth[i])
-                         for i, t in enumerate(pts)])
+        return np.array([root_n * (nelson_aalen(s, box) - truth[i]) for i, box in enumerate(boxes)])
 
     vals = np.array(run_indexed(one, cfg.replicates))   # (R, K)
     rows = []
-    for i, t in enumerate(pts):
+    for i, box in enumerate(boxes):
         x = vals[:, i]
         mean, sd = float(x.mean()), float(x.std(ddof=1))
         se = sd / math.sqrt(cfg.replicates)
-        label = f"({t[0]:g},{t[1]:g})"
+        label = "({:g},{:g})".format(*box.corner)
         if "mean" in checks:
             rows.append(_row(cfg, f"mean@{label}", mean, se, 0.0, "limit theorem (mean zero)",
                              "|mean| <= 3*SE", abs(mean) <= 3 * se))
         if "variance" in checks:
-            ref = float(asymptotic_cov(cfg.model, censor, LowerRect(t), LowerRect(t),
-                                       cfg.quadrature).value)
+            ref = float(asymptotic_cov(cfg.model, censor, box, box, cfg.quadrature).value)
             var = float(x.var(ddof=1))
             vse = var * math.sqrt(2.0 / max(cfg.replicates - 1, 1))
             rows.append(_row(cfg, f"variance@{label}", var, vse, ref, "limit covariance quadrature",
@@ -228,7 +239,7 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
             ks = _normal_distance((x - mean) / sd if sd > 0 else x * 0.0)
             rows.append(_row(cfg, f"normality@{label}", ks, None, 0.0, "standard normal CDF",
                              f"Kolmogorov distance <= {ks_bound}", ks <= ks_bound))
-    return _report("clt", cfg, rows, start, n=cfg.n, checkpoints=[list(t) for t in pts])
+    return _report("clt", cfg, rows, start, n=cfg.n, checkpoints=[list(box.corner) for box in boxes])
 
 
 def _normal_distance(z):
@@ -252,6 +263,7 @@ def verify_glivenko(cfg, ladder=(250, 500, 1000, 2000), bound=0.05):
     """
     start = time.perf_counter()
     ladder = _ladder(ladder)
+    _check_tolerance("bound", bound)
     nodes = Grid(cfg.grid_size, (1.0, 1.0)).nodes()
     ref = _at_risk_limit(cfg, *nodes.T)
     medians, rows = _prefix_ladder(
@@ -332,6 +344,7 @@ def size_power_study(cfg, scenarios):
         if "exceeds" in scen and scen["exceeds"][0] not in [s["name"] for s in scenarios]:
             raise ConfigError(f"scenarios[{s_idx}].exceeds names no scenario: {scen['exceeds'][0]!r}")
         check_bootstrap(scen, f"scenarios[{s_idx}].")
+        _check_tolerance(f"scenarios[{s_idx}].band", scen.get("band", (0.0, 1.0)))
         if refused := option_error(scen["test"], scen.get("sided", "one-sided"), scen.get("region"),
                                    scen.get("tau")):
             raise ConfigError(f"scenarios[{s_idx}]: {refused}")
@@ -386,6 +399,7 @@ def coverage_study(cfg, alpha=0.05, b=200, band=(0.88, 0.99)):
     sup sqrt(n)|Dhat - truth| <= c_alpha.
     """
     check_bootstrap({"B": b, "alpha": alpha})
+    _check_tolerance("band", band)
     start = time.perf_counter()
     truth = _truth_difference(cfg.model)
 
@@ -407,7 +421,7 @@ EXPERIMENTS = {
     "clt": lambda cfg, opt: verify_clt(cfg, opt["checkpoints"], var_rtol=opt["var_rtol"],
                                        ks_bound=opt["ks_bound"], checks=tuple(opt["checks"])),
     "glivenko": lambda cfg, opt: verify_glivenko(cfg, ladder=opt["ladder"], bound=opt["bound"]),
-    "iid_repr": lambda cfg, opt: verify_iid_representation(cfg, LowerRect(opt["region"]), opt["ladder"]),
+    "iid_repr": lambda cfg, opt: verify_iid_representation(cfg, _box(opt["region"], "region"), opt["ladder"]),
     "size_power": lambda cfg, opt: size_power_study(cfg, opt["scenarios"]),
     "coverage": lambda cfg, opt: coverage_study(cfg, alpha=opt["alpha"], b=opt["B"], band=opt["band"]),
 }

@@ -208,12 +208,8 @@ def integrated_hazard(model, region, spec=QuadratureSpec()):
     returns a QuadratureResult whose converged flag reports whether the
     dyadic refinement settled within budget.
     """
-    if isinstance(region, LowerRect):
-        corner = np.asarray(region.corner)
-        if np.any(corner > 1.0):
-            raise DomainError("region exceeds the unit square")
-        if float(model.survival(*corner)) <= 0.0 and corner[0] > 0.0 and corner[1] > 0.0:
-            raise DomainError("region touches the zero set of the survival function")
+    if isinstance(region, LowerRect) and min(region.corner) > 0.0 and model.survival(*region.corner) <= 0.0:
+        raise DomainError("region touches the zero set of the survival function")
     return integrate_region(model.hazard, region, spec)
 
 

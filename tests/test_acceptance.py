@@ -19,7 +19,7 @@ import pytest
 from bihazard import (BandComplement, BootstrapSpec, CensoredSample,
                       CensoringModel, FgmModel, FullSpace, Grid, GridProduct,
                       LowerLayer, LowerRect, MCConfig, QuantileTable, Raster,
-                      Rectangle, SubjectRecord, at_risk, compensator_residual,
+                      SubjectRecord, at_risk, compensator_residual,
                       fgm_order_region, fgm_order_test, hazard_order_test,
                       independence_test, jump_masses, nelson_aalen,
                       nelson_aalen_surface, observable_core, rasterize,
@@ -65,8 +65,8 @@ def _member_vec(region, pts):
     x, y = pts[:, 0], pts[:, 1]
     if isinstance(region, FullSpace):
         return np.ones(len(pts), dtype=bool)
-    if isinstance(region, Rectangle):
-        return (x <= region.tau[0]) & (y <= region.tau[1])
+    if isinstance(region, LowerRect):
+        return (x <= region.corner[0]) & (y <= region.corner[1])
     if isinstance(region, GridProduct):
         def union(v, ivs):
             hit = np.zeros(len(v), dtype=bool)
@@ -94,7 +94,7 @@ def _random_region(rng, fam):
     if fam == "full":
         return FullSpace()
     if fam == "rectangle":
-        return Rectangle(tuple(rng.uniform(0.3, 1.0, 2)))
+        return LowerRect(tuple(rng.uniform(0.3, 1.0, 2)))
     if fam == "grid_product":
         def ivs():
             b = float(rng.uniform(0.2, 0.5))
@@ -184,7 +184,7 @@ def test_criterion_02_worked_examples():
     small = nelson_aalen(s, LowerRect((0.45, 0.65)))
     cens = CensoredSample([
         _obs((0.2, 0.3)),
-        SubjectRecord(censor=Rectangle((0.45, 1.0)), status="censored_latent",
+        SubjectRecord(censor=LowerRect((0.45, 1.0)), status="censored_latent",
                       latent=(0.5, 0.6)),
         _obs((0.4, 0.1)),
     ])
@@ -206,7 +206,7 @@ def test_criterion_03_observable_rule_equivalence():
         latent, opaque = [], []
         for k in range(n):
             y, tau = ys[k], tuple(taus[k])
-            reg = Rectangle(tau)
+            reg = LowerRect(tau)
             if y[0] <= tau[0] and y[1] <= tau[1]:
                 latent.append(SubjectRecord(censor=reg, status="observed",
                                             point=tuple(y)))
@@ -253,7 +253,7 @@ def test_criterion_04_observable_core_matches_brute_force():
         assert np.array_equal(core.mask, _brute_core(mask))
     # worked shapes: the L goes to its square, the square to nothing
     lshape = rasterize(LowerLayer(((0.5, 1.0), (1.0, 0.5))), 8)
-    square = rasterize(Rectangle((0.5, 0.5)), 8)
+    square = rasterize(LowerRect((0.5, 0.5)), 8)
     step1 = observable_core(lshape)
     assert np.array_equal(step1.mask, square.mask)
     step2 = observable_core(step1)
@@ -466,10 +466,10 @@ def test_criterion_13_single_subject_identity():
         elif kind == 1:
             tau = tuple(rng.uniform(0.4, 1.0, 2))
             rec = _obs((float(rng.uniform(0, tau[0])),
-                        float(rng.uniform(0, tau[1]))), Rectangle(tau))
+                        float(rng.uniform(0, tau[1]))), LowerRect(tau))
         elif kind == 2:
             tau = tuple(rng.uniform(0.4, 1.0, 2))
-            rec = SubjectRecord(censor=Rectangle(tau), status="censored_opaque",
+            rec = SubjectRecord(censor=LowerRect(tau), status="censored_opaque",
                                 minima=(float(rng.uniform(0, tau[0])),
                                         float(rng.uniform(0, tau[1]))),
                                 events=(1, 1))

@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 
 from bihazard.censoring import (CENSORING_MODEL, BandComplement, CensoringModel, FullSpace,
-                                GridProduct, LowerLayer, QuantileTable, Raster, Rectangle,
-                                contains, inclusion_prob, joint_inclusion_prob,
-                                observable_core, rasterize, region_from_json,
-                                region_to_json, validate_censoring)
+                                GridProduct, LowerLayer, QuantileTable, Raster, contains,
+                                inclusion_prob, joint_inclusion_prob, observable_core,
+                                rasterize, region_from_json, region_to_json, validate_censoring)
 from bihazard.errors import ConfigError, DataError
-from bihazard.geometry import Grid, lattice
+from bihazard.geometry import Grid, LowerRect, lattice
 
 
 # scalar reference predicates, written independently of the library
 def _ref_member(region, x, y):
     if isinstance(region, FullSpace):
         return True
-    if isinstance(region, Rectangle):
-        return x <= region.tau[0] and y <= region.tau[1]
+    if isinstance(region, LowerRect):
+        return x <= region.corner[0] and y <= region.corner[1]
     if isinstance(region, GridProduct):
         inx = any(a <= x <= b for a, b in region.x_intervals)
         iny = any(a <= y <= b for a, b in region.y_intervals)
@@ -37,7 +36,7 @@ def _random_region(rng):
     if kind == 0:
         return FullSpace()
     if kind == 1:
-        return Rectangle(tuple(np.sort(rng.random(2))))
+        return LowerRect(tuple(np.sort(rng.random(2))))
     if kind == 2:
         cuts = np.sort(rng.random(4))
         return GridProduct(((0.0, cuts[0]), (cuts[1], 1.0)), ((0.0, cuts[2]), (cuts[3], 1.0)))
@@ -63,12 +62,12 @@ def test_contains_matches_reference_predicate():
 
 
 def test_contains_scalar_returns_bool():
-    out = contains(Rectangle((0.5, 0.5)), (0.2, 0.2))
+    out = contains(LowerRect((0.5, 0.5)), (0.2, 0.2))
     assert out is True or out is False
 
 
 def test_rectangle_boundary_closed():
-    r = Rectangle((0.4, 0.7))
+    r = LowerRect((0.4, 0.7))
     assert contains(r, (0.4, 0.7))
     assert not contains(r, (0.4, 0.7000001))
 
@@ -109,7 +108,7 @@ def test_raster_equality_and_hash():
 
 def test_region_validation_errors():
     with pytest.raises(ConfigError):
-        Rectangle((1.2, 0.5))
+        LowerRect((1.2, 0.5))
     with pytest.raises(ConfigError):
         GridProduct(((0.1, 0.4),), ((0.0, 1.0),))          # first must start at 0
     with pytest.raises(ConfigError):
@@ -285,7 +284,7 @@ def test_sample_region_reproducible():
     (a, ia), (b, ib) = (model.sample_regions(5, np.random.default_rng(3)) for _ in range(2))
     assert list(a) == list(b) and np.array_equal(ia, ib) and ia.tolist() == list(range(5))
     for r in a:
-        assert 0.2 <= r.tau[0] <= 0.9 and 0.2 <= r.tau[1] <= 0.9
+        assert 0.2 <= r.corner[0] <= 0.9 and 0.2 <= r.corner[1] <= 0.9
 
 
 def test_band_model_orders_draws():
@@ -320,7 +319,7 @@ def test_drawn_regions_are_parameter_columns_from_one_draw():
         assert [tuple(v.hex() for v in row[:len(frozen[kind][0])]) for row in regions.param.tolist()] \
             == frozen[kind]
         assert rng.random().hex() == "0x1.70474657a7bf8p-2"
-        assert list(regions) == ([Rectangle(r[:2]) for r in regions.param.tolist()] if kind == 1
+        assert list(regions) == ([LowerRect(r[:2]) for r in regions.param.tolist()] if kind == 1
                                  else [BandComplement(*r) for r in regions.param.tolist()])
     layer = LowerLayer(((0.5, 0.5),))
     regions, index = CensoringModel("lower_layer", {"region": layer}).sample_regions(6, None)
@@ -501,7 +500,7 @@ def test_validate_censoring():
 
 def test_region_json_round_trip():
     rng = np.random.default_rng(29)
-    regions = [FullSpace(), Rectangle((0.3, 0.8)),
+    regions = [FullSpace(), LowerRect((0.3, 0.8)),
                GridProduct(((0.0, 0.2), (0.5, 1.0)), ((0.0, 0.9),)),
                BandComplement(0.1, 0.7, 0.2),
                LowerLayer(((0.2, 0.9), (0.8, 0.3))),

@@ -15,11 +15,12 @@ import bihazard.inference
 import bihazard.cli as cli
 import bihazard.mc
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
-                                LowerLayer, QuantileTable, Raster, Rectangle)
+                                LowerLayer, QuantileTable, Raster)
 from bihazard.cli import main
 from bihazard.decode import BOOL, INT, NUM, OPTIONAL, PAIR, STR, Built, Schema, Tagged
 from bihazard.errors import ConfigError, DataError
 from bihazard.estimators import SubjectRecord, simulate_sample
+from bihazard.geometry import LowerRect
 from bihazard.io import RECORD, read_dataset, record_to_json, write_dataset
 from bihazard.models import FgmModel
 
@@ -30,7 +31,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # the decoder
 # ---------------------------------------------------------------------------
 
-INNER = Schema(Tagged("kind", {"box": Built({"tau": PAIR}, lambda d: Rectangle(d["tau"]))}),
+INNER = Schema(Tagged("kind", {"box": Built({"tau": PAIR}, lambda d: LowerRect(d["tau"]))}),
                DataError)
 OUTER = Schema({"n": (INT, 3), "x": NUM, "flag": (BOOL, OPTIONAL), "mode": ({"a", True}, "a"),
                 "items": ([[STR, NUM]], []), "shape": (INNER, OPTIONAL)})
@@ -40,7 +41,7 @@ def test_decoder_kinds_defaults_and_key_paths():
     assert OUTER.decode({"x": 1}) == {"n": 3, "x": 1, "mode": "a", "items": []}
     got = OUTER.decode({"x": 0.5, "flag": False, "mode": True, "items": [["k", 2]],
                         "shape": {"kind": "box", "tau": [1, 0.5]}})
-    assert got["items"] == [("k", 2)] and got["shape"] == Rectangle((1.0, 0.5))
+    assert got["items"] == [("k", 2)] and got["shape"] == LowerRect((1.0, 0.5))
     cases = [({"x": True}, ConfigError, "x must be a number, got True"),
              ({"x": 1, "n": 2.0}, ConfigError, "n must be an integer"),
              ({"x": 1, "mode": 1}, ConfigError, "mode must be one of 'a', True, got 1"),
@@ -77,6 +78,9 @@ FIXED = {"kind": "fixed", "value": 0.2}
 GLIVENKO = {"masterSeed": 1, "experiment": "glivenko", "model": {"theta": 0.0},
             "censorModel": {"family": "full"}}
 IID_REPR = {**GLIVENKO, "experiment": "iid_repr", "region": [0.5, 0.5]}
+COVERAGE = {**GLIVENKO, "experiment": "coverage"}
+CORNER = "config error: region must lie in (0, 1]^2, got"
+BAND = "must be a range [lo, hi] within [0, 1], got"
 LADDER = "config error: ladder must be a nonempty list of sizes of at least 1"
 
 
@@ -115,6 +119,16 @@ MC_PROBES = [
      "config error: checkpoints[0] must lie in (0, 1]^2, got [1.5, 0.5]"),
     ("mc_clt.json", _set("checkpoints", [[0.3, 0.3], [0, 0.5]]), 2,
      "config error: checkpoints[1] must lie in (0, 1]^2, got [0.0, 0.5]"),
+    (IID_REPR, _set("region", [1.5, 0.5]), 2, f"{CORNER} [1.5, 0.5]"),
+    (IID_REPR, _set("region", [0, 0.5]), 2, f"{CORNER} [0.0, 0.5]"),
+    (IID_REPR, _set("region", [-0.5, 0.5]), 2, f"{CORNER} [-0.5, 0.5]"),
+    ("mc_clt.json", _set("varRtol", -1), 2, "config error: varRtol must be at least 0, got -1"),
+    ("mc_clt.json", _set("ksBound", -0.1), 2, "config error: ksBound must be at least 0, got -0.1"),
+    (GLIVENKO, _set("bound", -1), 2, "config error: bound must be at least 0, got -1"),
+    (COVERAGE, _set("band", [0.9, 0.1]), 2, f"config error: band {BAND} [0.9, 0.1]"),
+    (COVERAGE, _set("band", [0.5, 1.5]), 2, f"config error: band {BAND} [0.5, 1.5]"),
+    ("mc_size_power.json", _set("scenarios", [{"name": "a", "test": "independence", "band": [0.5, 0.1]}]),
+     2, f"config error: scenarios[0].band {BAND} [0.5, 0.1]"),
     ("mc_size_power.json", _set("scenarios", 5), 2, "scenarios must be a list"),
     ("mc_size_power.json", _set("scenarios", [{"name": "b", "test": "independence"},
                                               {"name": "a", "test": "independence",
@@ -184,7 +198,8 @@ def test_malformed_inputs_exit_2_or_3_naming_the_key(datasets, tmp_path, capsys,
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(good) + "\n" + json.dumps({**good, "censor": censor}) + "\n")
         argv[argv.index(d1)] = str(bad)
-    assert main(argv + overrides) == code
+    with mock.patch.multiple(bihazard.mc, **{name: _stop for name in BEFORE_MC_WORK}):
+        assert main(argv + overrides) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out" / "manifest.json").exists()
@@ -211,6 +226,8 @@ HEAVY = ["simulate_sample", "nelson_aalen_surface"]
 HEAVY_TESTS = ["independence_test", "hazard_order_test", "fgm_order_test"]
 HEAVY_MC = ["verify_clt", "verify_glivenko", "verify_iid_representation", "size_power_study",
             "coverage_study"]
+# an mc command refuses its config before any of these runs
+BEFORE_MC_WORK = ["run_indexed", "integrated_hazard", "mesh_values"]
 
 
 def _node_paths(node, prefix=()):
@@ -280,8 +297,8 @@ def test_config_mutations_reject_wrong_kinds(datasets):
 
 RECORDS = [
     SubjectRecord(censor=FullSpace(), status="observed", point=(0.2, 0.3)),
-    SubjectRecord(censor=Rectangle((0.5, 0.9)), status="censored_latent", latent=(0.6, 0.1)),
-    SubjectRecord(censor=Rectangle((0.5, 0.9)), status="censored_opaque", minima=(0.5, 0.1),
+    SubjectRecord(censor=LowerRect((0.5, 0.9)), status="censored_latent", latent=(0.6, 0.1)),
+    SubjectRecord(censor=LowerRect((0.5, 0.9)), status="censored_opaque", minima=(0.5, 0.1),
                   events=(0, 1)),
     SubjectRecord(censor=GridProduct(((0.0, 0.4),), ((0.0, 1.0),)), status="observed",
                   point=(0.1, 0.5)),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections.abc import Sequence
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from bihazard import estimators as est
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
-                                LowerLayer, QuantileTable, Raster, Rectangle, contains,
-                                observable_core, rasterize)
+                                LowerLayer, QuantileTable, Raster, contains,
+                                observable_core, rasterize, region_from_json)
 from bihazard.dominance import dominating_count_naive
 from bihazard.errors import (ConfigError, DataError, DomainError, ObservabilityError,
                              QuantileRangeError, ReductionError)
@@ -20,8 +21,8 @@ from bihazard.estimators import (CensoredSample, SubjectRecord, asymptotic_cov, 
                                  marginal_nelson_aalen, nelson_aalen,
                                  nelson_aalen_surface, simulate_sample, surface_values)
 from bihazard.geometry import Grid, LowerRect, PredicateRegion
-from bihazard.io import read_dataset, write_dataset
-from bihazard.models import FgmModel
+from bihazard.io import read_dataset, read_dataset_csv, write_dataset, write_dataset_csv
+from bihazard.models import FgmModel, integrated_hazard
 from bihazard.quadrature import QuadratureSpec, mesh_sum, mesh_values, midpoints
 
 FULL = FullSpace()
@@ -39,7 +40,7 @@ def worked_censored():
     # the middle subject watches only [0, 0.45] x [0, 1]; its point falls outside
     return CensoredSample([
         obs((0.2, 0.3)),
-        SubjectRecord(censor=Rectangle((0.45, 1.0)), status="censored_latent",
+        SubjectRecord(censor=LowerRect((0.45, 1.0)), status="censored_latent",
                       latent=(0.5, 0.6)),
         obs((0.4, 0.1)),
     ])
@@ -48,11 +49,11 @@ def worked_censored():
 def worked_censored_opaque():
     # same subjects in the minima-plus-flags form
     return CensoredSample([
-        SubjectRecord(censor=Rectangle((1.0, 1.0)), status="censored_opaque",
+        SubjectRecord(censor=LowerRect((1.0, 1.0)), status="censored_opaque",
                       minima=(0.2, 0.3), events=(1, 1)),
-        SubjectRecord(censor=Rectangle((0.45, 1.0)), status="censored_opaque",
+        SubjectRecord(censor=LowerRect((0.45, 1.0)), status="censored_opaque",
                       minima=(0.45, 0.6), events=(0, 1)),
-        SubjectRecord(censor=Rectangle((1.0, 1.0)), status="censored_opaque",
+        SubjectRecord(censor=LowerRect((1.0, 1.0)), status="censored_opaque",
                       minima=(0.4, 0.1), events=(1, 1)),
     ])
 
@@ -71,10 +72,10 @@ def test_record_validation():
                       events=(1, 2))
     # the observed point must lie inside its region
     with pytest.raises(DataError):
-        CensoredSample([obs((0.5, 0.5), censor=Rectangle((0.4, 0.4)))])
+        CensoredSample([obs((0.5, 0.5), censor=LowerRect((0.4, 0.4)))])
     # a latent point must lie outside
     with pytest.raises(DataError):
-        CensoredSample([SubjectRecord(censor=Rectangle((0.6, 0.6)),
+        CensoredSample([SubjectRecord(censor=LowerRect((0.6, 0.6)),
                                       status="censored_latent", latent=(0.5, 0.5))])
     with pytest.raises(DataError):
         CensoredSample([SubjectRecord(censor=FULL, status="observed")])
@@ -82,7 +83,7 @@ def test_record_validation():
         CensoredSample([])
     # several records: the checks run over all of them at once and name the first offender
     grid = GridProduct(((0.0, 0.3), (0.6, 1.0)), ((0.0, 0.5),))
-    box = Rectangle((0.4, 0.4))
+    box = LowerRect((0.4, 0.4))
     ok = [obs((0.2, 0.3), censor=grid), obs((0.1, 0.1), censor=box),
           SubjectRecord(censor=grid, status="censored_latent", latent=(0.5, 0.2))]
     cases = [
@@ -105,16 +106,16 @@ def test_opaque_record_validation():
                                       minima=(0.2, 0.2), events=(1, 1))])
     # flagged observed but the minimum exceeds tau
     with pytest.raises(DataError):
-        CensoredSample([SubjectRecord(censor=Rectangle((0.3, 0.3)),
+        CensoredSample([SubjectRecord(censor=LowerRect((0.3, 0.3)),
                                       status="censored_opaque",
                                       minima=(0.4, 0.2), events=(1, 1))])
     # flagged censored so the minimum must sit exactly at tau
     with pytest.raises(DataError):
-        CensoredSample([SubjectRecord(censor=Rectangle((0.3, 0.3)),
+        CensoredSample([SubjectRecord(censor=LowerRect((0.3, 0.3)),
                                       status="censored_opaque",
                                       minima=(0.2, 0.2), events=(0, 1))])
     # several records: the first offender is named, with its own error class
-    box = Rectangle((0.3, 0.3))
+    box = LowerRect((0.3, 0.3))
     grid = GridProduct(((0.0, 1.0),), ((0.0, 1.0),))
 
     def opaque(minima, events, censor=box):
@@ -243,9 +244,9 @@ def _random_rect_records(rng, n):
         if rng.random() < 0.3:
             censor = FULL
         else:
-            censor = Rectangle(tuple(0.2 + 0.8 * rng.random(2)))
-        inside = (not isinstance(censor, Rectangle)) or (y[0] <= censor.tau[0]
-                                                         and y[1] <= censor.tau[1])
+            censor = LowerRect(tuple(0.2 + 0.8 * rng.random(2)))
+        inside = (not isinstance(censor, LowerRect)) or (y[0] <= censor.corner[0]
+                                                         and y[1] <= censor.corner[1])
         if inside:
             recs.append(SubjectRecord(censor=censor, status="observed", point=tuple(y)))
         else:
@@ -263,7 +264,7 @@ def test_masses_match_quadratic_scan_on_random_samples(monkeypatch):
 
 
 def test_general_path_agrees_with_fast_on_equivalent_regions():
-    # a one-interval GridProduct is the same set as a Rectangle but is counted
+    # a one-interval GridProduct is the same set as a LowerRect but is counted
     # as a region of its own, not on the minima; counts must agree
     rng = np.random.default_rng(79)
     for _ in range(10):
@@ -271,7 +272,7 @@ def test_general_path_agrees_with_fast_on_equivalent_regions():
         fast_recs = _random_rect_records(rng, n)
         slow_recs = []
         for r in fast_recs:
-            tau = r.censor.tau if isinstance(r.censor, Rectangle) else (1.0, 1.0)
+            tau = r.censor.corner if isinstance(r.censor, LowerRect) else (1.0, 1.0)
             twin = GridProduct(((0.0, tau[0]),), ((0.0, tau[1]),))
             slow_recs.append(SubjectRecord(censor=twin, status=r.status,
                                            point=r.point, latent=r.latent))
@@ -312,7 +313,7 @@ def _mixed_family_records(rng):
     shared = [GridProduct(((0.0, 0.375), (0.625, 1.0)), ((0.0, 0.5), (0.75, 1.0))),
               LowerLayer(((0.375, 1.0), (0.75, 0.625), (1.0, 0.25))),
               Raster(4, rng.random((4, 4)) < 0.7)]
-    censors = ([Rectangle(tuple(lattice(3, 8, 2))) for _ in range(55)] + [FULL] * 25
+    censors = ([LowerRect(tuple(lattice(3, 8, 2))) for _ in range(55)] + [FULL] * 25
                + [r for r in shared for _ in range(70)])
     for _ in range(40):
         k1 = lattice(1, 4)
@@ -321,7 +322,7 @@ def _mixed_family_records(rng):
     for i, censor in enumerate(censors):
         y = tuple(lattice(0, 8, 2))
         if 30 <= i < 55:
-            tau = censor.tau
+            tau = censor.corner
             recs.append(SubjectRecord(censor=censor, status="censored_opaque",
                                       minima=(min(y[0], tau[0]), min(y[1], tau[1])),
                                       events=(int(y[0] <= tau[0]), int(y[1] <= tau[1]))))
@@ -350,8 +351,8 @@ def _axis_intervals(region, axis):
     """Per-axis observable intervals, written from each family's definition."""
     if isinstance(region, FullSpace):
         return [(0.0, 1.0)]
-    if isinstance(region, Rectangle):
-        return [(0.0, region.tau[axis])]
+    if isinstance(region, LowerRect):
+        return [(0.0, region.corner[axis])]
     if isinstance(region, GridProduct):
         return (region.x_intervals, region.y_intervals)[axis]
     if isinstance(region, LowerLayer):
@@ -424,14 +425,14 @@ def _lattice_sample(family, n, rng):
     for i in range(n):
         y = tuple(lattice(0, 8, 2))
         if family == "box":
-            censor = Rectangle(tuple(lattice(3, 8, 2))) if i % 3 else FULL
+            censor = LowerRect(tuple(lattice(3, 8, 2))) if i % 3 else FULL
         elif family in shared:
             censor = shared[family]
         else:
             k1 = lattice(1, 4)
             censor = BandComplement(k1, k1 + lattice(0, 3), lattice(1, 2))
         if family == "box" and i % 3 == 2:
-            tau = censor.tau
+            tau = censor.corner
             recs.append(SubjectRecord(censor=censor, status="censored_opaque",
                                       minima=(min(y[0], tau[0]), min(y[1], tau[1])),
                                       events=(int(y[0] <= tau[0]), int(y[1] <= tau[1]))))
@@ -560,13 +561,13 @@ def test_general_path_equals_fast_path_on_recast_rectangles(n, seed):
     # rectangles recast as one-interval grid products and one-corner lower layers
     # go through masked term groups; every count is exact, so all outputs agree bit for bit
     rng = np.random.default_rng(seed)
-    recs = [SubjectRecord(censor=Rectangle(tuple(rng.integers(2, 9, size=2) / 8.0)),
+    recs = [SubjectRecord(censor=LowerRect(tuple(rng.integers(2, 9, size=2) / 8.0)),
                           status="censored_latent", latent=tuple(rng.integers(0, 9, size=2) / 8.0))
             for _ in range(n)]
     recs = [obs(r.latent, r.censor) if contains(r.censor, r.latent) else r for r in recs]
 
     def recast(make):
-        return CensoredSample([SubjectRecord(censor=make(r.censor.tau), status=r.status,
+        return CensoredSample([SubjectRecord(censor=make(r.censor.corner), status=r.status,
                                              point=r.point, latent=r.latent) for r in recs])
 
     fast = CensoredSample(recs)
@@ -597,7 +598,7 @@ def test_opaque_rectangle_records_fit_as_latent_records(n, seed, ties):
         ys, taus = rng.random((n, 2)), rng.uniform(0.2, 1.0, (n, 2))
     latent, opaque = [], []
     for y, tau in zip(ys, taus):
-        y, censor = tuple(y), Rectangle(tuple(tau))
+        y, censor = tuple(y), LowerRect(tuple(tau))
         latent.append(obs(y, censor) if contains(censor, y)
                       else SubjectRecord(censor=censor, status="censored_latent", latent=y))
         opaque.append(SubjectRecord(censor=censor, status="censored_opaque",
@@ -884,11 +885,11 @@ def test_km_quantile():
 
 def test_km_quantile_capped_by_censoring():
     # everyone censored on axis 1 except one subject: the CDF tops out below 1
-    recs = [SubjectRecord(censor=Rectangle((0.5, 1.0)), status="censored_opaque",
+    recs = [SubjectRecord(censor=LowerRect((0.5, 1.0)), status="censored_opaque",
                           minima=(0.5, 0.3), events=(0, 1)),
-            SubjectRecord(censor=Rectangle((0.5, 1.0)), status="censored_opaque",
+            SubjectRecord(censor=LowerRect((0.5, 1.0)), status="censored_opaque",
                           minima=(0.5, 0.7), events=(0, 1)),
-            SubjectRecord(censor=Rectangle((0.5, 1.0)), status="censored_opaque",
+            SubjectRecord(censor=LowerRect((0.5, 1.0)), status="censored_opaque",
                           minima=(0.2, 0.4), events=(1, 1))]
     km = kaplan_meier(marginal_nelson_aalen(CensoredSample(recs), 0))
     assert km.max_value == pytest.approx(1 / 3)
@@ -1003,9 +1004,9 @@ def test_simulate_latent_statuses():
     assert {r.status for r in s.records} <= {"observed", "censored_latent"}
     for r in s.records:
         if r.status == "observed":
-            assert r.point[0] <= r.censor.tau[0] and r.point[1] <= r.censor.tau[1]
+            assert r.point[0] <= r.censor.corner[0] and r.point[1] <= r.censor.corner[1]
         else:
-            assert r.latent[0] > r.censor.tau[0] or r.latent[1] > r.censor.tau[1]
+            assert r.latent[0] > r.censor.corner[0] or r.latent[1] > r.censor.corner[1]
 
 
 def test_simulate_observable_matches_latent_twin():
@@ -1017,7 +1018,7 @@ def test_simulate_observable_matches_latent_twin():
     assert all(r.status == "censored_opaque" for r in opa.records)
     for a, b in zip(lat.records, opa.records):
         y = a.point if a.status == "observed" else a.latent
-        tau = a.censor.tau
+        tau = a.censor.corner
         assert b.minima == (min(y[0], tau[0]), min(y[1], tau[1]))
         assert b.events == (int(y[0] <= tau[0]), int(y[1] <= tau[1]))
         assert (a.status == "observed") == (b.events == (1, 1))
@@ -1140,3 +1141,53 @@ def test_simulate_errors():
         simulate_sample(FgmModel(0.0), cm, 0, np.random.default_rng(1))
     with pytest.raises(ConfigError):
         simulate_sample(FgmModel(0.0), cm, 5, np.random.default_rng(1), form="wide")
+
+
+# ---------------------------------------------------------------------------
+# one lower rectangle: a decoded rectangle region is the estimation set [0, corner]
+# ---------------------------------------------------------------------------
+
+def _decoded_box(corner):
+    return region_from_json({"kind": "rectangle", "tau": list(corner)})
+
+
+def test_a_decoded_rectangle_region_is_the_lower_rectangle():
+    assert type(_decoded_box((0.7, 0.7))) is LowerRect
+    assert _decoded_box((0.7, 0.7)) == LowerRect((0.7, 0.7))
+
+
+def test_a_decoded_rectangle_integrates_and_estimates_as_the_lower_rectangle():
+    model, box, decoded = FgmModel(0.3), LowerRect((0.7, 0.7)), _decoded_box((0.7, 0.7))
+    got, want = integrated_hazard(model, decoded), integrated_hazard(model, box)
+    assert got.converged and got == want
+    sample = simulate_sample(model, FAMILIES["rectangle"], 300, np.random.default_rng(8))
+    assert compensator_residual(sample, model, decoded) == compensator_residual(sample, model, box)
+    cm = FAMILIES["rectangle"]
+    assert asymptotic_cov(model, cm, decoded, decoded) == asymptotic_cov(model, cm, box, box)
+
+
+def test_lower_rect_censored_records_carry_minima_and_round_trip(tmp_path):
+    rng = np.random.default_rng(12)
+    records = []
+    for y, tau in zip(rng.random((80, 2)).tolist(), rng.uniform(0.3, 1.0, (80, 2)).tolist()):
+        minima, flags = tuple(map(min, y, tau)), tuple(int(a <= b) for a, b in zip(y, tau))
+        records.append(SubjectRecord(LowerRect(tau), "observed", point=minima) if flags == (1, 1) else
+                       SubjectRecord(LowerRect(tau), "censored_opaque", minima=minima, events=flags))
+    assert {r.status for r in records} == {"observed", "censored_opaque"}
+    write_dataset(tmp_path / "d.jsonl", records)
+    write_dataset_csv(tmp_path / "d.csv", records)
+    decoded = [dataclasses.replace(r, censor=_decoded_box(r.censor.corner)) for r in records]
+    forms = [records, decoded, read_dataset(tmp_path / "d.jsonl")[0],
+             read_dataset_csv(tmp_path / "d.csv")]
+    for form in forms:
+        assert form == records
+    samples = [CensoredSample(form) for form in forms]
+    assert all((s.regions.kind == 1).all() for s in samples)
+
+    def fit(s):
+        return [jump_masses(s), [nelson_aalen(s, LowerRect((0.8, 0.9)))],
+                nelson_aalen_surface(s, Grid(9, (1.0, 1.0))).values,
+                *(marginal_nelson_aalen(s, axis).cum for axis in (0, 1))]
+
+    for s in samples[1:]:
+        assert all(map(np.array_equal, fit(s), fit(samples[0])))

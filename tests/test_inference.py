@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bihazard import inference, mc
-from bihazard.censoring import CensoringModel, FullSpace, GridProduct, QuantileTable, Rectangle
+from bihazard.censoring import CensoringModel, FullSpace, GridProduct, QuantileTable
 from bihazard.errors import ConfigError, QuantileRangeError
 from bihazard.estimators import (CensoredSample, SubjectRecord, at_risk, kaplan_meier, km_quantile,
                                  marginal_nelson_aalen, nelson_aalen, nelson_aalen_surface,
@@ -301,7 +301,7 @@ def test_fgm_unknown_marginals_empty_replicates_counted():
     # has no attainable quantiles and scores -inf
     s1 = CensoredSample([
         obs((0.5, 0.5)),
-        SubjectRecord(censor=Rectangle((0.45, 1.0)), status="censored_opaque",
+        SubjectRecord(censor=LowerRect((0.45, 1.0)), status="censored_opaque",
                       minima=(0.45, 0.3), events=(0, 1)),
     ])
     s2 = CensoredSample([obs((0.3, 0.3)), obs((0.6, 0.6))])
@@ -315,7 +315,7 @@ def test_fgm_unknown_marginals_empty_replicates_counted():
 def test_fgm_unknown_marginals_unattainable_raises():
     # sample 1 never observes axis 1, so no copula-scale node is usable
     s1 = CensoredSample([
-        SubjectRecord(censor=Rectangle((0.3, 1.0)), status="censored_opaque",
+        SubjectRecord(censor=LowerRect((0.3, 1.0)), status="censored_opaque",
                       minima=(0.3, y), events=(0, 1))
         for y in (0.2, 0.4, 0.6)
     ])

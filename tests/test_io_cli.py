@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import bihazard
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
-                                LowerLayer, QuantileTable, Raster, Rectangle, region_to_json)
+                                LowerLayer, QuantileTable, Raster, region_to_json)
 from bihazard import cli, mc
 from bihazard.cli import main
 from bihazard.decode import Schema
@@ -38,9 +38,9 @@ def worked_records():
 def censored_records():
     return [
         obs((0.2, 0.3)),
-        SubjectRecord(censor=Rectangle((0.45, 1.0)), status="censored_latent",
+        SubjectRecord(censor=LowerRect((0.45, 1.0)), status="censored_latent",
                       latent=(0.5, 0.6)),
-        SubjectRecord(censor=Rectangle((0.45, 1.0)), status="censored_opaque",
+        SubjectRecord(censor=LowerRect((0.45, 1.0)), status="censored_opaque",
                       minima=(0.45, 0.1), events=(0, 1)),
     ]
 
@@ -129,7 +129,7 @@ def test_regions_freed_by_a_generator_keep_their_own_text(tmp_path):
     # each region is dropped once its record is written, so its id may be handed to the next one
     def records():
         for i in range(200):
-            yield obs((0.0, 0.0), Rectangle((i / 200, 1.0 - i / 400)))
+            yield obs((0.0, 0.0), LowerRect((i / 200, 1.0 - i / 400)))
     path = tmp_path / "d.jsonl"
     write_dataset(path, records())
     lines = path.read_text().splitlines()
@@ -137,7 +137,7 @@ def test_regions_freed_by_a_generator_keep_their_own_text(tmp_path):
 
 
 def test_equal_regions_written_differently_keep_their_own_text(tmp_path):
-    neg, pos = Rectangle((-0.0, 1.0)), Rectangle((0.0, 1.0))
+    neg, pos = LowerRect((-0.0, 1.0)), LowerRect((0.0, 1.0))
     assert neg == pos
     path = tmp_path / "d.jsonl"
     write_dataset(path, [obs((0.0, 0.5), neg), obs((0.0, 0.5), pos), obs((0.0, 0.6), neg)])
@@ -216,7 +216,7 @@ def regions(draw):
     if kind == "full":
         return FullSpace()
     if kind == "rectangle":
-        return Rectangle(draw(PAIRS))
+        return LowerRect(draw(PAIRS))
     if kind == "band_complement":
         k1, k2 = sorted(draw(PAIRS))
         return BandComplement(k1, k2, draw(st.one_of(st.just(1.0), st.floats(1e-3, 2.0))))
@@ -268,13 +268,13 @@ def test_jsonl_lines_match_the_oracle_and_read_back_equal(tmp_path_factory, reco
 
 
 @settings(max_examples=100)
-@given(record_lists(st.builds(Rectangle, PAIRS)))
+@given(record_lists(st.builds(LowerRect, PAIRS)))
 def test_csv_round_trips_rectangle_records(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "property.csv"
     write_dataset_csv(path, records)
     expected = []
     for r in records:
-        tau = r.censor.tau
+        tau = r.censor.corner
         if r.status == "observed":
             m, d = r.point, (1, 1)
         elif r.status == "censored_opaque":
@@ -301,7 +301,7 @@ def test_csv_round_trip(tmp_path):
     assert [r.status for r in back] == ["observed", "censored_opaque",
                                         "censored_opaque"]
     # full space is written as the unit rectangle
-    assert back[0].censor == Rectangle((1.0, 1.0))
+    assert back[0].censor == LowerRect((1.0, 1.0))
     # the latent record is reduced to minima and flags, losslessly for
     # estimation: jump masses agree with the original sample's
     assert back[1].minima == (0.45, 0.6)
@@ -551,7 +551,7 @@ def test_cli_test_config_errors(tmp_path, capsys):
 
 
 def test_cli_fgm_unattainable_is_numeric_error(tmp_path):
-    recs = [SubjectRecord(censor=Rectangle((0.3, 1.0)), status="censored_opaque",
+    recs = [SubjectRecord(censor=LowerRect((0.3, 1.0)), status="censored_opaque",
                           minima=(0.3, y), events=(0, 1))
             for y in (0.2, 0.4, 0.6)]
     d1 = tmp_path / "op.jsonl"

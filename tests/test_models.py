@@ -184,8 +184,8 @@ def test_integrated_hazard_domain_errors():
     m = FgmModel(theta=0.0)
     with pytest.raises(DomainError):
         integrated_hazard(m, LowerRect((1.0, 1.0)))          # touches S = 0
-    with pytest.raises(DomainError):
-        integrated_hazard(m, LowerRect((1.1, 0.5)))          # leaves the square
+    with pytest.raises(ConfigError, match=r"rectangle corner must lie in \[0,1\]\^2"):
+        LowerRect((1.1, 0.5))                                # leaves the square: refused at construction
     assert float(integrated_hazard(m, LowerRect((0.0, 0.5)))) == 0.0
 
 
