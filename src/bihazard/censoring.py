@@ -2,12 +2,12 @@
 
 A subject's failure point is recorded only if it falls inside the
 subject's observable region xi; outside, the point is censored.  Regions come
-in six shapes: the full square, lower rectangles [0, tau] (LowerRect), products
-of per-axis interval unions, complements of a diagonal band, lower layers
-(staircases), and free-form rasters.  Each shape is a geometry Region: its
-membership is `at(x, y)` at broadcastable coordinates, with closed
-boundaries except where noted, and `contains(region, pts)` is the same on
-(..., 2) point arrays.  Inclusion probabilities take coordinates too.
+in five shapes: lower rectangles [0, tau] (LowerRect; the full square is
+[0, (1, 1)]), products of per-axis interval unions, complements of a diagonal
+band, lower layers (staircases), and free-form rasters.  Each shape is a
+geometry Region: its membership is `at(x, y)` at broadcastable coordinates,
+with closed boundaries except where noted, and `contains(region, pts)` is the
+same on (..., 2) point arrays.  Inclusion probabilities take coordinates too.
 
 A CensoringModel is a distribution over regions of one shape.  It can
 draw regions, and it reports the inclusion probabilities P(t in xi) and
@@ -39,12 +39,9 @@ __all__ = [
 # region shapes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FullSpace(Region):
-    """No censoring: xi = [0,1]^2."""
-
-    def at(self, x, y):
-        return np.ones(np.broadcast(x, y).shape, dtype=bool)
+def FullSpace():
+    """No censoring: xi = [0,1]^2, the lower rectangle with corner (1, 1)."""
+    return LowerRect((1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -490,10 +487,9 @@ def validate_censoring(model, grid, epsilon=0.05):
 # ---------------------------------------------------------------------------
 
 def region_to_json(region):
-    if isinstance(region, FullSpace):
-        return {"kind": "full"}
     if isinstance(region, LowerRect):
-        return {"kind": "rectangle", "tau": list(region.corner)}
+        full = region.corner == (1.0, 1.0)
+        return {"kind": "full"} if full else {"kind": "rectangle", "tau": list(region.corner)}
     if isinstance(region, GridProduct):
         return {"kind": "grid_product",
                 "x": [[a, b] for a, b in region.x_intervals],

@@ -177,8 +177,7 @@ def _term_table(regions):
     masks = {None: 0}
     held = np.flatnonzero(kind == 0).tolist()
     head_group = np.zeros(len(kind), np.int32)
-    head_group[held] = [masks.setdefault(None if isinstance(r, cen.FullSpace) else r, len(masks))
-                        for r in map(regions.__getitem__, held)]
+    head_group[held] = [masks.setdefault(r, len(masks)) for r in map(regions.__getitem__, held)]
     band = (kind == 2) & (k1 < k2)
     start = np.concatenate([[0], np.cumsum(1 + 2 * band)])
     head = start[:-1]
@@ -511,7 +510,7 @@ def _axis_intervals(regions, axis):
     reduction, which raises only where a record uses it), and all (a, b) stacked row by row.
     A rectangle gives [0, tau]; a band complement [0, 1] on the first axis, and on the second,
     censored on the open interval (k1, k2 + c), [0, k1] and [k2 + c, 1] if k2 + c <= 1; a grid
-    product its intervals; full space and a lower layer [0, the largest corner]; a raster none."""
+    product its intervals; a lower layer [0, the largest corner]; a raster none."""
     kind, (k1, k2, c) = regions.kind, regions.param.T
     band = (kind == 2) & (axis == 1)
     held = {}
@@ -522,7 +521,7 @@ def _axis_intervals(regions, axis):
         elif isinstance(region, cen.LowerLayer):
             held[r] = [(0.0, max(corner[axis] for corner in region.corners))]
         else:
-            held[r] = [(0.0, 1.0)] if isinstance(region, cen.FullSpace) else None
+            held[r] = None
     ends = np.zeros((len(kind), max([2] + [len(iv) for iv in held.values() if iv]), 2))
     ends[:, 0, 1] = np.where(kind == 1, regions.param[:, axis], np.where(band, k1, 1.0))
     ends[:, 1] = np.column_stack([k2 + c, np.ones(len(kind))])      # read where count is 2

@@ -77,7 +77,7 @@ def write_dataset(path, records, header=None):
 
 
 def _lines(carrier, status, events, regions, region_index):
-    texts = [f'{{"kind": "rectangle", "tau": [{a!r}, {b!r}]}}' if k == 1
+    texts = [f'{{"kind": "rectangle", "tau": [{a!r}, {b!r}]}}' if k == 1 and (a, b) != (1.0, 1.0)
              else f'{{"c": {c!r}, "k1": {a!r}, "k2": {b!r}, "kind": "band_complement"}}' if k == 2
              else json.dumps(cen.region_to_json(regions[r]), sort_keys=True)
              for r, (k, (a, b, c)) in enumerate(zip(regions.kind.tolist(), regions.param.tolist()))]
@@ -196,18 +196,17 @@ def read_sample(path):
 def write_dataset_csv(path, records):
     """The CSV shortcut, for rectangle censoring.
 
-    Every record's censor must be a rectangle (full space is written as the
-    unit rectangle); latent records are reduced to minima and event flags,
-    which loses nothing the estimators use.
+    Every record's censor must be a box [0, tau], the full square included;
+    latent records are reduced to minima and event flags, which loses
+    nothing the estimators use.
     """
     carrier, status, events, regions, index = _columns(records)
-    box = np.array([k == 1 or isinstance(regions[r], cen.FullSpace)
-                    for r, k in enumerate(regions.kind.tolist())])
-    if not box[index].all():
-        i = int(np.argmin(box[index]))
+    box = regions.kind[index] == 1
+    if not box.all():
+        i = int(np.argmin(box))
         raise DataError(f"record {i}: CSV shortcut covers rectangle censoring only, "
                         f"got {type(regions[index[i]]).__name__}")
-    tau = np.where((regions.kind == 1)[:, None], regions.param[:, :2], 1.0)[index]   # full space: the unit box
+    tau = regions.param[index, :2]
     latent = (status == 1)[:, None]
     flags = np.where(latent, carrier <= tau, events | (status == 0)[:, None]).astype(int)
     rows = zip(np.where(latent, np.minimum(carrier, tau), carrier).tolist(), flags.tolist(), tau.tolist())

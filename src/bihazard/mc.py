@@ -212,8 +212,6 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
     _check_tolerance("ksBound", ks_bound)
     truth = np.array([float(integrated_hazard(cfg.model, box, cfg.quadrature)) for box in boxes])
     root_n = math.sqrt(cfg.n)
-    # full-space censoring has the uncensored limit covariance
-    censor = None if cfg.censor_model.family == "full" else cfg.censor_model
 
     def one(r):
         (s,) = _draw(cfg, (r,))
@@ -230,7 +228,7 @@ def verify_clt(cfg, checkpoints, var_rtol=0.10, ks_bound=0.05,
             rows.append(_row(cfg, f"mean@{label}", mean, se, 0.0, "limit theorem (mean zero)",
                              "|mean| <= 3*SE", abs(mean) <= 3 * se))
         if "variance" in checks:
-            ref = float(asymptotic_cov(cfg.model, censor, box, box, cfg.quadrature).value)
+            ref = float(asymptotic_cov(cfg.model, cfg.censor_model, box, box, cfg.quadrature).value)
             var = float(x.var(ddof=1))
             vse = var * math.sqrt(2.0 / max(cfg.replicates - 1, 1))
             rows.append(_row(cfg, f"variance@{label}", var, vse, ref, "limit covariance quadrature",
@@ -291,6 +289,7 @@ def verify_iid_representation(cfg, region, ladder=(250, 500, 1000, 2000)):
     ladder = _ladder(ladder)
     if not isinstance(region, LowerRect):
         raise ConfigError("the representation check uses a lower rectangle region")
+    _box(region.corner, "region")
     truth = float(integrated_hazard(cfg.model, region, cfg.quadrature))
 
     def weight(x, y):

@@ -63,8 +63,6 @@ def _member_vec(region, pts):
     """Membership of each point, written per family from its set definition."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     x, y = pts[:, 0], pts[:, 1]
-    if isinstance(region, FullSpace):
-        return np.ones(len(pts), dtype=bool)
     if isinstance(region, LowerRect):
         return (x <= region.corner[0]) & (y <= region.corner[1])
     if isinstance(region, GridProduct):

@@ -11,8 +11,6 @@ from bihazard.geometry import Grid, LowerRect, lattice
 
 # scalar reference predicates, written independently of the library
 def _ref_member(region, x, y):
-    if isinstance(region, FullSpace):
-        return True
     if isinstance(region, LowerRect):
         return x <= region.corner[0] and y <= region.corner[1]
     if isinstance(region, GridProduct):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bihazard import estimators as est
 from bihazard.censoring import (BandComplement, CensoringModel, FullSpace, GridProduct,
                                 LowerLayer, QuantileTable, Raster, contains,
-                                observable_core, rasterize, region_from_json)
+                                observable_core, rasterize, region_from_json, region_to_json)
 from bihazard.dominance import dominating_count_naive
 from bihazard.errors import (ConfigError, DataError, DomainError, ObservabilityError,
                              QuantileRangeError, ReductionError)
@@ -102,8 +102,13 @@ def test_record_validation():
 
 def test_opaque_record_validation():
     with pytest.raises(ObservabilityError):
-        CensoredSample([SubjectRecord(censor=FULL, status="censored_opaque",
-                                      minima=(0.2, 0.2), events=(1, 1))])
+        CensoredSample([SubjectRecord(censor=LowerLayer(((0.5, 1.0), (1.0, 0.5))),
+                                      status="censored_opaque", minima=(0.2, 0.2), events=(1, 1))])
+    # the full square is a box: an opaque record flagged (1, 1) under it fits as an observed one
+    opaque_full = CensoredSample([SubjectRecord(censor=FULL, status="censored_opaque",
+                                                minima=(0.2, 0.3), events=(1, 1)),
+                                  obs((0.5, 0.6)), obs((0.4, 0.1))])
+    assert np.array_equal(jump_masses(opaque_full), jump_masses(worked_uncensored()))
     # flagged observed but the minimum exceeds tau
     with pytest.raises(DataError):
         CensoredSample([SubjectRecord(censor=LowerRect((0.3, 0.3)),
@@ -128,7 +133,8 @@ def test_opaque_record_validation():
         (ok + [opaque((0.1, 0.4), (1, 1)), opaque((0.4, 0.1), (1, 1))], 3, DataError,
          "coordinate 1 flagged observed"),
         (ok[:2] + [opaque((0.3, 0.2), (1, 0))] + ok, 2, DataError, "coordinate 1 flagged censored"),
-        (ok + [opaque((0.25, 0.3), (0, 1), censor=FULL)], 3, ObservabilityError, "got FullSpace"),
+        (ok + [opaque((0.25, 0.3), (0, 1), censor=Raster(2, [[1, 1], [1, 0]]))], 3, ObservabilityError,
+         "got Raster"),
     ]
     for records, bad, error, words in cases:
         with pytest.raises(error, match=rf"^record {bad}: .*{words}") as err:
@@ -349,8 +355,6 @@ def _brute_at_risk_2d(recs, queries):
 
 def _axis_intervals(region, axis):
     """Per-axis observable intervals, written from each family's definition."""
-    if isinstance(region, FullSpace):
-        return [(0.0, 1.0)]
     if isinstance(region, LowerRect):
         return [(0.0, region.corner[axis])]
     if isinstance(region, GridProduct):
@@ -1154,6 +1158,10 @@ def _decoded_box(corner):
 def test_a_decoded_rectangle_region_is_the_lower_rectangle():
     assert type(_decoded_box((0.7, 0.7))) is LowerRect
     assert _decoded_box((0.7, 0.7)) == LowerRect((0.7, 0.7))
+    # the full square is the box [0, (1, 1)], and is written as "full"
+    full = region_from_json({"kind": "full"})
+    assert FullSpace() == LowerRect((1.0, 1.0)) == full == _decoded_box((1.0, 1.0))
+    assert region_to_json(full) == {"kind": "full"}
 
 
 def test_a_decoded_rectangle_integrates_and_estimates_as_the_lower_rectangle():
@@ -1164,6 +1172,11 @@ def test_a_decoded_rectangle_integrates_and_estimates_as_the_lower_rectangle():
     assert compensator_residual(sample, model, decoded) == compensator_residual(sample, model, box)
     cm = FAMILIES["rectangle"]
     assert asymptotic_cov(model, cm, decoded, decoded) == asymptotic_cov(model, cm, box, box)
+    full = region_from_json({"kind": "full"})
+    with pytest.raises(DomainError, match="zero set of the survival function"):
+        integrated_hazard(model, full)
+    cov = asymptotic_cov(model, FAMILIES["full"], full, LowerRect((0.5, 0.5)))
+    assert cov.value == 3.897139037241373
 
 
 def test_lower_rect_censored_records_carry_minima_and_round_trip(tmp_path):
@@ -1191,3 +1204,7 @@ def test_lower_rect_censored_records_carry_minima_and_round_trip(tmp_path):
 
     for s in samples[1:]:
         assert all(map(np.array_equal, fit(s), fit(samples[0])))
+    # a full-family sample round-trips through the CSV shortcut to equal regions
+    full = simulate_sample(FgmModel(0.3), FAMILIES["full"], 40, rng).records
+    write_dataset_csv(tmp_path / "full.csv", full)
+    assert read_dataset_csv(tmp_path / "full.csv") == full

@@ -181,6 +181,11 @@ def test_verify_iid_representation_region_type():
         verify_iid_representation(tiny_cfg(), PredicateRegion(lambda p: p[..., 0] < 1))
 
 
+def test_verify_iid_representation_refuses_a_zero_side_region():
+    with pytest.raises(ConfigError, match=r"^region must lie in \(0, 1\]\^2, got \[0.0, 0.5\]"):
+        verify_iid_representation(tiny_cfg(), LowerRect((0.0, 0.5)))
+
+
 def test_verify_iid_representation_domain_preflight():
     cm = CensoringModel("rectangle", {"tau1": QuantileTable.fixed(0.9),
                                       "tau2": QuantileTable.fixed(0.9)})
